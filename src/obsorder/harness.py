@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .automorphism import OrderAutomorphism, apply, invert, reconstruct
-from .errors import ValidationError
+from .errors import ObsOrderError, ValidationError
 from .hermitian import HermitianMatrix, as_psd, herm_array, rank_numeric, rank_one
 from .loewner import leq, range_dominates
 from .oracle import from_automorphism
@@ -27,7 +27,7 @@ from .preservers import (
     orthogonal,
     preserves_relation,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
 
 CONDITION_CAP = 1e4
 
@@ -247,11 +247,27 @@ def _suite_thm1(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str
     conj = bool(rng.integers(0, 2))
     phi = OrderAutomorphism.create(t, conjugate=conj)  # cone map: X = 0
     inv = invert(phi)
+    sv = np.linalg.svd(t, compute_uv=False)
+    lo, hi = float(sv[-1]) ** 2, float(sv[0]) ** 2
     for _ in range(5):
         r = int(rng.integers(1, dim + 1))
         a = _random_psd_rank(rng, dim, r, (0.5, 2.0))
         fa = apply(phi, a)
-        if rank_numeric(fa, tol) != r:
+        # Ostrowski: lambda_k(T A T*) = theta_k lambda_k(A), s_min^2 <= theta_k <= s_max^2
+        # (entrywise conjugation keeps the spectrum of A)
+        ea = np.linalg.eigvalsh(a)
+        efa = np.linalg.eigvalsh(fa.mat)
+        norm = float(np.max(np.abs(efa)))
+        slack = 1e-12 * norm
+        if np.any(efa < lo * ea - slack):
+            failures.append("congruence put an eigenvalue below Ostrowski's lower bound")
+        if np.any(efa > hi * ea + slack):
+            failures.append("congruence put an eigenvalue above Ostrowski's upper bound")
+        # the rank is only decidable when the image's smallest nonzero
+        # eigenvalue provably clears the rank cut; with cond(T) up to
+        # CONDITION_CAP it can fall below it
+        decidable = lo * float(ea[dim - r]) > 10.0 * scaled(tol.tol_rank, norm)
+        if decidable and rank_numeric(fa, tol) != r:
             failures.append(f"congruence changed rank {r} -> {rank_numeric(fa, tol)}")
         p = _random_psd_rank(rng, dim, dim, (0.1, 1.0))
         b = a + p
@@ -306,7 +322,7 @@ def _suite_thm2_illcond(dim: int, rng: np.random.Generator, tol: Tolerances) -> 
     handle = from_automorphism(phi0)
     try:
         report = reconstruct(handle, seed=int(rng.integers(2**31)), tol=tol)
-    except Exception as exc:  # conditioning failures must be loud, not wrong
+    except (ObsOrderError, np.linalg.LinAlgError) as exc:  # loud, not wrong
         return [f"reconstruction raised: {exc}"]
     if _gauge_distance(report.recovered.T, t) > 1e-3:
         return ["T mismatch beyond relaxed 1e-3"]

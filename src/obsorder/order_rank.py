@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, InternalInconsistencyError, ValidationError
 from .hermitian import (
     HermitianMatrix,
     PsdMatrix,
@@ -86,9 +86,10 @@ def is_rank_one_by_order(
         raise ValidationError("zero matrix has no rank-1 test")
     if r >= 2:
         e, f = rank_two_counterexample(a, tol)
-        # sanity: constructed pair must behave as advertised
-        assert leq(e, a, tol) and leq(f, a, tol)
-        assert not leq(e, f, tol) and not leq(f, e, tol)
+        if not (leq(e, a, tol) and leq(f, a, tol)):
+            raise InternalInconsistencyError("rank-2 counterexample is not below A")
+        if leq(e, f, tol) or leq(f, e, tol):
+            raise InternalInconsistencyError("rank-2 counterexample pair is comparable")
         return False
     rng = np.random.default_rng(rng_seed)
     ts = rng.uniform(0.0, 1.0, size=(samples, 2))

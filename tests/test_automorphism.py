@@ -1,4 +1,7 @@
+import base64
+import json
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from obsorder import (
     leq,
     reconstruct,
 )
+from obsorder import oracle as oracle_module
 from obsorder.harness import _gauge_distance
+from obsorder.io import complex_matrix_from_dict, hermitian_from_dict, matrix_to_c128le
 from conftest import random_hermitian, random_invertible, random_psd
 
 
@@ -218,3 +223,99 @@ class TestSubprocessOracle:
         with SubprocessOracle([sys.executable, "-c", script], 2) as handle:
             with pytest.raises(TransportFailureError):
                 handle.query(np.zeros((2, 2)))
+
+    def test_decimal_only_child(self):
+        # plain-json child serving A -> 2A + I; a c128le request has no
+        # 'entries', so it would kill the child
+        script = (
+            "import sys, json\n"
+            "for line in sys.stdin:\n"
+            "    req = json.loads(line)\n"
+            "    rows = req['matrix']['entries']\n"
+            "    out = [[[2 * re + (i == j), 2 * im] for j, (re, im) in enumerate(row)]\n"
+            "           for i, row in enumerate(rows)]\n"
+            "    resp = {'id': req['id'], 'matrix': {'dim': len(rows), 'entries': out}}\n"
+            "    sys.stdout.write(json.dumps(resp) + '\\n')\n"
+            "    sys.stdout.flush()\n"
+        )
+        with SubprocessOracle([sys.executable, "-c", script], 2) as handle:
+            report = reconstruct(handle)
+        np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(report.recovered.X.mat, np.eye(2), atol=1e-12)
+
+    def test_demo_child_switches_to_c128le(self, monkeypatch):
+        sent = []
+
+        def dumps(obj):
+            sent.append(obj)
+            return json.dumps(obj)
+
+        monkeypatch.setattr(oracle_module, "json", types.SimpleNamespace(
+            dumps=dumps, loads=json.loads, JSONDecodeError=json.JSONDecodeError))
+        cmd = [sys.executable, "-m", "obsorder.demo_oracles.affine"]
+        with SubprocessOracle(cmd, 3) as handle:
+            report = reconstruct(handle)
+        np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
+        first, rest = sent[0], sent[1:]
+        assert "entries" in first["matrix"] and first["accept"] == ["c128le"]
+        assert rest and all("c128le" in f["matrix"] and "accept" not in f for f in rest)
+
+    def test_non_object_response_is_protocol_error(self):
+        script = "import sys; sys.stdin.readline(); print('[1]', flush=True); sys.stdin.readline()"
+        with SubprocessOracle([sys.executable, "-c", script], 2) as handle:
+            with pytest.raises(TransportFailureError, match="not a JSON object"):
+                handle.query(np.zeros((2, 2)))
+
+    def test_exit_status_is_reported(self):
+        cmd = [sys.executable, "-c", "import sys; sys.stdin.readline(); sys.exit(3)"]
+        with SubprocessOracle(cmd, 2) as handle:
+            with pytest.raises(TransportFailureError, match="exit status 3"):
+                handle.query(np.zeros((2, 2)))
+
+
+class TestC128le:
+    def test_round_trip_bit_exact(self, rng):
+        special = np.array([[-0.0 + 5e-324j, 1e300 - 1e300j],
+                            [-1e300 + 0.0j, -5e-324 - 0.0j]])
+        for m in [special, rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))]:
+            back = complex_matrix_from_dict(matrix_to_c128le(m))
+            assert back.tobytes() == m.tobytes()
+
+    def test_payload_size(self):
+        obj = matrix_to_c128le(np.eye(64))
+        assert obj["dim"] == 64 and len(base64.b64decode(obj["c128le"])) == 16 * 64 * 64
+
+    def test_hermitian_round_trip(self, rng):
+        h = random_hermitian(rng, 4)
+        np.testing.assert_array_equal(hermitian_from_dict(matrix_to_c128le(h)).mat, h)
+
+    @staticmethod
+    def _payload(values) -> str:
+        return base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode()
+
+    @pytest.mark.parametrize("case", [
+        "bad_base64", "bad_padding", "short", "long", "dim_zero", "dim_65", "nan", "inf",
+        "asymmetric", "not_a_string", "both_forms",
+    ])
+    def test_rejected(self, case):
+        eye = self._payload(np.eye(2))
+        nan = np.eye(2, dtype=np.complex128)
+        nan.view(np.uint64)[0, 0] = 0x7FF8000000000001  # a NaN bit pattern in A[0, 0].real
+        obj = {
+            "bad_base64": {"dim": 2, "c128le": eye[:8] + "*" + eye[8:]},
+            "bad_padding": {"dim": 2, "c128le": eye.rstrip("=") + "="},
+            "short": {"dim": 2, "c128le": self._payload(np.ones(3))},
+            "long": {"dim": 2, "c128le": self._payload(np.ones(5))},
+            "dim_zero": {"dim": 0, "c128le": ""},
+            "dim_65": {"dim": 65, "c128le": self._payload(np.eye(65))},
+            "nan": {"dim": 2, "c128le": self._payload(nan)},
+            "inf": {"dim": 2, "c128le": self._payload([[np.inf, 0], [0, 1]])},
+            "asymmetric": {"dim": 2, "c128le": self._payload([[1, 1], [0, 1]])},
+            "not_a_string": {"dim": 2, "c128le": [1, 2]},
+            "both_forms": {"dim": 2, "c128le": eye, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        }[case]
+        with pytest.raises(ValidationError):
+            hermitian_from_dict(obj)
+        if case != "asymmetric":
+            with pytest.raises(ValidationError):
+                complex_matrix_from_dict(obj)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from obsorder import (
+    InternalInconsistencyError,
     PsdMatrix,
     ValidationError,
     acts_on,
@@ -30,6 +31,14 @@ class TestRankOneByOrder:
         e, f = rank_two_counterexample(a)
         assert leq(e, a) and leq(f, a)
         assert not leq(e, f) and not leq(f, e)
+
+    @pytest.mark.parametrize("verdict", [True, False])
+    def test_broken_counterexample_raises(self, monkeypatch, verdict):
+        import obsorder.order_rank as order_rank
+
+        monkeypatch.setattr(order_rank, "leq", lambda *args, **kwargs: verdict)
+        with pytest.raises(InternalInconsistencyError):
+            is_rank_one_by_order(psd(np.diag([1.0, 1.0])))
 
     def test_zero_rejected(self):
         with pytest.raises(ValidationError):
