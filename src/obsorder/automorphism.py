@@ -75,7 +75,7 @@ def apply(phi: OrderAutomorphism, a) -> HermitianMatrix:
     if phi.conjugate:
         arr = arr.conj()
     out = phi.T @ arr @ phi.T.conj().T + phi.X.mat
-    return HermitianMatrix.from_array((out + out.conj().T) / 2.0)
+    return HermitianMatrix.hermitian_part(out)
 
 
 def compose(f: OrderAutomorphism, g: OrderAutomorphism) -> OrderAutomorphism:

@@ -145,8 +145,8 @@ def bisection_max_lambda(
     feas_floor: float = 1e-12,
 ) -> float | None:
     """Largest lambda with lambda * x(x)x <= B found by pure bisection on
-    PSD feasibility of B - lambda * x(x)x. Independent of the closed-form
-    route through sqrt(B) and its pseudoinverse.
+    PSD feasibility of B - lambda * x(x)x. Independent of the closed form
+    in B's eigenbasis that ``max_lambda`` uses.
     """
     b = herm_array(b)
     x = np.asarray(x, dtype=np.complex128).reshape(-1)

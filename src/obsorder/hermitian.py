@@ -29,16 +29,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_square_finite(arr: np.ndarray) -> np.ndarray:
+def _check_square_finite(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """The validated complex128 array and its largest entry modulus."""
     arr = np.asarray(arr, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
     d = arr.shape[0]
     if d < 1 or d > MAX_DIM:
         raise ValidationError(f"dimension must be in [1, {MAX_DIM}], got {d}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    # NaN propagates through max, so one test covers every entry (a modulus
+    # beyond the float range counts as non-finite too)
+    peak = float(np.max(np.abs(arr)))
+    if not np.isfinite(peak):
         raise ValidationError("matrix entries must be finite")
-    return arr
+    return arr, peak
 
 
 @dataclass(frozen=True)
@@ -55,16 +59,28 @@ class HermitianMatrix:
 
     @classmethod
     def from_array(cls, arr) -> "HermitianMatrix":
-        arr = _check_square_finite(arr)
-        delta = arr - arr.conj().T
-        asym = float(np.linalg.norm(delta))
-        rel = asym / max(float(np.linalg.norm(arr)), 1.0)
+        arr, peak = _check_square_finite(arr)
+        # ||M - M*|| / max(||M||, 1), measured on M / s with s = max(peak, 1):
+        # the squares inside the norms of M itself overflow near 1e300
+        s = max(peak, 1.0)
+        unit = arr * (1.0 / s) if s > 1.0 else arr
+        asym = float(np.linalg.norm(unit - unit.conj().T))
+        rel = asym / max(float(np.linalg.norm(unit)), 1.0 / s)
         if rel > ASYMMETRY_LIMIT:
             raise ValidationError(
                 f"matrix is not Hermitian: relative asymmetry {rel:.3e}"
             )
         sym = (arr + arr.conj().T) / 2.0
-        return cls(mat=_freeze(sym), asymmetry=asym)
+        return cls(mat=_freeze(sym), asymmetry=asym * s)
+
+    @classmethod
+    def hermitian_part(cls, arr) -> "HermitianMatrix":
+        """``(M + M*)/2`` of a square finite M, whatever its asymmetry: for
+        results that are Hermitian up to rounding by construction, such as
+        ``T A T* + X``, whose rounding is not bounded relative to the
+        result. ``asymmetry`` stays 0."""
+        arr, _ = _check_square_finite(arr)
+        return cls(mat=_freeze((arr + arr.conj().T) / 2.0))
 
     @property
     def dim(self) -> int:
@@ -92,14 +108,7 @@ class PsdMatrix:
         cls, h: "HermitianMatrix | np.ndarray", tol: Tolerances = DEFAULT_TOLERANCES
     ) -> "PsdMatrix":
         h = as_hermitian(h)
-        evals = np.linalg.eigvalsh(h.mat)
-        lo = float(evals[0])
-        norm = float(np.max(np.abs(evals))) if evals.size else 0.0
-        if lo < -scaled(tol.tol_psd, norm):
-            raise ValidationError(
-                f"matrix is not PSD: smallest eigenvalue {lo:.3e} (norm {norm:.3e})"
-            )
-        return cls(base=h, min_eig=lo)
+        return cls(base=h, min_eig=_certified_min_eig(np.linalg.eigvalsh(h.mat), tol))
 
     @property
     def mat(self) -> np.ndarray:
@@ -122,10 +131,38 @@ def as_hermitian(m) -> HermitianMatrix:
     return HermitianMatrix.from_array(m)
 
 
+def _certified_min_eig(evals: np.ndarray, tol: Tolerances) -> float:
+    """Smallest of the ascending ``evals``; ValidationError when it falls
+    below ``-tol_psd * max(norm, 1)``."""
+    lo = float(evals[0])
+    norm = float(np.max(np.abs(evals)))
+    if lo < -scaled(tol.tol_psd, norm):
+        raise ValidationError(
+            f"matrix is not PSD: smallest eigenvalue {lo:.3e} (norm {norm:.3e})"
+        )
+    return lo
+
+
 def as_psd(m, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdMatrix:
     if isinstance(m, PsdMatrix):
         return m
     return PsdMatrix.from_hermitian(m, tol)
+
+
+def psd_eigh(
+    m, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[PsdMatrix, np.ndarray, np.ndarray]:
+    """``as_psd(m)`` with its eigenvalues (ascending) and orthonormal
+    eigenvectors, all from one ``eigh``: the PSD certificate is read off the
+    same eigenvalues. Eigenvector phases are LAPACK's, not ``eig``'s gauge."""
+    h = as_hermitian(m)
+    try:
+        evals, evecs = np.linalg.eigh(h.mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    if isinstance(m, PsdMatrix):
+        return m, evals, evecs
+    return PsdMatrix(base=h, min_eig=_certified_min_eig(evals, tol)), evals, evecs
 
 
 def herm_array(m) -> np.ndarray:

@@ -4,7 +4,9 @@
 ``B - A`` is positive semidefinite. Besides the predicate this module
 produces refuting witnesses, the extremal scalar ``lambda`` with
 ``lambda * x(x)x <= B`` (feasible exactly when ``x`` lies in the range of
-``sqrt(B)``), and the rank-1 range-domination test built on it.
+``B``), and the rank-1 range-domination test built on it. Each operand is
+decomposed once: ``compare`` reads everything off one ``eigh(B - A)``, and
+``max_lambda`` and ``range_dominates`` work in the eigenbasis of ``B``.
 """
 
 from __future__ import annotations
@@ -19,18 +21,8 @@ from .errors import (
     InternalInconsistencyError,
     ValidationError,
 )
-from .hermitian import (
-    PsdMatrix,
-    as_hermitian,
-    as_psd,
-    herm_array,
-    pinv,
-    rank_numeric,
-    range_basis,
-    rank_one,
-    sqrt_psd,
-)
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .hermitian import PsdMatrix, herm_array, psd_eigh, rank_one
+from .tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
 
 # Noise floor used where a strict sign test is needed (see max_lambda).
 _NOISE_FLOOR = 1e-13
@@ -58,7 +50,8 @@ class OrderResult:
     witness_ba: OrderWitness | None = None  # refutes B <= A
 
 
-def _pair_scale(a: np.ndarray, b: np.ndarray) -> float:
+def _max_norm_scale(a: np.ndarray, b: np.ndarray) -> float:
+    """max(||A||, ||B||, 1): the scale of the PSD threshold for a pair."""
     na = float(np.max(np.abs(np.linalg.eigvalsh(a))))
     nb = float(np.max(np.abs(np.linalg.eigvalsh(b))))
     return max(na, nb, 1.0)
@@ -77,73 +70,81 @@ def leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     b = herm_array(b)
     _check_dims(a, b)
     lo = float(np.linalg.eigvalsh(b - a)[0])
-    return lo >= -tol.tol_psd * _pair_scale(a, b)
+    return lo >= -tol.tol_psd * _max_norm_scale(a, b)
 
 
-def _refuting_witness(a: np.ndarray, b: np.ndarray) -> OrderWitness:
-    """Eigenvector of the most negative eigenvalue of B - A."""
-    evals, evecs = np.linalg.eigh(b - a)
-    x = evecs[:, 0]
+def _witness(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> OrderWitness:
+    """Unit ``x`` refuting P <= Q, its gap <Px,x> - <Qx,x> recomputed from P
+    and Q."""
     x = x / np.linalg.norm(x)
-    gap = float(np.real(np.vdot(x, a @ x) - np.vdot(x, b @ x)))
+    gap = float(np.real(np.vdot(x, p @ x) - np.vdot(x, q @ x)))
     return OrderWitness(x=x, gap=gap)
 
 
 def compare(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> OrderResult:
+    """Relation of A to B from one ``eigh(B - A)`` with ends lo and hi.
+
+    A <= B iff lo >= -thr and B <= A iff -hi >= -thr, with
+    thr = tol_psd * max(||A||, ||B||, 1); both together are
+    max(-lo, hi) <= thr, i.e. EQUAL. The bottom eigenvector refutes A <= B
+    and the top one refutes B <= A.
+    """
     a = herm_array(a)
     b = herm_array(b)
     _check_dims(a, b)
-    scale = _pair_scale(a, b)
-    if float(np.max(np.abs(np.linalg.eigvalsh(a - b)))) <= tol.tol_psd * scale:
-        return OrderResult(relation=Relation.EQUAL)
-    ab = leq(a, b, tol)
-    ba = leq(b, a, tol)
+    thr = tol.tol_psd * _max_norm_scale(a, b)
+    evals, evecs = np.linalg.eigh(b - a)
+    ab = float(evals[0]) >= -thr
+    ba = -float(evals[-1]) >= -thr
     if ab and ba:
-        # one-sided tolerance can let both pass only near equality
         return OrderResult(relation=Relation.EQUAL)
     if ab:
         return OrderResult(relation=Relation.LEQ)
+    witness_ab = _witness(evecs[:, 0], a, b)
     if ba:
-        return OrderResult(relation=Relation.GEQ, witness_ab=_refuting_witness(a, b))
+        return OrderResult(relation=Relation.GEQ, witness_ab=witness_ab)
     return OrderResult(
         relation=Relation.INCOMPARABLE,
-        witness_ab=_refuting_witness(a, b),
-        witness_ba=_refuting_witness(b, a),
+        witness_ab=witness_ab,
+        witness_ba=_witness(evecs[:, -1], b, a),
     )
 
 
-def max_lambda(
-    x, b, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float | None:
-    """Largest lambda > 0 with lambda * x(x)x <= B, or None when infeasible.
+def _range_weight(
+    evals: np.ndarray, evecs: np.ndarray, x: np.ndarray, tol: Tolerances
+) -> tuple[float, float]:
+    """Split unit x over PSD B = V diag(mu) V*, with c = V* x.
 
-    Feasibility holds exactly when x lies in the range of sqrt(B); then the
-    extremum is 1 / ||pinv(sqrt(B)) x||^2. The closed form is implementer
-    derived, so it is cross-checked against the order predicate itself:
-    lambda must be feasible and a slightly bumped lambda infeasible. The
-    bumped side uses a raw sign test (noise floor instead of the one-sided
-    PSD tolerance): the bump shifts the bottom eigenvalue by an amount that
-    can be legitimately smaller than tol_psd * ||B||.
+    The range of B keeps the mu_i >= tol_psd * ||B|| whose root clears
+    tol_rank * max(sqrt ||B||, 1) (the cuts of ``sqrt_psd`` then ``pinv``).
+    Returns the norm of c off that range (the range residual) and
+    sum |c_i|^2 / mu_i over it, which is ||pinv(sqrt B) x||^2.
     """
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    b = as_psd(b, tol)
-    if x.size != b.dim:
-        raise DimensionMismatchError(f"vector length {x.size} vs matrix dim {b.dim}")
-    nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > 1e-6:
-        raise ValidationError(f"x must be a unit vector, got norm {nrm}")
-    x = x / nrm
+    norm = float(np.max(np.abs(evals)))
+    root = np.sqrt(np.where(evals >= tol.tol_psd * norm, evals, 0.0))
+    keep = root > tol.tol_rank * max(np.sqrt(norm), 1.0)
+    c = evecs.conj().T @ x
+    residual = float(np.linalg.norm(c[~keep]))
+    weight = float(np.sum(np.abs(c[keep] / root[keep]) ** 2))
+    return residual, weight
 
-    root = sqrt_psd(b, tol).mat
-    y = pinv(root, tol).mat @ x
-    residual = float(np.linalg.norm(root @ y - x))
+
+def _certified_max_lambda(
+    x: np.ndarray,
+    b: PsdMatrix,
+    evals: np.ndarray,
+    evecs: np.ndarray,
+    tol: Tolerances,
+) -> float | None:
+    """``max_lambda`` for unit x and B with eigenpairs (evals, evecs)."""
+    residual, weight = _range_weight(evals, evecs, x, tol)
     if residual > tol.tol_range:
         return None
-    lam = 1.0 / float(np.real(np.vdot(y, y)))
+    lam = 1.0 / weight
 
     p = rank_one(x, x)
-    scale = max(b.spectral_norm(), lam, 1.0)
-    if not leq(lam * p, b.mat, tol):
+    scale = max(float(np.max(np.abs(evals))), lam, 1.0)
+    if not leq(lam * p, b, tol):
         raise InternalInconsistencyError(
             "closed-form lambda is infeasible under the order predicate"
         )
@@ -156,25 +157,51 @@ def max_lambda(
     return lam
 
 
+def max_lambda(
+    x, b, tol: Tolerances = DEFAULT_TOLERANCES
+) -> float | None:
+    """Largest lambda > 0 with lambda * x(x)x <= B, or None when infeasible.
+
+    With B = sum_i mu_i v_i v_i*, feasibility holds exactly when x lies in
+    the range of B (the coefficients c_i = <x, v_i> vanish off it); then the
+    extremum is 1 / sum_i |c_i|^2 / mu_i over the range. One ``eigh(B)``
+    gives both. The closed form is implementer derived, so it is
+    cross-checked against the order predicate itself: lambda must be
+    feasible and a slightly bumped lambda infeasible. The bumped side uses a
+    raw sign test (noise floor instead of the one-sided PSD tolerance): the
+    bump shifts the bottom eigenvalue by an amount that can be legitimately
+    smaller than tol_psd * ||B||.
+    """
+    x = np.asarray(x, dtype=np.complex128).reshape(-1)
+    b, evals, evecs = psd_eigh(b, tol)
+    if x.size != b.dim:
+        raise DimensionMismatchError(f"vector length {x.size} vs matrix dim {b.dim}")
+    nrm = float(np.linalg.norm(x))
+    if abs(nrm - 1.0) > 1e-6:
+        raise ValidationError(f"x must be a unit vector, got norm {nrm}")
+    return _certified_max_lambda(x / nrm, b, evals, evecs, tol)
+
+
 def range_dominates(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """True iff some lambda > 0 has lambda * A <= B, for rank-1 PSD A.
 
-    Decided by the range criterion (rng A inside rng B) and cross-checked by
-    max_lambda on the unit vector spanning rng A.
+    Decided by the range criterion (rng A inside rng B, read in B's
+    eigenbasis) and cross-checked by the certified max_lambda on the unit
+    vector spanning rng A. Each operand is decomposed once.
     """
-    a = as_psd(a, tol)
-    b = as_psd(b, tol)
+    a, a_evals, a_evecs = psd_eigh(a, tol)
+    b, b_evals, b_evecs = psd_eigh(b, tol)
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if rank_numeric(a, tol) != 1:
+    # rank and range of A under the rank_numeric / range_basis cut
+    keep = np.abs(a_evals) > scaled(tol.tol_rank, float(np.max(np.abs(a_evals))))
+    if np.count_nonzero(keep) != 1:
         raise ValidationError("range_dominates requires rank-1 A")
-    (x,) = range_basis(a, tol)
+    x = a_evecs[:, int(np.argmax(keep))]
 
-    root = sqrt_psd(b, tol).mat
-    y = pinv(root, tol).mat @ x
-    in_range = float(np.linalg.norm(root @ y - x)) <= tol.tol_range
-
-    lam = max_lambda(x, b, tol)
+    residual, _ = _range_weight(b_evals, b_evecs, x, tol)
+    in_range = residual <= tol.tol_range
+    lam = _certified_max_lambda(x, b, b_evals, b_evecs, tol)
     if (lam is not None) != in_range:
         raise InternalInconsistencyError(
             "range criterion and extremal-lambda feasibility disagree"

@@ -60,7 +60,7 @@ class PreserverClassification:
     counterexample: Counterexample | None = None
 
 
-def _pair_scale(a: np.ndarray, b: np.ndarray) -> float:
+def _norm_product_scale(a: np.ndarray, b: np.ndarray) -> float:
     na = float(np.max(np.abs(np.linalg.eigvalsh(a))))
     nb = float(np.max(np.abs(np.linalg.eigvalsh(b))))
     return max(1.0, na * nb)
@@ -73,7 +73,7 @@ def commute(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     comm = a @ b - b @ a
-    return float(np.linalg.norm(comm, 2)) <= tol.tol_psd * _pair_scale(a, b)
+    return float(np.linalg.norm(comm, 2)) <= tol.tol_psd * _norm_product_scale(a, b)
 
 
 def orthogonal(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -82,7 +82,7 @@ def orthogonal(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     b = herm_array(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a @ b, 2)) <= tol.tol_psd * _pair_scale(a, b)
+    return float(np.linalg.norm(a @ b, 2)) <= tol.tol_psd * _norm_product_scale(a, b)
 
 
 def _eigen_clusters(m: np.ndarray, tol: Tolerances) -> list[np.ndarray]:

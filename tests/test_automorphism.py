@@ -68,6 +68,21 @@ class TestApply:
         np.testing.assert_allclose(apply(phi, a).mat, a.conj(), atol=1e-14)
 
 
+    def test_single_symmetrization_is_bit_identical(self, rng):
+        # apply symmetrizes T A T* + X once; a second (M + M*)/2 pass, which
+        # it used to make, must not change a single bit
+        for d in (2, 7, 64):
+            phi = random_automorphism(rng, d, conjugate=bool(d % 2))
+            a = random_hermitian(rng, d)
+            arr = a.conj() if phi.conjugate else a
+            out = phi.T @ arr @ phi.T.conj().T + phi.X.mat
+            once = (out + out.conj().T) / 2.0
+            twice = (once + once.conj().T) / 2.0
+            got = apply(phi, a).mat
+            np.testing.assert_array_equal(got, once)
+            np.testing.assert_array_equal(got, twice)
+
+
 class TestComposeInvert:
     def test_identity_composition(self):
         e = identity_automorphism(3)

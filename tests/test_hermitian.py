@@ -33,6 +33,25 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             HermitianMatrix.from_array(np.array([[np.nan, 0], [0, 1.0]]))
 
+    def test_rejects_asymmetry_near_float_limit(self):
+        # the Frobenius norm of these entries overflows; the relative
+        # asymmetry must still be measured, not divided by inf
+        with pytest.raises(ValidationError):
+            HermitianMatrix.from_array(np.array([[1e300, 1e300], [0.0, 1e300]]))
+
+    def test_accepts_hermitian_near_float_limit(self):
+        m = np.array([[1e300, 1e300 + 1e300j], [1e300 - 1e300j, -1e300]])
+        h = HermitianMatrix.from_array(m)
+        np.testing.assert_array_equal(h.mat, m)
+        assert h.asymmetry == 0.0
+
+    def test_hermitian_part_skips_the_asymmetry_limit(self):
+        m = np.array([[1.0, 2.0], [0.0, 1.0]])
+        h = HermitianMatrix.hermitian_part(m)
+        np.testing.assert_array_equal(h.mat, [[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValidationError):
+            HermitianMatrix.hermitian_part(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
     def test_rejects_oversized(self):
         with pytest.raises(ValidationError):
             HermitianMatrix.from_array(np.eye(65))

@@ -3,17 +3,28 @@ import pytest
 
 from obsorder import (
     DimensionMismatchError,
+    InternalInconsistencyError,
+    OrderAutomorphism,
     PsdMatrix,
     Relation,
     ValidationError,
+    apply,
     compare,
     leq,
     max_lambda,
     range_dominates,
 )
+from obsorder import loewner
 from obsorder.harness import bisection_max_lambda
 from obsorder.loewner import quadratic_form
-from conftest import random_hermitian, random_invertible, random_psd, random_unit
+from obsorder.tolerances import DEFAULT_TOLERANCES
+from conftest import (
+    random_hermitian,
+    random_invertible,
+    random_psd,
+    random_unit,
+    random_unitary,
+)
 
 
 class TestLeq:
@@ -174,3 +185,205 @@ def test_congruence_monotonicity(rng):
         fb = t @ b @ t.conj().T
         assert leq(a, b) == leq(fa, fb)
         assert leq(b, a) == leq(fb, fa)
+
+
+def _reference_relation(a, b):
+    """The relation from three separate tests: |spec(A - B)| under the
+    threshold, then leq each way."""
+    scale = max(np.linalg.norm(a, 2), np.linalg.norm(b, 2), 1.0)
+    if np.max(np.abs(np.linalg.eigvalsh(a - b))) <= DEFAULT_TOLERANCES.tol_psd * scale:
+        return Relation.EQUAL
+    ab, ba = leq(a, b), leq(b, a)
+    if ab and ba:
+        return Relation.EQUAL
+    if ab:
+        return Relation.LEQ
+    return Relation.GEQ if ba else Relation.INCOMPARABLE
+
+
+def _spectral(u, mu):
+    return (u * mu) @ u.conj().T
+
+
+class TestLeanCompare:
+    """compare reads its verdict and both witnesses off one eigh(B - A)."""
+
+    def _pairs(self, rng, d):
+        a = random_hermitian(rng, d)
+        u = random_unitary(rng, d)
+        mu = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
+        p = random_psd(rng, d, rank=1)
+        q = random_psd(rng, d, rank=1)
+        yield a, random_hermitian(rng, d)
+        yield a, a + random_psd(rng, d)
+        yield a, a - random_psd(rng, d)
+        yield a, a + _spectral(u, mu)
+        yield a, a.copy()
+        # near EQUAL: B - A far inside or far outside the threshold
+        yield a, a + 1e-12 * random_hermitian(rng, d)
+        yield a, a + 1e-12 * p - 1e-12 * q
+        yield a, a + 1e-6 * p - 1e-12 * q
+        yield a, a - 1e-6 * p + 1e-12 * q
+        yield a, a + 1e-6 * p - 1e-6 * q
+
+    def test_agrees_with_three_leq_reference(self, rng):
+        seen = set()
+        for d in (2, 3, 5, 8, 16, 33, 64):
+            for a, b in self._pairs(rng, d):
+                r = compare(a, b)
+                assert r.relation is _reference_relation(a, b), (d, r.relation)
+                seen.add(r.relation)
+                scale = max(np.linalg.norm(a, 2), np.linalg.norm(b, 2), 1.0)
+                needs_ab = r.relation in (Relation.GEQ, Relation.INCOMPARABLE)
+                needs_ba = r.relation is Relation.INCOMPARABLE
+                assert (r.witness_ab is not None) == needs_ab
+                assert (r.witness_ba is not None) == needs_ba
+                for w, (lo, hi) in ((r.witness_ab, (a, b)), (r.witness_ba, (b, a))):
+                    if w is None:
+                        continue
+                    assert abs(np.linalg.norm(w.x) - 1.0) <= 1e-12
+                    gap = quadratic_form(lo, w.x) - quadratic_form(hi, w.x)
+                    assert gap == pytest.approx(w.gap, rel=1e-9, abs=1e-15 * scale)
+                    assert gap > DEFAULT_TOLERANCES.tol_psd * scale
+        assert seen == set(Relation)
+
+    def test_order_automorphism_keeps_the_relation(self, rng):
+        # Thm 1/2: phi(A) = T A T* + X (or with conj(A)) keeps every verdict.
+        # B - A has every eigenvalue at least 0.5 away from zero and
+        # cond(T) <= 10, so the verdict is far from the threshold both ways.
+        cases = {
+            Relation.LEQ: lambda mu: mu,
+            Relation.GEQ: lambda mu: -mu,
+            Relation.INCOMPARABLE: lambda mu: mu * np.where(np.arange(mu.size) % 2, -1.0, 1.0),
+        }
+        for d in (2, 3, 6, 16, 64):
+            for _ in range(4):
+                sv = rng.uniform(1.0, 10.0, d)
+                sv[0], sv[-1] = 1.0, 10.0
+                t = (random_unitary(rng, d) * sv) @ random_unitary(rng, d)
+                phi = OrderAutomorphism.create(
+                    t, conjugate=bool(rng.integers(0, 2)), x=random_hermitian(rng, d)
+                )
+                a = random_hermitian(rng, d)
+                u = random_unitary(rng, d)
+                for relation, signs in cases.items():
+                    b = a + _spectral(u, signs(rng.uniform(0.5, 2.0, d)))
+                    assert compare(a, b).relation is relation
+                    assert compare(apply(phi, a), apply(phi, b)).relation is relation
+                assert compare(apply(phi, a), apply(phi, a.copy())).relation is Relation.EQUAL
+
+    def test_small_norm_thresholds_are_absolute(self):
+        # Below norm 1 the threshold is tol_psd itself, not tol_psd * norm:
+        # a pair of norm 1e-10 sits inside it and reads EQUAL, while the same
+        # pair at norm 1 is INCOMPARABLE. This is the documented contract.
+        a, b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        assert compare(a, b).relation is Relation.INCOMPARABLE
+        assert compare(1e-10 * a, 1e-10 * b).relation is Relation.EQUAL
+        assert leq(1e-10 * a, 1e-10 * b) and leq(1e-10 * b, 1e-10 * a)
+
+
+def _rank_deficient_case(rng, d, rank, inside):
+    """PSD B of the given rank (range spectrum in [0.5, 2]) and a unit x
+    inside rng B, or with weight 0.3 in ker B."""
+    u = random_unitary(rng, d)
+    mu = np.zeros(d)
+    mu[:rank] = rng.uniform(0.5, 2.0, rank)
+    c = np.zeros(d, dtype=np.complex128)
+    c[:rank] = random_unit(rng, rank)
+    if not inside:
+        c[:rank] *= np.sqrt(0.7)
+        c[rank:] = random_unit(rng, d - rank) * np.sqrt(0.3)
+    return _spectral(u, mu), u @ c
+
+
+class TestLeanMaxLambda:
+    def test_rank_deficient_against_bisection(self, rng):
+        for d in (2, 5, 16, 64):
+            for rank in sorted({1, max(1, d // 2), d - 1}):
+                for inside in (True, False):
+                    b, x = _rank_deficient_case(rng, d, rank, inside)
+                    lam = max_lambda(x, b)
+                    oracle = bisection_max_lambda(x, b)
+                    if inside:
+                        assert lam == pytest.approx(oracle, rel=1e-7), (d, rank)
+                    else:
+                        assert lam is None and oracle is None, (d, rank)
+                    a = np.outer(x, x.conj())
+                    assert range_dominates(a, b) is inside
+
+    def test_tiny_norm_range_uses_the_rank_cut(self):
+        # at ||B|| = 1e-10 the eigenvalue 1e-18 clears the sqrt_psd clamp
+        # (tol_psd * ||B|| = 1e-19) but its root 1e-9 fails the pinv cut
+        # tol_rank * max(sqrt ||B||, 1) = 1e-8, so it lies outside rng B
+        b = 1e-10 * np.diag([1.0, 1e-8])
+        assert max_lambda(np.array([0.0, 1.0]), b) is None
+        assert max_lambda(np.array([1.0, 0.0]), b) == pytest.approx(1e-10, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "factor, message", [(1.01, "infeasible"), (0.99, "not extremal")]
+    )
+    def test_certificate_catches_a_perturbed_closed_form(
+        self, rng, monkeypatch, factor, message
+    ):
+        # lambda = 1 / weight, so scaling the weight by 1/factor scales the
+        # closed form by factor; the order-predicate recheck (too large) and
+        # the bumped-lambda sign test (too small) must each refuse it
+        exact = loewner._range_weight
+
+        def perturbed(*args):
+            residual, weight = exact(*args)
+            return residual, weight / factor
+
+        monkeypatch.setattr(loewner, "_range_weight", perturbed)
+        for d in (2, 8):
+            b = random_psd(rng, d)
+            x = random_unit(rng, d)
+            with pytest.raises(InternalInconsistencyError, match=message):
+                max_lambda(x, b)
+            with pytest.raises(InternalInconsistencyError, match=message):
+                range_dominates(np.outer(x, x.conj()), b)
+
+
+class TestLapackCalls:
+    """One decomposition per operand: the LAPACK calls each entry point makes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd", "eig", "pinv", "inv"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        return counts
+
+    def test_compare(self, rng, calls):
+        d = 16
+        a = random_hermitian(rng, d)
+        for b in (a.copy(), a + random_psd(rng, d), a - random_psd(rng, d), random_hermitian(rng, d)):
+            calls.clear()
+            compare(a, b)
+            assert calls == {"eigh": 1, "eigvalsh": 2}
+
+    def test_max_lambda(self, rng, calls):
+        for inside in (True, False):
+            b, x = _rank_deficient_case(rng, 16, 8, inside)
+            calls.clear()
+            max_lambda(x, b)
+            assert calls.get("eigh", 0) <= 1 and calls.get("eigvalsh", 0) <= 4
+            assert set(calls) <= {"eigh", "eigvalsh"}
+
+    def test_range_dominates(self, rng, calls):
+        for inside in (True, False):
+            b, x = _rank_deficient_case(rng, 16, 8, inside)
+            calls.clear()
+            range_dominates(np.outer(x, x.conj()), b)
+            assert calls.get("eigh", 0) <= 2 and calls.get("eigvalsh", 0) <= 4
+            assert set(calls) <= {"eigh", "eigvalsh"}
