@@ -9,7 +9,9 @@ output deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .hermitian import HermitianMatrix, as_hermitian, herm_array, rank_one
-from .loewner import compare, leq
+from .loewner import compare
 from .oracle import OracleHandle
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -160,6 +162,31 @@ def _relative_phase(t1: np.ndarray, uj: np.ndarray, cross: np.ndarray, what: str
     return c
 
 
+def _conjugation_probe(d: int) -> np.ndarray:
+    w = (_basis_vector(d, 0) + 1j * _basis_vector(d, 1)) / np.sqrt(2.0)
+    return rank_one(w, w)
+
+
+def _structure_probes(d: int) -> Iterator[np.ndarray]:
+    """The probes fixing X, T and the conjugation flag, in the order
+    ``reconstruct`` reads their images: the zero matrix, the d basis
+    projectors, the d-1 superpositions of e_1 and e_j, the conjugation probe."""
+    yield np.zeros((d, d), dtype=np.complex128)
+    for j in range(d):
+        e = _basis_vector(d, j)
+        yield rank_one(e, e)
+    for j in range(1, d):
+        v = (_basis_vector(d, 0) + _basis_vector(d, j)) / np.sqrt(2.0)
+        yield rank_one(v, v)
+    yield _conjugation_probe(d)
+
+
+def _random_hermitians(rng: np.random.Generator, d: int, n: int) -> Iterator[np.ndarray]:
+    for _ in range(n):
+        g = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
+        yield (g + g.conj().T) / 2.0
+
+
 def reconstruct(
     oracle: OracleHandle,
     validation_probes: int = 20,
@@ -173,39 +200,44 @@ def reconstruct(
     fix relative phases; one complex superposition decides the conjugation
     flag; ``validation_probes`` random Hermitian matrices (not only PSD)
     populate the residual. Total calls: d + (d-1) + 1 + 1 + validation_probes.
+
+    No probe depends on an earlier answer, so the plan goes to the oracle as
+    one stream (``OracleHandle.query_many``) and each check reads the next
+    image from it. A subprocess oracle sends probes a frame at a time: when
+    a check fails, up to one frame of probes beyond the failing one has
+    already reached the child.
     """
     d = oracle.dim
     if d < 2:
         raise ValidationError("reconstruction requires dimension >= 2")
     start_calls = oracle.calls
+    rng = np.random.default_rng(seed)
+    checks, sent = itertools.tee(_random_hermitians(rng, d, validation_probes))
+    images = oracle.query_many(itertools.chain(_structure_probes(d), sent))
 
-    x = oracle.query(np.zeros((d, d), dtype=np.complex128))
+    x = next(images)
 
-    def psi(a: np.ndarray) -> np.ndarray:
-        return oracle.query(a) - x
+    def psi() -> np.ndarray:
+        return next(images) - x
 
     # columns up to phase
-    cols = []
-    for j in range(d):
-        e = _basis_vector(d, j)
-        cols.append(_column_from_rank_one(psi(rank_one(e, e)), f"basis probe {j}"))
+    cols = [_column_from_rank_one(psi(), f"basis probe {j}") for j in range(d)]
 
     # phase gauge for the first column, relative phases for the rest
     t1 = gauge_fix(cols[0].reshape(-1, 1))[:, 0]
     fixed = [t1]
     for j in range(1, d):
-        v = (_basis_vector(d, 0) + _basis_vector(d, j)) / np.sqrt(2.0)
-        m = psi(rank_one(v, v))
+        m = psi()
         cross = 2.0 * m - np.outer(t1, t1.conj()) - np.outer(cols[j], cols[j].conj())
         c = _relative_phase(t1, cols[j], cross, f"phase probe {j}")
         fixed.append(c * cols[j])
     t = np.column_stack(fixed)
 
     # conjugation flag
-    w = (_basis_vector(d, 0) + 1j * _basis_vector(d, 1)) / np.sqrt(2.0)
-    mw = psi(rank_one(w, w))
-    pred_lin = t @ rank_one(w, w) @ t.conj().T
-    pred_conj = t @ rank_one(w, w).conj() @ t.conj().T
+    mw = psi()
+    pw = _conjugation_probe(d)
+    pred_lin = t @ pw @ t.conj().T
+    pred_conj = t @ pw.conj() @ t.conj().T
     scale = max(float(np.max(np.abs(mw))), 1.0)
     fit_lin = float(np.max(np.abs(mw - pred_lin))) <= RECON_TOL * scale
     fit_conj = float(np.max(np.abs(mw - pred_conj))) <= RECON_TOL * scale
@@ -219,12 +251,9 @@ def reconstruct(
     recovered = OrderAutomorphism.create(t, conjugate=conjugate, x=x, tol=tol)
 
     # validation on random Hermitian probes, negative parts included
-    rng = np.random.default_rng(seed)
     max_residual = 0.0
-    for _ in range(validation_probes):
-        g = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
-        a = (g + g.conj().T) / 2.0
-        got = oracle.query(a)
+    for a in checks:
+        got = next(images)
         want = apply(recovered, a).mat
         denom = max(1.0, float(np.max(np.abs(got))))
         max_residual = max(max_residual, float(np.max(np.abs(got - want))) / denom)
@@ -286,10 +315,3 @@ def check_order_automorphism(
                 {"trial": k, "before": before.value, "after": after.value}
             )
     return OrderCheckReport(trials=trials, violations=violations)
-
-
-def preserves_order_pair(phi: OrderAutomorphism, a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """leq(A, B) iff leq(phi A, phi B), checked in both directions."""
-    fa = apply(phi, a)
-    fb = apply(phi, b)
-    return leq(a, b, tol) == leq(fa, fb, tol) and leq(b, a, tol) == leq(fb, fa, tol)

@@ -153,18 +153,31 @@ def bisection_max_lambda(
     p = rank_one(x, x)
     norm_b = float(np.max(np.abs(np.linalg.eigvalsh(b))))
     floor = feas_floor * max(1.0, norm_b)
+    start = 1e-6 * max(1.0, norm_b)
 
     def feasible(lam: float) -> bool:
-        return float(np.linalg.eigvalsh(b - lam * p)[0]) >= -floor
+        # Below the start lambda the floor shrinks in proportion to lambda.
+        # An x with weight w = |x_perp|^2 outside rng B has a negative
+        # eigenvalue of at most -lambda * w, so it stays infeasible at every
+        # lambda unless w <= floor / start, as it is at the start itself.
+        return float(np.linalg.eigvalsh(b - lam * p)[0]) >= -floor * min(1.0, lam / start)
 
-    lo = 1e-6 * max(1.0, norm_b)
-    if not feasible(lo):
-        return None
-    hi = max(2.0 * norm_b, lo * 2.0)
-    while feasible(hi):
-        hi *= 2.0
-        if hi > 1e12 * max(1.0, norm_b):  # safety, unreachable for unit x
-            return None
+    lo = start
+    if feasible(lo):
+        hi = max(2.0 * norm_b, lo * 2.0)
+        while feasible(hi):
+            hi *= 2.0
+            if hi > 1e12 * max(1.0, norm_b):  # safety, unreachable for unit x
+                return None
+    else:
+        # the answer is below the start: halve down to a feasible lambda,
+        # but not below 1e3 * floor
+        while True:
+            hi, lo = lo, 0.5 * lo
+            if lo < 1e3 * floor:
+                return None
+            if feasible(lo):
+                break
     while (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if feasible(mid):

@@ -13,6 +13,15 @@ float64), so the payload is exactly 16 * d * d bytes before base64. The
 decimal form stays the only one written to files, CLI output and golden
 files.
 
+The oracle pipe also carries stacks of n >= 1 matrices in one frame,
+
+    {"dim": d, "count": n, "c128le": "<base64 of the n*d*d entries>"}
+
+whose payload is exactly 16 * n * d * d bytes, matrix after matrix. Only
+``matrices_to_c128le`` and ``c128le_stack_from_dict`` read or write this
+form; the single-matrix readers reject a dict carrying ``count``, so files
+and CLI input cannot hold stacks.
+
 Vectors are a single list of ``[re, im]`` pairs. Automorphism files are
 ``{"T": <matrix>, "conjugate": bool, "X": <matrix>}`` where ``T`` may be an
 arbitrary (non-Hermitian) complex matrix.
@@ -39,12 +48,13 @@ from .hermitian import MAX_DIM, HermitianMatrix
 __all__ = [
     "matrix_to_dict",
     "matrix_to_c128le",
-    "matrix_from_dict",
+    "matrices_to_c128le",
+    "matrix_frame_from_dict",
     "hermitian_from_dict",
     "complex_matrix_from_dict",
+    "c128le_stack_from_dict",
     "vector_to_list",
     "vector_from_list",
-    "load_hermitian",
     "dumps",
 ]
 
@@ -70,43 +80,79 @@ def matrix_to_c128le(arr: np.ndarray) -> dict:
     return {"dim": int(arr.shape[0]), "c128le": payload}
 
 
-def _c128le_to_array(payload, d: int) -> np.ndarray:
+def matrices_to_c128le(stack) -> dict:
+    """Stack frame of the oracle pipe: n same-size matrices in one payload."""
+    arr = np.asarray(stack, dtype=_C128LE)
+    payload = base64.b64encode(arr.tobytes()).decode("ascii")
+    return {"dim": int(arr.shape[1]), "count": int(arr.shape[0]), "c128le": payload}
+
+
+def _c128le_decode(payload, n: int, d: int, what: str) -> np.ndarray:
+    """The (n, d, d) entries of a c128le payload; entries are not checked."""
     if not isinstance(payload, str):
         raise ValidationError("c128le payload must be a base64 string")
     try:
         raw = base64.b64decode(payload, validate=True)
     except (binascii.Error, ValueError) as exc:
         raise ValidationError(f"c128le payload is not valid base64: {exc}") from exc
-    if len(raw) != 16 * d * d:
+    if len(raw) != 16 * n * d * d:
         raise ValidationError(
-            f"c128le payload has {len(raw)} bytes, expected {16 * d * d} for dim {d}"
+            f"c128le payload has {len(raw)} bytes, expected {16 * n * d * d} for {what}"
         )
-    out = np.frombuffer(raw, dtype=_C128LE).reshape(d, d).astype(np.complex128)
-    if not np.all(np.isfinite(out)):
-        raise ValidationError("matrix entries must be finite")
+    return np.frombuffer(raw, dtype=_C128LE).reshape(n, d, d).astype(np.complex128)
+
+
+def _checked_dim(obj) -> int:
+    d = obj["dim"]
+    if not isinstance(d, int) or d < 1 or d > MAX_DIM:
+        raise ValidationError(f"matrix dim must be an integer in [1, {MAX_DIM}]")
+    return d
+
+
+def c128le_stack_from_dict(obj: dict) -> np.ndarray:
+    """The (n, d, d) complex array of a stack frame. Checks the frame (dim,
+    count >= 1, strict base64, exactly 16*n*d*d bytes), not the entries:
+    each matrix goes through ``HermitianMatrix.from_array`` on its own."""
+    if not isinstance(obj, dict) or not {"dim", "count", "c128le"} <= obj.keys():
+        raise ValidationError("matrix stack JSON must have 'dim', 'count' and 'c128le'")
+    d = _checked_dim(obj)
+    n = obj["count"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"matrix stack count must be an integer >= 1, got {n!r}")
+    return _c128le_decode(obj["c128le"], n, d, f"{n} matrices of dim {d}")
+
+
+def matrix_frame_from_dict(obj: dict) -> np.ndarray:
+    """The d x d complex array of one matrix in either form. Checks the
+    frame (dim, one form, no 'count', the grid or the exact c128le
+    payload), not the entries: the oracle pipe checks those per matrix, as
+    for a stack."""
+    if not isinstance(obj, dict) or "dim" not in obj or ("entries" in obj) == ("c128le" in obj):
+        raise ValidationError("matrix JSON must have 'dim' and one of 'entries' or 'c128le'")
+    if "count" in obj:
+        raise ValidationError("a matrix stack ('count') is read only on the oracle pipe")
+    d = _checked_dim(obj)
+    if "c128le" in obj:
+        return _c128le_decode(obj["c128le"], 1, d, f"dim {d}")[0]
+    rows = obj["entries"]
+    out = np.empty((d, d), dtype=np.complex128)
+    try:
+        if len(rows) != d or any(len(r) != d for r in rows):
+            raise ValidationError("matrix entries are not a d x d grid")
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                if len(cell) != 2:
+                    raise ValidationError("each entry must be an [re, im] pair")
+                out[i, j] = complex(float(cell[0]), float(cell[1]))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix entries must be [re, im] number pairs: {exc}") from exc
     return out
 
 
 def _dict_to_array(obj: dict) -> np.ndarray:
-    if not isinstance(obj, dict) or "dim" not in obj or ("entries" in obj) == ("c128le" in obj):
-        raise ValidationError("matrix JSON must have 'dim' and one of 'entries' or 'c128le'")
-    d = obj["dim"]
-    if not isinstance(d, int) or d < 1 or d > MAX_DIM:
-        raise ValidationError(f"matrix dim must be an integer in [1, {MAX_DIM}]")
-    if "c128le" in obj:
-        return _c128le_to_array(obj["c128le"], d)
-    rows = obj["entries"]
-    if len(rows) != d or any(len(r) != d for r in rows):
-        raise ValidationError("matrix entries are not a d x d grid")
-    out = np.empty((d, d), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            if len(cell) != 2:
-                raise ValidationError("each entry must be an [re, im] pair")
-            re, im = float(cell[0]), float(cell[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ValidationError("matrix entries must be finite")
-            out[i, j] = complex(re, im)
+    out = matrix_frame_from_dict(obj)
+    if not np.all(np.isfinite(out)):
+        raise ValidationError("matrix entries must be finite")
     return out
 
 
@@ -117,10 +163,6 @@ def complex_matrix_from_dict(obj: dict) -> np.ndarray:
 
 def hermitian_from_dict(obj: dict) -> HermitianMatrix:
     return HermitianMatrix.from_array(_dict_to_array(obj))
-
-
-def matrix_from_dict(obj: dict) -> HermitianMatrix:
-    return hermitian_from_dict(obj)
 
 
 def vector_to_list(x: np.ndarray) -> list:
@@ -140,14 +182,6 @@ def vector_from_list(obj) -> np.ndarray:
             raise ValidationError("vector entries must be finite")
         out[i] = complex(re, im)
     return out
-
-
-def load_hermitian(text: str) -> HermitianMatrix:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON: {exc}") from exc
-    return hermitian_from_dict(obj)
 
 
 def dumps(obj) -> str:

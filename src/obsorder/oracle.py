@@ -5,11 +5,11 @@ dimension. Two transports are supported: an in-process callable and a
 subprocess speaking newline-delimited JSON on stdin/stdout:
 
     request:  {"id": k, "matrix": <matrix JSON>[, "accept": ["c128le"]]}
-    response: {"id": k, "matrix": <matrix JSON>}
+    response: {"id": k, "matrix": <matrix JSON>[, "accept": [...]]}
 
 Responses must echo the request id; anything else is a protocol error. The
 child process is launched with the dimension as its first argument. A handle
-is strictly serial: one request in flight at a time.
+is strictly serial: one frame in flight at a time.
 
 Matrices are in either form of ``obsorder.io``: decimal ``entries`` or the
 exact binary ``c128le``. The parent sends decimal requests carrying
@@ -17,22 +17,59 @@ exact binary ``c128le``. The parent sends decimal requests carrying
 requests from then on. A child that replies in c128le when asked (as the
 demo oracles do) saves the decimal codec on both sides of the pipe; a child
 that only speaks decimal never sees a c128le request.
+
+A child whose reply to an ``accept`` request lists ``"batch"`` under its own
+``accept`` (the demo oracles list ``["c128le", "batch"]``) also takes stack
+frames, ``{"id": k, "matrix": {"dim": d, "count": n, "c128le": ...}}``, and
+answers each with a stack frame of the n images in order. ``query_many``
+then sends every probe in stack frames, as many per frame as fit in
+``FRAME_BUDGET_BYTES`` of raw matrix bytes. A reply whose frame is at fault
+(no ``matrix``, a bad form or payload, a wrong ``count`` or id) is a
+``TransportFailureError``; a matrix whose entries are non-finite or not
+Hermitian is an ``OracleNotAutomorphicError``. Both rules and every check
+are the same for single and stack frames.
+
+Each request must be taken and answered within ``RESPONSE_TIMEOUT_S``;
+otherwise the child is killed and the query fails with
+``TransportFailureError``. The waits use ``select`` on the child's pipes,
+so this transport needs a POSIX system.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import os
+import select
 import subprocess
-from typing import Callable
+import time
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import OracleNotAutomorphicError, TransportFailureError, ValidationError
-from .io import hermitian_from_dict, matrix_to_c128le, matrix_to_dict
+from .hermitian import HermitianMatrix
+from .io import (
+    c128le_stack_from_dict,
+    matrices_to_c128le,
+    matrix_frame_from_dict,
+    matrix_to_c128le,
+    matrix_to_dict,
+)
 
 # how long a child that closed its output gets to exit before it is reported
 # as still running
 EXIT_WAIT_S = 1.0
+
+# how long a child gets to take and answer one frame before it is killed
+RESPONSE_TIMEOUT_S = 60.0
+
+# raw matrix bytes (16 per entry) per stack frame: the whole reconstruction
+# plan at d <= 8, 4 probes at d = 32, one at d = 64. Every frame is copied
+# several times in transient memory on both sides of the pipe, so a larger
+# budget raises peak memory without saving further hand-overs.
+FRAME_BUDGET_BYTES = 64 * 1024
 
 
 class OracleHandle:
@@ -45,23 +82,40 @@ class OracleHandle:
         self.dim = dim
         self.calls = 0
 
-    def query(self, a: np.ndarray) -> np.ndarray:
+    def _probe(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.complex128)
         if a.shape != (self.dim, self.dim):
             raise ValidationError(f"probe has shape {a.shape}, expected ({self.dim}, {self.dim})")
-        self.calls += 1
-        out = self._fn(a)
+        return a
+
+    def _image(self, out) -> np.ndarray:
+        """The check every answer passes: d x d, finite and Hermitian to
+        1e-9 max-abs; returns its Hermitian part."""
         out = np.asarray(out, dtype=np.complex128)
         if out.shape != (self.dim, self.dim):
             raise TransportFailureError(
                 f"oracle returned shape {out.shape}, expected ({self.dim}, {self.dim})"
             )
+        peak = float(np.max(np.abs(out)))  # NaN propagates through max
+        if not math.isfinite(peak):
+            raise OracleNotAutomorphicError("oracle response has non-finite entries")
         asym = float(np.max(np.abs(out - out.conj().T)))
-        if asym > 1e-9 * max(1.0, float(np.max(np.abs(out)))):
+        if asym > 1e-9 * max(1.0, peak):
             raise OracleNotAutomorphicError(
                 f"oracle response is not Hermitian (asymmetry {asym:.3e})"
             )
         return (out + out.conj().T) / 2.0
+
+    def query(self, a: np.ndarray) -> np.ndarray:
+        a = self._probe(a)
+        self.calls += 1
+        return self._image(self._fn(a))
+
+    def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """The answers to ``probes``, in order. Probes are drawn only as
+        answers are taken; here each is one ``query``."""
+        for a in probes:
+            yield self.query(a)
 
     def close(self) -> None:
         pass
@@ -86,16 +140,17 @@ class SubprocessOracle(OracleHandle):
     def __init__(self, command: list[str], dim: int):
         argv = list(command) + [str(dim)]
         try:
-            self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-            )
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise TransportFailureError(f"failed to launch oracle: {exc}") from exc
         self._next_id = 0
         self._binary = False  # set by the first c128le response
+        self._batch = False  # set by a response whose accept lists "batch"
+        self._per_frame = max(1, FRAME_BUDGET_BYTES // (16 * dim * dim))
+        self._pending = bytearray()  # bytes read from the child past the last line
+        # a child that stops reading must not hold a frame larger than the
+        # pipe buffer past the deadline
+        os.set_blocking(self._proc.stdin.fileno(), False)
         super().__init__(self._roundtrip, dim)
 
     def _exit_status(self) -> str:
@@ -105,18 +160,55 @@ class SubprocessOracle(OracleHandle):
             return f"child still running after {EXIT_WAIT_S:g} s"
         return f"child exit status {code}"  # -N: killed by signal N
 
-    def _roundtrip(self, a: np.ndarray) -> np.ndarray:
+    def _wait(self, deadline: float, read=(), write=()) -> None:
+        """Block until a pipe is ready; past the deadline, kill the child."""
+        left = deadline - time.monotonic()
+        if left <= 0 or not any(select.select(read, write, [], left)[:2]):
+            self._proc.kill()
+            raise TransportFailureError(
+                f"oracle gave no response within {RESPONSE_TIMEOUT_S:g} s; "
+                f"killed ({self._exit_status()})"
+            )
+
+    def _write(self, data: bytes, deadline: float) -> None:
+        fd = self._proc.stdin.fileno()
+        view = memoryview(data)
+        while view:
+            self._wait(deadline, write=[fd])
+            try:
+                view = view[os.write(fd, view):]
+            except BlockingIOError:
+                pass
+
+    def _readline(self, deadline: float) -> bytes:
+        # reads the raw fd: a buffered readline could block after select
+        fd = self._proc.stdout.fileno()
+        scanned = 0
+        while (end := self._pending.find(b"\n", scanned)) < 0:
+            scanned = len(self._pending)
+            self._wait(deadline, read=[fd])
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:  # end of stream: whatever is left, maybe nothing
+                line = bytes(self._pending)
+                self._pending.clear()
+                return line
+            self._pending += chunk
+        line = bytes(self._pending[: end + 1])
+        del self._pending[: end + 1]
+        return line
+
+    def _exchange(self, body: dict, decode) -> tuple[dict, np.ndarray]:
+        """Write one request frame; return its reply object, id checked, and
+        the reply matrix read by ``decode``, frame checked. Both must be done
+        within RESPONSE_TIMEOUT_S. A fault of the frame is a transport
+        failure; the entries are left to ``_image``."""
         k = self._next_id
         self._next_id += 1
-        if self._binary:
-            frame = {"id": k, "matrix": matrix_to_c128le(a)}
-        else:
-            frame = {"id": k, "matrix": matrix_to_dict(a), "accept": ["c128le"]}
-        request = json.dumps(frame) + "\n"
+        request = json.dumps({"id": k, **body}) + "\n"
+        deadline = time.monotonic() + RESPONSE_TIMEOUT_S
         try:
-            self._proc.stdin.write(request)
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
+            self._write(request.encode("ascii"), deadline)
+            line = self._readline(deadline)
         except (OSError, ValueError) as exc:
             raise TransportFailureError(
                 f"oracle I/O failed: {exc} ({self._exit_status()})"
@@ -127,7 +219,7 @@ class SubprocessOracle(OracleHandle):
             )
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise TransportFailureError(f"malformed oracle response: {exc}") from exc
         if not isinstance(obj, dict):
             raise TransportFailureError("malformed oracle response: not a JSON object")
@@ -136,13 +228,56 @@ class SubprocessOracle(OracleHandle):
                 f"out-of-order oracle response: expected id {k}, got {obj.get('id')}"
             )
         try:
-            out = hermitian_from_dict(obj["matrix"]).mat
+            return obj, decode(obj["matrix"])
         except (KeyError, ValidationError) as exc:
+            raise TransportFailureError(f"malformed oracle response: {exc}") from exc
+
+    def _image(self, out) -> np.ndarray:
+        # the entry check of io.hermitian_from_dict, then the common one
+        try:
+            out = HermitianMatrix.from_array(out).mat
+        except ValidationError as exc:
             raise OracleNotAutomorphicError(
                 f"oracle response is not a valid Hermitian matrix: {exc}"
             ) from exc
+        return super()._image(out)
+
+    def _roundtrip(self, a: np.ndarray) -> np.ndarray:
+        if self._binary:
+            body = {"matrix": matrix_to_c128le(a)}
+        else:
+            body = {"matrix": matrix_to_dict(a), "accept": ["c128le"]}
+        obj, out = self._exchange(body, matrix_frame_from_dict)
         self._binary = self._binary or "c128le" in obj["matrix"]
+        accept = obj.get("accept")
+        if self._binary and isinstance(accept, list) and "batch" in accept:
+            self._batch = True
         return out
+
+    def _query_stack(self, probes: list[np.ndarray]) -> Iterator[np.ndarray]:
+        stack = [self._probe(a) for a in probes]
+        self.calls += len(stack)
+        _, out = self._exchange({"matrix": matrices_to_c128le(stack)}, c128le_stack_from_dict)
+        if len(out) != len(stack):
+            raise TransportFailureError(
+                f"oracle stack response has {len(out)} matrices, expected {len(stack)}"
+            )
+        for m in out:
+            yield self._image(m)
+
+    def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """The answers to ``probes``, in order. Until the child has offered
+        stack frames each probe is one ``query``; from then on probes go
+        ``FRAME_BUDGET_BYTES`` at a time, so up to one frame of probes is
+        sent before the answers ahead of it are taken."""
+        probes = iter(probes)
+        while not self._batch:
+            a = next(probes, None)
+            if a is None:
+                return
+            yield self.query(a)
+        while chunk := list(itertools.islice(probes, self._per_frame)):
+            yield from self._query_stack(chunk)
 
     def close(self) -> None:
         if self._proc.poll() is None:

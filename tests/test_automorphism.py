@@ -1,6 +1,8 @@
 import base64
+import io
 import json
 import sys
+import time
 import types
 
 import numpy as np
@@ -23,8 +25,16 @@ from obsorder import (
     reconstruct,
 )
 from obsorder import oracle as oracle_module
+from obsorder.demo_oracles import serve
 from obsorder.harness import _gauge_distance
-from obsorder.io import complex_matrix_from_dict, hermitian_from_dict, matrix_to_c128le
+from obsorder.io import (
+    c128le_stack_from_dict,
+    complex_matrix_from_dict,
+    hermitian_from_dict,
+    matrices_to_c128le,
+    matrix_frame_from_dict,
+    matrix_to_c128le,
+)
 from conftest import random_hermitian, random_invertible, random_psd
 
 
@@ -288,6 +298,245 @@ class TestSubprocessOracle:
                 handle.query(np.zeros((2, 2)))
 
 
+def record_frames(monkeypatch) -> list:
+    """Every request object the oracle transport serializes from now on."""
+    sent = []
+
+    def dumps(obj):
+        sent.append(obj)
+        return json.dumps(obj)
+
+    monkeypatch.setattr(oracle_module, "json", types.SimpleNamespace(
+        dumps=dumps, loads=json.loads, JSONDecodeError=json.JSONDecodeError))
+    return sent
+
+
+AFFINE_CHILD = [sys.executable, "-m", "obsorder.demo_oracles.affine"]
+
+# A -> 2A + I in c128le, without the "batch" advertisement (the demo serve
+# loop before stack frames)
+C128LE_ONLY_CHILD = (
+    "import sys, json\n"
+    "import numpy as np\n"
+    "from obsorder.io import hermitian_from_dict, matrix_to_c128le, matrix_to_dict\n"
+    "for line in sys.stdin:\n"
+    "    req = json.loads(line)\n"
+    "    m = req['matrix']\n"
+    "    a = hermitian_from_dict(m).mat\n"
+    "    binary = 'c128le' in m or 'c128le' in req.get('accept', [])\n"
+    "    out = (matrix_to_c128le if binary else matrix_to_dict)(2 * a + np.eye(len(a)))\n"
+    "    print(json.dumps({'id': req['id'], 'matrix': out}), flush=True)\n"
+)
+
+# identity oracle that answers the first request correctly (advertising
+# "batch" when sys.argv[2] is "stack") and then spoils the reply that carries
+# probe 2 counted from the second request, in the way sys.argv[1] names
+BAD_REPLY_CHILD = (
+    "import sys, json\n"
+    "import numpy as np\n"
+    "from obsorder.io import c128le_stack_from_dict, hermitian_from_dict, matrices_to_c128le,"
+    " matrix_to_c128le\n"
+    "mode, batch = sys.argv[1], sys.argv[2] == 'stack'\n"
+    "seen = -1  # probes answered after the first request\n"
+    "for line in sys.stdin:\n"
+    "    req = json.loads(line)\n"
+    "    m, k = req['matrix'], req['id']\n"
+    "    if 'count' in m:\n"
+    "        stack = c128le_stack_from_dict(m)\n"
+    "    else:\n"
+    "        stack = np.array([hermitian_from_dict(m).mat])\n"
+    "    slot, seen = 2 - seen, seen + len(stack)\n"
+    "    fault = mode if 0 <= slot < len(stack) else None\n"
+    "    if fault == 'non_hermitian':\n"
+    "        stack[slot, 0, 1] += 1.0\n"
+    "    if fault == 'slightly_asymmetric':  # caught by the decode check alone\n"
+    "        stack[slot, 0, 1] += 1e-10\n"
+    "    if fault == 'non_finite':\n"
+    "        stack[slot, 0, 0] = np.nan\n"
+    "    out = matrices_to_c128le(stack) if 'count' in m else matrix_to_c128le(stack[0])\n"
+    "    resp = {'id': k + (fault == 'id'), 'matrix': out}\n"
+    "    if fault == 'count':  # a count that does not match the payload\n"
+    "        out['count'] = len(stack) + 1\n"
+    "    if fault == 'short':\n"
+    "        out['c128le'] = out['c128le'][:-8]\n"
+    "    if fault == 'bad_base64':\n"
+    "        out['c128le'] = '*' + out['c128le'][1:]\n"
+    "    if fault == 'no_matrix':\n"
+    "        del resp['matrix']\n"
+    "    if fault == 'too_few':\n"
+    "        resp['matrix'] = matrices_to_c128le(stack[:-1])\n"
+    "    if k == 0 and batch:\n"
+    "        resp['accept'] = ['c128le', 'batch']\n"
+    "    print(json.dumps(resp), flush=True)\n"
+)
+
+
+class TestStackFrames:
+    def test_whole_plan_in_one_frame_after_negotiation(self, monkeypatch):
+        sent = record_frames(monkeypatch)
+        with SubprocessOracle(AFFINE_CHILD, 3) as handle:
+            report = reconstruct(handle)
+            assert handle.calls == report.probes_used == 27
+        np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
+        assert len(sent) == 2
+        first, stack = sent
+        assert "entries" in first["matrix"] and first["accept"] == ["c128le"]
+        assert stack["matrix"]["count"] == 26 and "accept" not in stack
+        assert len(base64.b64decode(stack["matrix"]["c128le"])) == 26 * 16 * 9
+
+    def test_dim_64_sends_one_matrix_per_frame(self, monkeypatch):
+        sent = record_frames(monkeypatch)
+        with SubprocessOracle(AFFINE_CHILD, 64) as handle:
+            report = reconstruct(handle, validation_probes=2)
+        assert report.probes_used == 64 + 63 + 2 + 2
+        assert len(sent) == report.probes_used
+        assert all(f["matrix"]["count"] == 1 for f in sent[1:])
+
+    def test_frames_follow_the_byte_budget(self, monkeypatch):
+        sent = record_frames(monkeypatch)
+        with SubprocessOracle(AFFINE_CHILD, 32) as handle:
+            handle.query(np.zeros((32, 32)))
+            images = list(handle.query_many(np.eye(32)[None] * np.arange(9.0)[:, None, None]))
+        np.testing.assert_allclose(images[5], 10.0 * np.eye(32) + np.eye(32))
+        assert [f["matrix"].get("count", 1) for f in sent[1:]] == [4, 4, 1]
+
+    def test_child_without_batch_gets_single_frames(self, monkeypatch):
+        sent = record_frames(monkeypatch)
+        with SubprocessOracle([sys.executable, "-c", C128LE_ONLY_CHILD], 3) as handle:
+            report = reconstruct(handle)
+        np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(report.recovered.X.mat, np.eye(3), atol=1e-12)
+        assert len(sent) == report.probes_used == 27
+        assert all("c128le" in f["matrix"] and "count" not in f["matrix"] for f in sent[1:])
+
+    @pytest.mark.parametrize("frames", ["single", "stack"])
+    @pytest.mark.parametrize("mode, error", [
+        ("count", TransportFailureError),
+        ("short", TransportFailureError),
+        ("bad_base64", TransportFailureError),
+        ("no_matrix", TransportFailureError),
+        ("id", TransportFailureError),
+        ("non_hermitian", OracleNotAutomorphicError),
+        ("slightly_asymmetric", OracleNotAutomorphicError),
+        ("non_finite", OracleNotAutomorphicError),
+    ])
+    def test_bad_reply(self, frames, mode, error):
+        # one rule for both frame kinds: a frame fault is a transport
+        # failure, a bad matrix is not an automorphism
+        probes = [np.eye(2) * k for k in range(4)]
+        child = [sys.executable, "-c", BAD_REPLY_CHILD, mode, frames]
+        with SubprocessOracle(child, 2) as handle:
+            np.testing.assert_array_equal(handle.query(np.eye(2)), np.eye(2))
+            images = handle.query_many(probes)
+            # the probes before the bad one are answered, unless they share
+            # its faulty frame
+            if frames == "single" or error is OracleNotAutomorphicError:
+                np.testing.assert_array_equal(next(images), probes[0])
+                np.testing.assert_array_equal(next(images), probes[1])
+            with pytest.raises(error):
+                next(images)
+
+    def test_stack_reply_with_too_few_matrices(self):
+        child = [sys.executable, "-c", BAD_REPLY_CHILD, "too_few", "stack"]
+        with SubprocessOracle(child, 2) as handle:
+            handle.query(np.eye(2))
+            with pytest.raises(TransportFailureError, match="has 3 matrices, expected 4"):
+                list(handle.query_many([np.eye(2) * k for k in range(4)]))
+
+    @pytest.mark.parametrize("d, seed", [(2, 3), (3, 7), (5, 11)])
+    def test_matches_in_process_reconstruction(self, d, seed):
+        phi = OrderAutomorphism.create(np.sqrt(2.0) * np.eye(d), x=np.eye(d))
+        with SubprocessOracle(AFFINE_CHILD, d) as handle:
+            piped = reconstruct(handle, seed=seed)
+        local = reconstruct(from_automorphism(phi), seed=seed)
+        assert piped.probes_used == local.probes_used
+        assert piped.recovered.conjugate == local.recovered.conjugate
+        np.testing.assert_allclose(piped.recovered.T, local.recovered.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(piped.recovered.X.mat, local.recovered.X.mat, rtol=0, atol=1e-12)
+        assert piped.max_residual <= 1e-12 and local.max_residual <= 1e-12
+
+    def test_serve_applies_fn_per_matrix(self, monkeypatch, rng):
+        # a map that is wrong on a stack if broadcast: m.T reverses the stack axes
+        t = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+
+        def fn(a):
+            m = t @ a @ t.conj().T
+            return (m + m.conj().T) / 2.0
+
+        probes = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        requests = [
+            {"id": 0, "matrix": matrix_to_c128le(probes[0]), "accept": ["c128le"]},
+            {"id": 1, "matrix": matrices_to_c128le(probes)},
+        ]
+        lines = "".join(json.dumps(r) + "\n" for r in requests)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        serve(fn)
+        first, second = (json.loads(line) for line in sys.stdout.getvalue().splitlines())
+        assert first["accept"] == ["c128le", "batch"] and "accept" not in second
+        images = c128le_stack_from_dict(second["matrix"])
+        for a, image in zip(probes, images):
+            np.testing.assert_array_equal(image, fn(a))
+
+
+    def test_serve_checks_each_stack_matrix(self, monkeypatch):
+        stack = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])])
+        request = {"id": 0, "matrix": matrices_to_c128le(stack)}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request) + "\n"))
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            serve(lambda a: a)
+
+
+class TestResponseDeadline:
+    def test_silent_child_is_killed(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "RESPONSE_TIMEOUT_S", 0.5)
+        script = "import sys, time; sys.stdin.readline(); time.sleep(60)"
+        start = time.monotonic()
+        with SubprocessOracle([sys.executable, "-c", script], 2) as handle:
+            expected = r"no response within 0\.5 s.*exit status -9"
+            with pytest.raises(TransportFailureError, match=expected):
+                handle.query(np.zeros((2, 2)))
+            assert handle._proc.poll() is not None
+        assert time.monotonic() - start < 5.0
+
+    def test_child_that_stops_reading_is_killed(self, monkeypatch, rng):
+        # a d = 64 frame is larger than the pipe buffer, so the write blocks
+        monkeypatch.setattr(oracle_module, "RESPONSE_TIMEOUT_S", 0.5)
+        script = "import time; time.sleep(60)"
+        a = random_hermitian(rng, 64)
+        start = time.monotonic()
+        with SubprocessOracle([sys.executable, "-c", script], 64) as handle:
+            with pytest.raises(TransportFailureError, match="no response within"):
+                handle.query(a)
+            assert handle._proc.poll() is not None
+        assert time.monotonic() - start < 5.0
+
+    def test_partial_line_then_silence_is_killed(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "RESPONSE_TIMEOUT_S", 0.5)
+        script = ("import sys, time; sys.stdin.readline(); "
+                  "sys.stdout.write('{\"id\": 0'); sys.stdout.flush(); time.sleep(60)")
+        with SubprocessOracle([sys.executable, "-c", script], 2) as handle:
+            with pytest.raises(TransportFailureError, match="no response within"):
+                handle.query(np.zeros((2, 2)))
+            assert handle._proc.poll() is not None
+
+
+class TestInProcessChecks:
+    def test_non_finite_image_is_rejected(self):
+        handle = OracleHandle(lambda a: np.full((2, 2), np.nan), 2)
+        with pytest.raises(OracleNotAutomorphicError, match="non-finite"):
+            handle.query(np.eye(2))
+
+    def test_query_many_is_lazy(self):
+        seen = []
+        handle = OracleHandle(lambda a: seen.append(a) or a, 2)
+        images = handle.query_many(np.eye(2) * k for k in range(3))
+        assert seen == [] and handle.calls == 0
+        next(images)
+        assert len(seen) == 1 and handle.calls == 1
+
+
 class TestC128le:
     def test_round_trip_bit_exact(self, rng):
         special = np.array([[-0.0 + 5e-324j, 1e300 - 1e300j],
@@ -334,3 +583,49 @@ class TestC128le:
         if case != "asymmetric":
             with pytest.raises(ValidationError):
                 complex_matrix_from_dict(obj)
+
+    def test_stack_round_trip_bit_exact(self, rng):
+        stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        obj = matrices_to_c128le(stack)
+        assert (obj["dim"], obj["count"]) == (4, 3)
+        assert c128le_stack_from_dict(obj).tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("case", ["count_zero", "count_bool", "count_str", "short", "long",
+                                      "bad_base64", "no_count", "dim_65"])
+    def test_stack_rejected(self, case):
+        good = matrices_to_c128le(np.stack([np.eye(2)] * 3))
+        obj = dict(good)
+        # each bad count comes with a payload of that many matrices
+        if case == "count_zero":
+            obj.update(count=0, c128le="")
+        elif case == "count_bool":
+            obj.update(count=True, c128le=self._payload(np.eye(2)))
+        elif case == "count_str":
+            obj["count"] = "3"
+        elif case == "short":
+            obj["c128le"] = self._payload(np.ones(11))
+        elif case == "long":
+            obj["c128le"] = self._payload(np.ones(13))
+        elif case == "bad_base64":
+            obj["c128le"] = "*" + good["c128le"][1:]
+        elif case == "no_count":
+            del obj["count"]
+        elif case == "dim_65":
+            obj["dim"] = 65
+        with pytest.raises(ValidationError):
+            c128le_stack_from_dict(obj)
+
+    @pytest.mark.parametrize("entries", [5, [[1, 2], [3, 4]], [[["a", 0], [0, 0]], [[0, 0], [1, 0]]]])
+    def test_decimal_grid_of_non_numbers_rejected(self, entries):
+        obj = {"dim": 2, "entries": entries}
+        for read in (matrix_frame_from_dict, hermitian_from_dict):
+            with pytest.raises(ValidationError):
+                read(obj)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_single_readers_reject_stacks(self, count):
+        obj = matrices_to_c128le(np.stack([np.eye(2)] * count))
+        with pytest.raises(ValidationError, match="count"):
+            hermitian_from_dict(obj)
+        with pytest.raises(ValidationError, match="count"):
+            complex_matrix_from_dict(obj)

@@ -185,6 +185,13 @@ class TestReconstruct:
         code, _, err = run_cli(["reconstruct", "--oracle", dead, "--dim", "2"], capsys)
         assert code == 4 and "error:" in err
 
+    def test_silent_oracle_is_transport(self, capsys, monkeypatch):
+        monkeypatch.setattr("obsorder.oracle.RESPONSE_TIMEOUT_S", 0.5)
+        silent = shlex.join([sys.executable, "-c",
+                             "import sys, time; sys.stdin.readline(); time.sleep(60)"])
+        code, _, err = run_cli(["reconstruct", "--oracle", silent, "--dim", "2"], capsys)
+        assert code == 4 and "no response within 0.5 s" in err
+
     def test_empty_oracle_command(self, capsys):
         code, _, err = run_cli(["reconstruct", "--oracle", "", "--dim", "2"], capsys)
         assert code == 2 and "error:" in err

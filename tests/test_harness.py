@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obsorder import OrderAutomorphism, ValidationError, rank_numeric
+from obsorder import OrderAutomorphism, ValidationError, max_lambda, rank_numeric
 from obsorder.harness import (
     SUITE_NAMES,
     GeneratorSpec,
@@ -79,6 +79,24 @@ class TestBisectionOracle:
         lam = bisection_max_lambda(np.array([0.0, 1.0]), np.diag([1.0, 7.0]))
         assert lam == pytest.approx(7.0, rel=1e-8)
 
+    def test_below_the_start_lambda(self):
+        # the search starts at 1e-6 * max(1, ||B||); the answer here is 1e-7
+        b, x = 1e-7 * np.diag([1.0, 0.5]), np.array([1.0, 0.0])
+        # accurate to the floor's share of the start lambda, 1e-6 relative ...
+        assert bisection_max_lambda(x, b) == pytest.approx(max_lambda(x, b), rel=2e-6)
+        # ... and to the bisection tolerance when the floor is far below it
+        lam = bisection_max_lambda(x, b, feas_floor=1e-20)
+        assert lam == pytest.approx(max_lambda(x, b), rel=1e-8)
+
+    def test_out_of_range_stays_infeasible_at_small_norm(self):
+        assert bisection_max_lambda(np.array([0.0, 1.0]), 1e-7 * np.diag([1.0, 0.0])) is None
+
+    @pytest.mark.parametrize("w", [1e-3, 1e-4, 1e-5])
+    def test_slightly_out_of_range_is_none(self, w):
+        # weight w = |x_perp|^2 outside rng B: feasible for lambda <= floor / w
+        # under a fixed floor, so a fixed floor would find a tiny lambda here
+        x = np.array([np.sqrt(1.0 - w), np.sqrt(w)])
+        assert bisection_max_lambda(x, np.diag([1.0, 0.0])) is None
 
 class TestSuites:
     @pytest.mark.parametrize("name", SUITE_NAMES)
