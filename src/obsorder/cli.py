@@ -206,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-psd", type=float, default=1e-9)
     common.add_argument("--tol-rank", type=float, default=1e-8)
     common.add_argument("--tol-range", type=float, default=1e-8)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out-dir", default=".")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -224,11 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank-order", parents=[common], help="order-theoretic rank > n+1 test")
     p.add_argument("a")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_rank_order)
 
     p = sub.add_parser("reconstruct", parents=[common], help="recover (T, X) from a subprocess oracle")
     p.add_argument("--oracle", required=True, help="oracle command line; dim is appended")
     p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("preserver", parents=[common], help="classify a relation preserver")
@@ -239,12 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["commutativity", "complementarity", "orthogonality"],
     )
     p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_preserver)
 
     p = sub.add_parser("verify", parents=[common], help="run a theorem suite")
     p.add_argument("suite")
     p.add_argument("--dims", default="2,3,4")
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -207,13 +207,6 @@ def _freeze_real(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def spectral_norm(m) -> float:
-    arr = np.asarray(m.mat if hasattr(m, "mat") else m, dtype=np.complex128)
-    if arr.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(arr))))
-
-
 def sqrt_psd(a, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdMatrix:
     """Unique PSD square root. Eigenvalues below the PSD threshold are
     clamped to zero before rooting."""

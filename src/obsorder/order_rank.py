@@ -70,33 +70,26 @@ def rank_two_counterexample(
     return e, f
 
 
-def is_rank_one_by_order(
-    a, samples: int = 200, rng_seed: int = 0, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def is_rank_one_by_order(a, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Decide rank A = 1 through totality of the interval [0, A].
 
     Rank >= 2 is refuted deterministically: two scaled spectral
-    eigenprojections of A lie in [0, A] and are incomparable. The confirming
-    rank-1 direction samples pairs from [0, A] (which is exactly
-    {tA : 0 <= t <= 1} there) and checks comparability.
+    eigenprojections of A lie in [0, A] and are incomparable. Rank 1 needs
+    no sample: there [0, A] is exactly {tA : 0 <= t <= 1}, and sA <= tA
+    whenever s <= t, so the interval is totally ordered by construction.
     """
     a = as_psd(a, tol)
     r = rank_numeric(a, tol)
     if r == 0:
         raise ValidationError("zero matrix has no rank-1 test")
-    if r >= 2:
-        e, f = rank_two_counterexample(a, tol)
-        if not (leq(e, a, tol) and leq(f, a, tol)):
-            raise InternalInconsistencyError("rank-2 counterexample is not below A")
-        if leq(e, f, tol) or leq(f, e, tol):
-            raise InternalInconsistencyError("rank-2 counterexample pair is comparable")
-        return False
-    rng = np.random.default_rng(rng_seed)
-    ts = rng.uniform(0.0, 1.0, size=(samples, 2))
-    for s, t in ts:
-        if not (leq(s * a.mat, t * a.mat, tol) or leq(t * a.mat, s * a.mat, tol)):
-            return False
-    return True
+    if r == 1:
+        return True
+    e, f = rank_two_counterexample(a, tol)
+    if not (leq(e, a, tol) and leq(f, a, tol)):
+        raise InternalInconsistencyError("rank-2 counterexample is not below A")
+    if leq(e, f, tol) or leq(f, e, tol):
+        raise InternalInconsistencyError("rank-2 counterexample pair is comparable")
+    return False
 
 
 def rank_gt_np1_witness(

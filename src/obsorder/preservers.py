@@ -17,15 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automorphism import OrderAutomorphism, apply, invert
-from .errors import DimensionMismatchError, SearchExhaustedError, ValidationError
+from .errors import DimensionMismatchError, SearchExhaustedError
 from .hermitian import as_psd, eig, herm_array, rank_one
 from .tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
 
 # Relative tolerance for the analytic scalar tests (T*T = lambda I, X = mu I).
 SCALAR_TOL = 1e-9
-
-# Subset enumeration bound for the complementarity predicate.
-COMPLEMENTARITY_MAX_DIM = 12
 
 
 class RelationKind(enum.Enum):
@@ -114,10 +111,6 @@ def complementary(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     d = a.shape[0]
-    if d > COMPLEMENTARITY_MAX_DIM:
-        raise ValidationError(
-            f"complementarity enumeration is bounded at d <= {COMPLEMENTARITY_MAX_DIM}"
-        )
     ca = _eigen_clusters(a, tol)
     cb = _eigen_clusters(b, tol)
     if len(ca) == 1 or len(cb) == 1:
@@ -130,18 +123,14 @@ def complementary(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     if max_a + max_b > d:
         return False
 
-    def proper_subsets(blocks: list[np.ndarray]):
-        k = len(blocks)
-        for r in range(1, k):
-            for combo in itertools.combinations(range(k), r):
-                yield np.column_stack([blocks[i] for i in combo])
-
-    for pa in proper_subsets(ca):
-        for pb in proper_subsets(cb):
-            stacked = np.column_stack([pa, pb])
-            s = np.linalg.svd(stacked, compute_uv=False)
-            thr = scaled(tol.tol_rank, float(s[0]))
-            if int(np.count_nonzero(s > thr)) < pa.shape[1] + pb.shape[1]:
+    # With k >= 2 clusters the smallest has dimension <= d/2, so a pair gets
+    # here only when each operand has exactly two clusters of dimension d/2.
+    # The nontrivial projections are then the single clusters, and each of
+    # the four pairs must span the whole space.
+    for pa in ca:
+        for pb in cb:
+            s = np.linalg.svd(np.column_stack([pa, pb]), compute_uv=False)
+            if int(np.count_nonzero(s > scaled(tol.tol_rank, float(s[0])))) < d:
                 return False
     return True
 

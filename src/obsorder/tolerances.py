@@ -16,10 +16,9 @@ class Tolerances:
     tol_psd: float = 1e-9
     tol_rank: float = 1e-8
     tol_range: float = 1e-8
-    tol_recon: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("tol_psd", "tol_rank", "tol_range", "tol_recon"):
+        for name in ("tol_psd", "tol_rank", "tol_range"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise ValueError(f"{name} must be in (0, 1), got {value}")

@@ -76,6 +76,28 @@ def files(tmp_path):
     return tmp_path
 
 
+class TestOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["order", "A.json", "B.json", "--out-dir", "x"],
+            ["lambda-max", "B.json", "[[1,0],[0,0]]", "--out-dir", "x"],
+            ["reconstruct", "--oracle", "o", "--dim", "2", "--out-dir", "x"],
+            ["preserver", "phi.json", "--kind", "orthogonality", "--out-dir", "x"],
+            ["verify", "thm1", "--out-dir", "x"],
+            ["order", "A.json", "B.json", "--seed", "1"],
+            ["lambda-max", "B.json", "[[1,0],[0,0]]", "--seed", "1"],
+            ["rank-order", "A.json", "--n", "1", "--seed", "1"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_unread_option_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
 class TestOrder:
     def test_leq(self, files, capsys):
         code, out, _ = run_cli(["order", str(files / "zero2.json"), str(files / "eye2.json")], capsys)

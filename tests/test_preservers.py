@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from obsorder import (
     OrderAutomorphism,
     PsdMatrix,
     RelationKind,
-    ValidationError,
     apply,
     commute,
     complementary,
@@ -14,7 +15,64 @@ from obsorder import (
     orthogonal,
     preserves_relation,
 )
+from obsorder.cli import main
+from obsorder.preservers import _eigen_clusters
+from obsorder.tolerances import DEFAULT_TOLERANCES, scaled
 from conftest import random_hermitian, random_invertible, random_unit, random_unitary
+
+
+def enumerated_complementary(a, b, tol=DEFAULT_TOLERANCES):
+    """Reference: the dimension-count pruning, then a stacked-SVD test over
+    every pair of nonempty proper subsets of eigenvalue clusters."""
+    d = a.shape[0]
+    ca = _eigen_clusters(a, tol)
+    cb = _eigen_clusters(b, tol)
+    if len(ca) == 1 or len(cb) == 1:
+        return True
+    max_a = d - min(blk.shape[1] for blk in ca)
+    max_b = d - min(blk.shape[1] for blk in cb)
+    if max_a + max_b > d:
+        return False
+
+    def proper_subsets(blocks):
+        k = len(blocks)
+        for r in range(1, k):
+            for combo in itertools.combinations(range(k), r):
+                yield np.column_stack([blocks[i] for i in combo])
+
+    for pa in proper_subsets(ca):
+        for pb in proper_subsets(cb):
+            stacked = np.column_stack([pa, pb])
+            s = np.linalg.svd(stacked, compute_uv=False)
+            thr = scaled(tol.tol_rank, float(s[0]))
+            if int(np.count_nonzero(s > thr)) < pa.shape[1] + pb.shape[1]:
+                return False
+    return True
+
+
+def clustered(rng, sizes, u):
+    """U diag(...) U* with one distinct eigenvalue per cluster of the given sizes."""
+    values = rng.permutation(len(sizes)) + rng.uniform(0.1, 0.9)
+    m = u @ np.diag(np.repeat(values, sizes)) @ u.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def random_split(rng, d):
+    """Cluster sizes: half/half when d is even with probability 1/2, else a
+    random composition of d."""
+    if d % 2 == 0 and rng.random() < 0.5:
+        return [d // 2, d // 2]
+    cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(0, d)), replace=False))
+    return list(np.diff(np.concatenate([[0], cuts, [d]])))
+
+
+def sharing_first_vector(rng, u):
+    """A random unitary whose first column is the first column of u."""
+    d = u.shape[0]
+    rest = np.zeros((d, d), dtype=np.complex128)
+    rest[0, 0] = 1.0
+    rest[1:, 1:] = random_unitary(rng, d - 1)
+    return u @ rest
 
 
 class TestCommute:
@@ -86,9 +144,48 @@ class TestComplementary:
                         expected = False
             assert complementary(a, (b + b.conj().T) / 2) == expected
 
-    def test_dimension_bound(self):
-        with pytest.raises(ValidationError):
-            complementary(np.eye(13), np.eye(13))
+    def test_agrees_with_enumeration(self, rng):
+        verdicts = []
+        half_half = []
+        for _ in range(600):
+            d = int(rng.integers(2, 13))
+            u = random_unitary(rng, d)
+            sizes_a, sizes_b = random_split(rng, d), random_split(rng, d)
+            a = clustered(rng, sizes_a, u)
+            mode = rng.integers(0, 3)
+            if mode == 0:
+                v = random_unitary(rng, d)  # general position
+            elif mode == 1:
+                v = u  # commuting
+            else:
+                v = sharing_first_vector(rng, u)
+            b = clustered(rng, sizes_b, v)
+            got = complementary(a, b)
+            assert got == enumerated_complementary(a, b), (sizes_a, sizes_b, mode)
+            verdicts.append(got)
+            if len(sizes_a) == len(sizes_b) == 2 and 2 * min(sizes_a + sizes_b) == d:
+                half_half.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
+        assert 0 < sum(half_half) < len(half_half)
+
+    def test_half_half_at_d64(self, rng):
+        u = random_unitary(rng, 64)
+        a = clustered(rng, [32, 32], u)
+        for v, expected in ((random_unitary(rng, 64), True), (sharing_first_vector(rng, u), False)):
+            b = clustered(rng, [32, 32], v)
+            assert complementary(a, b) is expected
+            assert enumerated_complementary(a, b) is expected
+
+    def test_no_bound_below_max_dim(self, rng):
+        for d in (13, 64):
+            a = random_hermitian(rng, d)
+            assert complementary(1.7 * np.eye(d), a)
+            _, vecs = np.linalg.eigh(a)
+            assert not complementary(a, np.outer(vecs[:, 0], vecs[:, 0].conj()))
+
+    def test_verify_cor4_past_old_bound(self, capsys):
+        assert main(["verify", "cor4", "--dims", "16,64", "--trials", "3"]) == 0
+        capsys.readouterr()
 
 
 class TestLocalLinearDependence:
@@ -152,7 +249,7 @@ class TestPreservesRelation:
         assert commute(apply(phi, ce.a).mat, apply(phi, ce.b).mat) == ce.holds_after
         assert ce.holds_before != ce.holds_after
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 16])
     def test_complementarity_counterexamples(self, rng, d):
         for _ in range(10):
             t = random_invertible(rng, d)
