@@ -232,13 +232,25 @@ def pinv(m, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianMatrix:
     return HermitianMatrix.from_array(out)
 
 
-def rank_numeric(m, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Count of eigenvalues above the rank threshold; 0 for the zero matrix."""
-    h = as_hermitian(m)
-    evals = np.linalg.eigvalsh(h.mat)
+def _rank_of(evals: np.ndarray, tol: Tolerances) -> int:
     norm = float(np.max(np.abs(evals))) if evals.size else 0.0
     thr = scaled(tol.tol_rank, norm)
     return int(np.count_nonzero(np.abs(evals) > thr))
+
+
+def rank_numeric(m, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+    """Count of eigenvalues above the rank threshold; 0 for the zero matrix."""
+    return _rank_of(np.linalg.eigvalsh(as_hermitian(m).mat), tol)
+
+
+def psd_rank(m, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[PsdMatrix, int]:
+    """``as_psd(m)`` and ``rank_numeric(m)`` from one ``eigvalsh``: a raw
+    operand's rank is read off the spectrum that certifies it PSD."""
+    h = as_hermitian(m)
+    evals = np.linalg.eigvalsh(h.mat)
+    if not isinstance(m, PsdMatrix):
+        m = PsdMatrix(base=h, min_eig=_certified_min_eig(evals, tol))
+    return m, _rank_of(evals, tol)
 
 
 def range_basis(m, tol: Tolerances = DEFAULT_TOLERANCES) -> list[np.ndarray]:

@@ -7,11 +7,20 @@ produces refuting witnesses, the extremal scalar ``lambda`` with
 ``B``), and the rank-1 range-domination test built on it. Each operand is
 decomposed once: ``compare`` reads everything off one ``eigh(B - A)``, and
 ``max_lambda`` and ``range_dominates`` work in the eigenbasis of ``B``.
+
+The PSD threshold ``tol_psd * max(||A||, ||B||, 1)`` needs two spectral
+norms, but it lies between ``tol_psd`` (the scale is at least 1) and
+``tol_psd * max(||A||_F, ||B||_F, 1)`` (no spectral norm exceeds the
+Frobenius norm). ``leq`` and ``compare`` therefore decide from the spectrum
+of ``B - A`` alone wherever it falls outside that band, and compute the two
+norms, with the exact rule, only inside it. The bounds hold in floating
+point too (see ``_psd_verdicts``), so the verdicts are the exact rule's.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .hermitian import PsdMatrix, herm_array, psd_eigh, rank_one
-from .tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
+from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
 # Noise floor used where a strict sign test is needed (see max_lambda).
 _NOISE_FLOOR = 1e-13
@@ -57,6 +66,42 @@ def _max_norm_scale(a: np.ndarray, b: np.ndarray) -> float:
     return max(na, nb, 1.0)
 
 
+def _frobenius_scale(a: np.ndarray, b: np.ndarray) -> float:
+    """max(||A||_F, ||B||_F, 1) * (1 + margin): at least the computed
+    ``_max_norm_scale``, and inf when a sum of squares overflows."""
+    fa = math.sqrt(np.vdot(a, a).real)
+    fb = math.sqrt(np.vdot(b, b).real)
+    return max(fa, fb, 1.0) * (1.0 + GATE_MARGIN)
+
+
+def _psd_verdicts(
+    ends: tuple[float, ...], a: np.ndarray, b: np.ndarray, tol: Tolerances
+) -> list[bool]:
+    """``m >= -tol_psd * _max_norm_scale(a, b)`` for each m in ``ends``.
+
+    m >= -tol_psd is True, since the scale is at least 1, and
+    m < -tol_psd * ``_frobenius_scale`` is False, since that scale is at
+    least the spectral one (rounding is monotone, so both bounds survive
+    the products). Only an m between the two pays for the spectral norms;
+    an overflowing Frobenius scale decides nothing.
+    """
+    frob = thr = None
+    verdicts = []
+    for m in ends:
+        if m >= -tol.tol_psd:
+            verdicts.append(True)
+            continue
+        if frob is None:
+            frob = _frobenius_scale(a, b)
+        if m < -tol.tol_psd * frob:
+            verdicts.append(False)
+            continue
+        if thr is None:
+            thr = tol.tol_psd * _max_norm_scale(a, b)
+        verdicts.append(m >= -thr)
+    return verdicts
+
+
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(
@@ -65,12 +110,20 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """True iff B - A is PSD under tol_psd (non-strict; A = B gives True)."""
+    """True iff B - A is PSD under tol_psd (non-strict; A = B gives True).
+
+    The test is lo >= -tol_psd * max(||A||, ||B||, 1) with lo the smallest
+    eigenvalue of B - A, from one ``eigvalsh``. The two spectral norms are
+    computed only when lo lies in
+    [-tol_psd * max(||A||_F, ||B||_F, 1), -tol_psd), the one band where the
+    threshold's bounds cannot decide; elsewhere the bounds give the same
+    verdict.
+    """
     a = herm_array(a)
     b = herm_array(b)
     _check_dims(a, b)
     lo = float(np.linalg.eigvalsh(b - a)[0])
-    return lo >= -tol.tol_psd * _max_norm_scale(a, b)
+    return _psd_verdicts((lo,), a, b, tol)[0]
 
 
 def _witness(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> OrderWitness:
@@ -87,15 +140,15 @@ def compare(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> OrderResult:
     A <= B iff lo >= -thr and B <= A iff -hi >= -thr, with
     thr = tol_psd * max(||A||, ||B||, 1); both together are
     max(-lo, hi) <= thr, i.e. EQUAL. The bottom eigenvector refutes A <= B
-    and the top one refutes B <= A.
+    and the top one refutes B <= A. As in ``leq``, the norms in thr are
+    computed only when lo or -hi lies in the band its bounds cannot decide,
+    and then once for both ends.
     """
     a = herm_array(a)
     b = herm_array(b)
     _check_dims(a, b)
-    thr = tol.tol_psd * _max_norm_scale(a, b)
     evals, evecs = np.linalg.eigh(b - a)
-    ab = float(evals[0]) >= -thr
-    ba = -float(evals[-1]) >= -thr
+    ab, ba = _psd_verdicts((float(evals[0]), -float(evals[-1])), a, b, tol)
     if ab and ba:
         return OrderResult(relation=Relation.EQUAL)
     if ab:

@@ -21,6 +21,7 @@ from .hermitian import (
     eig,
     herm_array,
     projector,
+    psd_rank,
     rank_numeric,
     range_basis,
     rank_one,
@@ -78,8 +79,7 @@ def is_rank_one_by_order(a, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     no sample: there [0, A] is exactly {tA : 0 <= t <= 1}, and sA <= tA
     whenever s <= t, so the interval is totally ordered by construction.
     """
-    a = as_psd(a, tol)
-    r = rank_numeric(a, tol)
+    a, r = psd_rank(a, tol)
     if r == 0:
         raise ValidationError("zero matrix has no rank-1 test")
     if r == 1:
@@ -102,8 +102,7 @@ def rank_gt_np1_witness(
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    a = as_psd(a, tol)
-    r = rank_numeric(a, tol)
+    a, r = psd_rank(a, tol)
     if r <= n + 1:
         return None
     terms = _descending_spectral_terms(a, tol)

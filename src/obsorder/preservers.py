@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .automorphism import OrderAutomorphism, apply, invert
 from .errors import DimensionMismatchError, SearchExhaustedError
 from .hermitian import as_psd, eig, herm_array, rank_one
-from .tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
+from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
 # Relative tolerance for the analytic scalar tests (T*T = lambda I, X = mu I).
 SCALAR_TOL = 1e-9
@@ -63,14 +64,47 @@ def _norm_product_scale(a: np.ndarray, b: np.ndarray) -> float:
     return max(1.0, na * nb)
 
 
+def _frobenius(m: np.ndarray) -> float:
+    """||M||_F summed over M / max |m_ij|, so that no square underflows (a
+    lost tiny factor would shrink the bound on ||A|| ||B||) or overflows."""
+    peak = float(np.max(np.abs(m)))
+    if peak == 0.0 or not math.isfinite(peak):
+        return peak
+    unit = m / peak
+    return peak * math.sqrt(np.vdot(unit, unit).real)
+
+
+def _small_against_norm_product(
+    m: np.ndarray, a: np.ndarray, b: np.ndarray, tol: Tolerances
+) -> bool:
+    """||M||_2 <= tol_psd * max(1, ||A|| ||B||), the test of ``commute`` and
+    ``orthogonal``.
+
+    ||M||_F / sqrt(d) <= ||M||_2 <= ||M||_F and
+    ||A||_F ||B||_F / d <= ||A|| ||B|| <= ||A||_F ||B||_F bracket both
+    sides, so the Frobenius norms decide the test outside a band around the
+    threshold (at most a factor d^3 wide); only inside it, or when a bound
+    overflows, are the SVD of M and the two spectral norms computed, with
+    the exact rule.
+    """
+    d = m.shape[0]
+    fm = _frobenius(m)
+    prod = _frobenius(a) * _frobenius(b)
+    if math.isfinite(fm) and math.isfinite(prod):
+        if fm * (1.0 + GATE_MARGIN) <= tol.tol_psd * max(1.0, prod / d):
+            return True
+        if fm > math.sqrt(d) * tol.tol_psd * max(1.0, prod) * (1.0 + GATE_MARGIN):
+            return False
+    return float(np.linalg.norm(m, 2)) <= tol.tol_psd * _norm_product_scale(a, b)
+
+
 def commute(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """||AB - BA|| small relative to ||A|| ||B|| (compatibility)."""
     a = herm_array(a)
     b = herm_array(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    comm = a @ b - b @ a
-    return float(np.linalg.norm(comm, 2)) <= tol.tol_psd * _norm_product_scale(a, b)
+    return _small_against_norm_product(a @ b - b @ a, a, b, tol)
 
 
 def orthogonal(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -79,7 +113,7 @@ def orthogonal(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     b = herm_array(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a @ b, 2)) <= tol.tol_psd * _norm_product_scale(a, b)
+    return _small_against_norm_product(a @ b, a, b, tol)
 
 
 def _eigen_clusters(m: np.ndarray, tol: Tolerances) -> list[np.ndarray]:

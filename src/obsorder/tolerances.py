@@ -26,6 +26,14 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+# Relative margin on a Frobenius-norm bound that stands in for a spectral
+# norm before a threshold test. The bounds ||A||_F / sqrt(d) <= ||A|| <=
+# ||A||_F are attained (by scalar and by rank-one matrices), and the computed
+# norms differ from the exact ones by rounding of order d * eps; the margin
+# keeps each bound on its side of the computed spectral norm. It is fixed,
+# not a setting: it changes no verdict.
+GATE_MARGIN = 1e-8
+
 
 def scaled(tol: float, norm: float) -> float:
     """Threshold for a matrix of the given spectral norm."""

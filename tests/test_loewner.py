@@ -16,6 +16,7 @@ from obsorder import (
 )
 from obsorder import loewner
 from obsorder.harness import bisection_max_lambda
+from obsorder.hermitian import herm_array
 from obsorder.loewner import quadratic_form
 from obsorder.tolerances import DEFAULT_TOLERANCES
 from conftest import (
@@ -364,20 +365,44 @@ class TestLapackCalls:
             monkeypatch.setattr(np.linalg, name, counting(name))
         return counts
 
-    def test_compare(self, rng, calls):
-        d = 16
+    def _gate_decided_pairs(self, rng, d):
         a = random_hermitian(rng, d)
         for b in (a.copy(), a + random_psd(rng, d), a - random_psd(rng, d), random_hermitian(rng, d)):
+            yield a, b
+
+    def test_compare(self, rng, calls):
+        for a, b in self._gate_decided_pairs(rng, 16):
             calls.clear()
             compare(a, b)
-            assert calls == {"eigh": 1, "eigvalsh": 2}
+            assert calls == {"eigh": 1}
+
+    def test_leq(self, rng, calls):
+        for a, b in self._gate_decided_pairs(rng, 16):
+            calls.clear()
+            leq(a, b)
+            assert calls == {"eigvalsh": 1}
+
+    @pytest.mark.parametrize("x, verdict", [(-5e-6, True), (-2e-5, False)])
+    def test_in_band_pair_takes_the_exact_rule(self, rng, calls, x, verdict):
+        # ||A|| = 1e4 at d = 16: the exact threshold is 1e-5 and the band
+        # [-tol_psd * ||A||_F, -tol_psd) reaches below -1e-5, so lo = x needs
+        # the two spectral norms either way
+        a = _operand_off_e0(rng, 16, 1e4, rank_one=False)
+        b = _with_corner(a, x)
+        expected = (_exact_leq(a, b), _exact_relation(a, b))
+        calls.clear()
+        assert leq(a, b) is verdict is expected[0]
+        assert calls == {"eigvalsh": 3}
+        calls.clear()
+        assert compare(a, b).relation is expected[1]
+        assert calls == {"eigh": 1, "eigvalsh": 2}
 
     def test_max_lambda(self, rng, calls):
         for inside in (True, False):
             b, x = _rank_deficient_case(rng, 16, 8, inside)
             calls.clear()
             max_lambda(x, b)
-            assert calls.get("eigh", 0) <= 1 and calls.get("eigvalsh", 0) <= 4
+            assert calls.get("eigh", 0) <= 1 and calls.get("eigvalsh", 0) <= 2
             assert set(calls) <= {"eigh", "eigvalsh"}
 
     def test_range_dominates(self, rng, calls):
@@ -385,5 +410,128 @@ class TestLapackCalls:
             b, x = _rank_deficient_case(rng, 16, 8, inside)
             calls.clear()
             range_dominates(np.outer(x, x.conj()), b)
-            assert calls.get("eigh", 0) <= 2 and calls.get("eigvalsh", 0) <= 4
+            assert calls.get("eigh", 0) <= 2 and calls.get("eigvalsh", 0) <= 2
             assert set(calls) <= {"eigh", "eigvalsh"}
+
+
+def _exact_scale(a, b):
+    """max(||A||, ||B||, 1) from two more spectra: the threshold scale of the
+    rule the gate must reproduce."""
+    na = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    nb = float(np.max(np.abs(np.linalg.eigvalsh(b))))
+    return max(na, nb, 1.0)
+
+
+def _exact_leq(a, b, tol=DEFAULT_TOLERANCES):
+    """The ungated rule: lo(B - A) against tol_psd times the exact scale,
+    three spectra per call."""
+    a, b = herm_array(a), herm_array(b)
+    lo = float(np.linalg.eigvalsh(b - a)[0])
+    return lo >= -tol.tol_psd * _exact_scale(a, b)
+
+
+def _exact_relation(a, b, tol=DEFAULT_TOLERANCES):
+    """The ungated relation: both ends of one eigh(B - A) against the exact
+    threshold."""
+    a, b = herm_array(a), herm_array(b)
+    thr = tol.tol_psd * _exact_scale(a, b)
+    evals = np.linalg.eigh(b - a)[0]
+    ab, ba = float(evals[0]) >= -thr, -float(evals[-1]) >= -thr
+    if ab and ba:
+        return Relation.EQUAL
+    if ab:
+        return Relation.LEQ
+    return Relation.GEQ if ba else Relation.INCOMPARABLE
+
+
+def _operand_off_e0(rng, d, norm, rank_one):
+    """Hermitian A of spectral norm ``norm`` with row and column 0 zero:
+    rank one, or of full rank on the other d - 1 coordinates."""
+    a = np.zeros((d, d), dtype=np.complex128)
+    if rank_one:
+        v = random_unit(rng, d - 1)
+        a[1:, 1:] = norm * np.outer(v, v.conj())
+    else:
+        g = random_hermitian(rng, d - 1)
+        a[1:, 1:] = g * (norm / np.max(np.abs(np.linalg.eigvalsh(g))))
+    return a
+
+
+def _with_corner(a, x):
+    """A + x e0 e0*: B - A is exactly diag(x, 0, ..., 0), so lo(B - A) = x
+    to the bit and a placement against a threshold is exact."""
+    b = a.copy()
+    b[0, 0] = x
+    return b
+
+
+class TestNormGate:
+    """leq and compare decide from lo(B - A) and the bounds tol_psd and
+    tol_psd * max(||A||_F, ||B||_F, 1) of the threshold; the spectral norms
+    come in only between them, and every verdict equals the exact rule's."""
+
+    @pytest.fixture
+    def band_visits(self, monkeypatch):
+        visits = []
+        exact = loewner._max_norm_scale
+
+        def counting(a, b):
+            visits.append(1)
+            return exact(a, b)
+
+        monkeypatch.setattr(loewner, "_max_norm_scale", counting)
+        return visits
+
+    def _check(self, a, b, band_visits, seen):
+        before = len(band_visits)
+        got = leq(a, b)
+        assert got is _exact_leq(a, b)
+        seen.add((len(band_visits) > before, got))
+        # compare(B, A) puts the same x at the top end of its spectrum
+        for p, q in ((a, b), (b, a)):
+            assert compare(p, q).relation is _exact_relation(p, q)
+
+    def test_agrees_with_the_exact_rule_at_the_bounds(self, rng, band_visits):
+        tol = DEFAULT_TOLERANCES.tol_psd
+        factors = (1 - 1e-6, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-6)
+        seen = set()
+        cases = 0
+        for d in (2, 8, 64):
+            for norm in (1e-8, 1e-3, 1.0, 7.5, 1e3, 1e8):
+                for rank_one in (True, False):
+                    a = _operand_off_e0(rng, d, norm, rank_one)
+                    spectral = max(float(np.max(np.abs(np.linalg.eigvalsh(a)))), 1.0)
+                    frobenius = max(float(np.linalg.norm(a)), 1.0)
+                    for bound in {tol, tol * spectral, tol * frobenius}:
+                        for f in factors:
+                            self._check(a, _with_corner(a, -f * bound), band_visits, seen)
+                            cases += 1
+        assert cases >= 300
+        # every branch ran: gate-decided and in-band, each with both verdicts
+        assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+    def test_rank_one_operands_at_the_spectral_bound(self, rng, band_visits):
+        # ||A|| = ||A||_F for rank one, so the computed Frobenius norm falls
+        # below the computed spectral norm about as often as not; lo placed
+        # exactly on the exact threshold must still read True
+        seen = set()
+        for d in (8, 64):
+            for norm in np.geomspace(2.0, 1e8, 12):
+                a = _operand_off_e0(rng, d, norm, rank_one=True)
+                thr = DEFAULT_TOLERANCES.tol_psd * _exact_scale(a, a)
+                for x in (-thr, np.nextafter(-thr, -np.inf)):
+                    self._check(a, _with_corner(a, x), band_visits, seen)
+        assert seen == {(True, True), (True, False)}
+
+    def test_overflowing_frobenius_norm_decides_nothing(self, band_visits):
+        # ||A||_F^2 = 1e320 overflows, so the False bound is -inf: the call
+        # falls through to the exact rule (threshold 1e151) instead of
+        # deciding from an infinite scale
+        a = np.diag([0.0, 1e160, 1e160]).astype(np.complex128)
+        for x, verdict in ((-5e150, True), (-2e151, False)):
+            b = _with_corner(a, x)
+            before = len(band_visits)
+            assert leq(a, b) is verdict is _exact_leq(a, b)
+            assert len(band_visits) == before + 1
+            for p, q in ((a, b), (b, a)):
+                assert compare(p, q).relation is _exact_relation(p, q)

@@ -13,6 +13,7 @@ from obsorder import (
     rank_numeric,
     ranges_linearly_independent,
 )
+from obsorder.hermitian import as_psd, psd_rank
 from obsorder.order_rank import check_rank_witness, rank_two_counterexample
 from conftest import random_psd, random_unit
 
@@ -55,6 +56,46 @@ class TestRankOneByOrder:
             r = int(rng.integers(1, min(3, d) + 1))
             a = psd(random_psd(rng, d, rank=r))
             assert is_rank_one_by_order(a) == (r == 1)
+
+
+class TestRankFromTheCertificate:
+    """A raw operand's rank comes off the eigvalsh that certifies it PSD."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    def test_same_certificate_and_rank(self, rng):
+        for d in (2, 8, 64):
+            for r in (1, max(1, d // 2), d):
+                m = random_psd(rng, d, rank=r)
+                got, rank = psd_rank(m)
+                assert rank == rank_numeric(m) == r
+                assert got.min_eig == as_psd(m).min_eig
+                np.testing.assert_array_equal(got.mat, as_psd(m).mat)
+                wrapped = psd(m)
+                assert psd_rank(wrapped) == (wrapped, r)
+
+    def test_one_eigvalsh_for_the_rank(self, rng, eigvalsh_calls):
+        # a rank-1 operand and a rank <= n + 1 operand return right after
+        # their rank: one eigvalsh, raw or already certified
+        rank_one, low = random_psd(rng, 6, rank=1), random_psd(rng, 6, rank=3)
+        for m in (rank_one, psd(rank_one)):
+            eigvalsh_calls.clear()
+            assert is_rank_one_by_order(m)
+            assert len(eigvalsh_calls) == 1
+        for m in (low, psd(low)):
+            eigvalsh_calls.clear()
+            assert rank_gt_np1_witness(m, 2) is None
+            assert len(eigvalsh_calls) == 1
 
 
 class TestRankGtNp1:

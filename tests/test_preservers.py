@@ -15,9 +15,11 @@ from obsorder import (
     orthogonal,
     preserves_relation,
 )
+from obsorder import preservers
 from obsorder.cli import main
+from obsorder.hermitian import herm_array
 from obsorder.preservers import _eigen_clusters
-from obsorder.tolerances import DEFAULT_TOLERANCES, scaled
+from obsorder.tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
 from conftest import random_hermitian, random_invertible, random_unit, random_unitary
 
 
@@ -118,6 +120,117 @@ class TestOrthogonal:
             b = np.outer(q[:, 1], q[:, 1].conj())
             assert orthogonal(a, b)
             assert commute(a, b)
+
+
+def _exact_norm_product_scale(a, b):
+    na = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    nb = float(np.max(np.abs(np.linalg.eigvalsh(b))))
+    return max(1.0, na * nb)
+
+
+def exact_commute(a, b, tol=DEFAULT_TOLERANCES):
+    """Reference: ||AB - BA||_2 by SVD against tol_psd * max(1, ||A|| ||B||)
+    from two spectra, on every call."""
+    a, b = herm_array(a), herm_array(b)
+    comm = a @ b - b @ a
+    return float(np.linalg.norm(comm, 2)) <= tol.tol_psd * _exact_norm_product_scale(a, b)
+
+
+def exact_orthogonal(a, b, tol=DEFAULT_TOLERANCES):
+    """Reference: ||AB||_2 by SVD against the same threshold."""
+    a, b = herm_array(a), herm_array(b)
+    return float(np.linalg.norm(a @ b, 2)) <= tol.tol_psd * _exact_norm_product_scale(a, b)
+
+
+class TestFrobeniusGate:
+    """commute and orthogonal decide from Frobenius norms outside a band and
+    take the SVD and the two spectral norms only inside it; every verdict
+    equals the exact rule's."""
+
+    NORMS = ((1e-4, 1e-4), (1.0, 1.0), (1e4, 1e-4), (1e8, 1e4), (1e200, 1e-200))
+
+    @pytest.fixture
+    def band_visits(self, monkeypatch):
+        visits = []
+        exact = preservers._norm_product_scale
+
+        def counting(a, b):
+            visits.append(1)
+            return exact(a, b)
+
+        monkeypatch.setattr(preservers, "_norm_product_scale", counting)
+        return visits
+
+    def _check(self, predicate, reference, a, b, band_visits, seen):
+        before = len(band_visits)
+        got = predicate(a, b)
+        assert got is reference(a, b)
+        seen.add((len(band_visits) > before, got))
+
+    def _ratios(self, d):
+        # ||M||_2 over the exact threshold: below, around and above the band
+        # (its width is about d), which the Frobenius bounds cannot split
+        return (1e-3 / d, 0.5, 0.99, 1.01, 2.0, 10.0 * d * d)
+
+    def test_nearly_commuting(self, rng, band_visits):
+        seen = set()
+        for d in (2, 8, 64):
+            u = random_unitary(rng, d)
+            for sa, sb in self.NORMS:
+                a = (u * rng.uniform(-1.0, 1.0, d) * sa) @ u.conj().T
+                base = (u * rng.uniform(-1.0, 1.0, d) * sb) @ u.conj().T
+                h = random_hermitian(rng, d) * sb
+                unit = np.linalg.norm(a @ h - h @ a, 2)
+                thr = DEFAULT_TOLERANCES.tol_psd * max(1.0, sa * sb)
+                for r in self._ratios(d):
+                    b = base + (r * thr / unit) * h
+                    self._check(commute, exact_commute, a, b, band_visits, seen)
+        assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+    def test_nearly_orthogonal(self, rng, band_visits):
+        seen = set()
+        for d in (2, 8, 64):
+            u = random_unitary(rng, d)
+            k = d // 2
+            for sa, sb in self.NORMS:
+                a = (u[:, :k] * rng.uniform(0.5, 1.0, k) * sa) @ u[:, :k].conj().T
+                base = (u[:, k:] * rng.uniform(0.5, 1.0, d - k) * sb) @ u[:, k:].conj().T
+                h = random_hermitian(rng, d) * sb
+                unit = np.linalg.norm(a @ h, 2)
+                thr = DEFAULT_TOLERANCES.tol_psd * max(1.0, sa * sb)
+                for r in self._ratios(d):
+                    b = base + (r * thr / unit) * h
+                    self._check(orthogonal, exact_orthogonal, a, b, band_visits, seen)
+        assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+    def test_commuting_and_random_pairs(self, rng, band_visits):
+        seen = set()
+        for d in (2, 8, 64):
+            for scale in (1e-8, 1.0, 1e8):
+                a = random_hermitian(rng, d) * scale
+                pairs = (
+                    (a, 0.3 * a @ a / scale - 1.2 * a + 0.5 * scale * np.eye(d)),
+                    (np.diag(rng.uniform(-1, 1, d)) * scale, np.diag(rng.uniform(-1, 1, d))),
+                    (a, scale * np.eye(d)),
+                    (a, random_hermitian(rng, d) * scale),
+                    (a, random_hermitian(rng, d)),
+                )
+                for p, q in pairs:
+                    q = (q + q.conj().T) / 2.0
+                    self._check(commute, exact_commute, p, q, band_visits, seen)
+                    self._check(orthogonal, exact_orthogonal, p, q, band_visits, seen)
+        assert (False, True) in seen and (False, False) in seen
+
+    def test_tiny_commutator_is_not_lost_to_underflow(self, band_visits):
+        # ||AB - BA|| = 1e-170 has squares below the smallest subnormal; a
+        # Frobenius norm summed without scaling reads 0 and would decide True
+        # against tol_psd = 1e-200, where the exact rule says False
+        tol = Tolerances(tol_psd=1e-200)
+        a = np.diag([1.0, 2.0])
+        b = np.array([[0.0, 1e-170], [1e-170, 0.0]])
+        assert commute(a, b, tol) is exact_commute(a, b, tol) is False
+        assert orthogonal(a, b, tol) is exact_orthogonal(a, b, tol) is False
+        assert not band_visits
 
 
 class TestComplementary:
