@@ -27,7 +27,8 @@ from .errors import (
     TransportFailureError,
     ValidationError,
 )
-from .harness import GeneratorSpec, Kind, SuiteReport, generate, run_suite
+from .generators import GeneratorSpec, Kind, generate
+from .harness import SuiteReport, run_suite
 from .hermitian import (
     Eigendecomposition,
     HermitianMatrix,

@@ -20,6 +20,7 @@ from .errors import (
     OracleNotAutomorphicError,
     ValidationError,
 )
+from .generators import random_hermitian, random_uniform
 from .hermitian import HermitianMatrix, as_hermitian, herm_array, rank_one
 from .loewner import compare
 from .oracle import OracleHandle
@@ -124,6 +125,13 @@ def gauge_fix(t: np.ndarray) -> np.ndarray:
     return t * (pivot.conjugate() / abs(pivot))
 
 
+def gauge_distance(t_rec: np.ndarray, t_gen: np.ndarray) -> float:
+    """min over unit phases of ||t_rec - e^{i theta} t_gen|| / ||t_gen||."""
+    inner = complex(np.trace(t_gen.conj().T @ t_rec))
+    theta = inner / abs(inner) if abs(inner) > 0 else 1.0
+    return float(np.linalg.norm(t_rec - theta * t_gen) / np.linalg.norm(t_gen))
+
+
 def _basis_vector(dim: int, j: int) -> np.ndarray:
     e = np.zeros(dim, dtype=np.complex128)
     e[j] = 1.0
@@ -181,12 +189,6 @@ def _structure_probes(d: int) -> Iterator[np.ndarray]:
     yield _conjugation_probe(d)
 
 
-def _random_hermitians(rng: np.random.Generator, d: int, n: int) -> Iterator[np.ndarray]:
-    for _ in range(n):
-        g = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
-        yield (g + g.conj().T) / 2.0
-
-
 def reconstruct(
     oracle: OracleHandle,
     validation_probes: int = 20,
@@ -212,7 +214,7 @@ def reconstruct(
         raise ValidationError("reconstruction requires dimension >= 2")
     start_calls = oracle.calls
     rng = np.random.default_rng(seed)
-    checks, sent = itertools.tee(_random_hermitians(rng, d, validation_probes))
+    checks, sent = itertools.tee(random_hermitian(rng, d) for _ in range(validation_probes))
     images = oracle.query_many(itertools.chain(_structure_probes(d), sent))
 
     x = next(images)
@@ -296,18 +298,13 @@ def check_order_automorphism(
     d = oracle.dim
     rng = np.random.default_rng(seed)
     violations = []
-
-    def random_hermitian() -> np.ndarray:
-        g = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
-        return (g + g.conj().T) / 2.0
-
     for k in range(trials):
-        a = random_hermitian()
+        a = random_hermitian(rng, d)
         if k % 2 == 0:
-            g = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
+            g = random_uniform(rng, d)
             b = a + g @ g.conj().T  # forced a <= b
         else:
-            b = random_hermitian()
+            b = random_hermitian(rng, d)
         before = compare(a, b, tol).relation
         after = compare(oracle.query(a), oracle.query(b), tol).relation
         if before != after:

@@ -1,4 +1,4 @@
-"""Randomized instance generators and theorem-level verification suites.
+"""Theorem-level verification suites and their independent references.
 
 Each suite turns one statement (lemma, theorem, corollary) into a seeded,
 replayable pass/fail run. Trials derive independent sub-seeds from
@@ -8,16 +8,23 @@ cannot change a report.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automorphism import OrderAutomorphism, apply, invert, reconstruct
+from .automorphism import OrderAutomorphism, apply, gauge_distance, invert, reconstruct
 from .errors import ObsOrderError, ValidationError
-from .hermitian import HermitianMatrix, as_psd, herm_array, rank_numeric, rank_one
+from .generators import (
+    random_automorphism,
+    random_hermitian,
+    random_invertible,
+    random_psd,
+    random_unit,
+    random_unitary,
+)
+from .hermitian import HermitianMatrix, as_psd, herm_array, range_basis, rank_numeric, rank_one
 from .loewner import leq, range_dominates
 from .oracle import from_automorphism
 from .order_rank import check_rank_witness, is_rank_one_by_order, rank_gt_np1_witness
@@ -28,111 +35,6 @@ from .preservers import (
     preserves_relation,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
-
-CONDITION_CAP = 1e4
-
-
-class Kind(enum.Enum):
-    HERMITIAN = "HERMITIAN"
-    PSD = "PSD"
-    PSD_RANK = "PSD_RANK"
-    RANK_ONE = "RANK_ONE"
-    INVERTIBLE = "INVERTIBLE"
-    UNITARY = "UNITARY"
-    AUTOMORPHISM = "AUTOMORPHISM"
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    dim: int
-    kind: Kind
-    rank: int | None = None
-    spectrum_range: tuple[float, float] = (0.5, 2.0)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {self.dim}")
-        if self.rank is not None and not (1 <= self.rank <= self.dim):
-            raise ValidationError(f"rank must be in [1, dim], got {self.rank}")
-        lo, hi = self.spectrum_range
-        if not (0.0 < lo <= hi):
-            raise ValidationError(f"spectrum_range must be 0 < lo <= hi, got {self.spectrum_range}")
-
-
-def _random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
-    return (g + g.conj().T) / 2.0
-
-
-def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
-    x = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return x / np.linalg.norm(x)
-
-
-def _random_psd_rank(
-    rng: np.random.Generator, d: int, r: int, spectrum: tuple[float, float]
-) -> np.ndarray:
-    # sum of r random rank-ones; resample on the (rare) near-degenerate draw
-    for _ in range(100):
-        m = np.zeros((d, d), dtype=np.complex128)
-        for _ in range(r):
-            lam = rng.uniform(*spectrum)
-            x = _random_unit(rng, d)
-            m += lam * rank_one(x, x)
-        if rank_numeric(m) == r:
-            return m
-    raise ValidationError(f"could not generate a rank-{r} PSD matrix at d={d}")
-
-
-def _random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases  # Haar-distributed once the QR phase gauge is fixed
-
-
-def _random_invertible(rng: np.random.Generator, d: int, cond_cap: float = CONDITION_CAP) -> np.ndarray:
-    for _ in range(100):
-        t = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        s = np.linalg.svd(t, compute_uv=False)
-        if s[0] / s[-1] <= cond_cap:
-            return t
-    raise ValidationError("could not draw a well-conditioned invertible matrix")
-
-
-def _random_automorphism(rng: np.random.Generator, d: int) -> OrderAutomorphism:
-    t = _random_invertible(rng, d)
-    conj = bool(rng.integers(0, 2))
-    x = _random_hermitian(rng, d)
-    return OrderAutomorphism.create(t, conjugate=conj, x=x)
-
-
-def generate(spec: GeneratorSpec):
-    """Deterministic sample for the given spec (same spec, same output)."""
-    rng = np.random.default_rng(spec.seed)
-    d = spec.dim
-    if spec.kind is Kind.HERMITIAN:
-        return _random_hermitian(rng, d)
-    if spec.kind is Kind.PSD:
-        return _random_psd_rank(rng, d, d, spec.spectrum_range)
-    if spec.kind is Kind.PSD_RANK:
-        if spec.rank is None:
-            raise ValidationError("PSD_RANK requires a rank")
-        return _random_psd_rank(rng, d, spec.rank, spec.spectrum_range)
-    if spec.kind is Kind.RANK_ONE:
-        lam = rng.uniform(*spec.spectrum_range)
-        x = _random_unit(rng, d)
-        return lam * rank_one(x, x)
-    if spec.kind is Kind.INVERTIBLE:
-        return _random_invertible(rng, d)
-    if spec.kind is Kind.UNITARY:
-        return _random_unitary(rng, d)
-    if spec.kind is Kind.AUTOMORPHISM:
-        return _random_automorphism(rng, d)
-    raise ValidationError(f"unknown generator kind: {spec.kind}")
-
 
 # ---------------------------------------------------------------------------
 # Independent feasibility oracle (bisection on the order predicate)
@@ -219,18 +121,16 @@ def _trial_rng(seed: int, dim: int, index: int) -> np.random.Generator:
 
 def _suite_lemma_rng(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str]:
     r = int(rng.integers(1, dim + 1))
-    b = _random_psd_rank(rng, dim, r, (0.5, 2.0))
+    b = random_psd(rng, dim, r)
     inside = bool(rng.integers(0, 2)) and r < dim
     if inside or r == dim:
         # x a random combination of B's range: guaranteed dominated
         coeffs = rng.normal(size=r) + 1j * rng.normal(size=r)
-        from .hermitian import range_basis
-
         basis = range_basis(b, tol)
         x = sum(c * v for c, v in zip(coeffs, basis))
         x = x / np.linalg.norm(x)
     else:
-        x = _random_unit(rng, dim)
+        x = random_unit(rng, dim)
     a = rank_one(x, x)
     got = range_dominates(as_psd(a, tol), as_psd(HermitianMatrix.from_array(b), tol), tol)
     oracle = bisection_max_lambda(x, b) is not None
@@ -242,7 +142,7 @@ def _suite_lemma_rng(dim: int, rng: np.random.Generator, tol: Tolerances) -> lis
 def _suite_lemma_rank(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str]:
     failures = []
     r = int(rng.integers(1, dim + 1))
-    a = as_psd(HermitianMatrix.from_array(_random_psd_rank(rng, dim, r, (0.5, 2.0))), tol)
+    a = as_psd(HermitianMatrix.from_array(random_psd(rng, dim, r)), tol)
     for n in range(1, dim - 1):
         w = rank_gt_np1_witness(a, n, tol)
         if (w is not None) != (r > n + 1):
@@ -256,7 +156,7 @@ def _suite_lemma_rank(dim: int, rng: np.random.Generator, tol: Tolerances) -> li
 
 def _suite_thm1(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str]:
     failures = []
-    t = _random_invertible(rng, dim)
+    t = random_invertible(rng, dim)
     conj = bool(rng.integers(0, 2))
     phi = OrderAutomorphism.create(t, conjugate=conj)  # cone map: X = 0
     inv = invert(phi)
@@ -264,7 +164,7 @@ def _suite_thm1(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str
     lo, hi = float(sv[-1]) ** 2, float(sv[0]) ** 2
     for _ in range(5):
         r = int(rng.integers(1, dim + 1))
-        a = _random_psd_rank(rng, dim, r, (0.5, 2.0))
+        a = random_psd(rng, dim, r)
         fa = apply(phi, a)
         # Ostrowski: lambda_k(T A T*) = theta_k lambda_k(A), s_min^2 <= theta_k <= s_max^2
         # (entrywise conjugation keeps the spectrum of A)
@@ -278,11 +178,11 @@ def _suite_thm1(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str
             failures.append("congruence put an eigenvalue above Ostrowski's upper bound")
         # the rank is only decidable when the image's smallest nonzero
         # eigenvalue provably clears the rank cut; with cond(T) up to
-        # CONDITION_CAP it can fall below it
+        # generators.CONDITION_CAP it can fall below it
         decidable = lo * float(ea[dim - r]) > 10.0 * scaled(tol.tol_rank, norm)
         if decidable and rank_numeric(fa, tol) != r:
             failures.append(f"congruence changed rank {r} -> {rank_numeric(fa, tol)}")
-        p = _random_psd_rank(rng, dim, dim, (0.1, 1.0))
+        p = random_psd(rng, dim, dim, (0.1, 1.0))
         b = a + p
         if not (leq(apply(phi, a), apply(phi, b), tol) and leq(apply(inv, a), apply(inv, b), tol)):
             failures.append("congruence failed to preserve a constructed <= pair")
@@ -291,30 +191,16 @@ def _suite_thm1(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str
     return failures
 
 
-def _gauge_distance(t_rec: np.ndarray, t_gen: np.ndarray) -> float:
-    """min over unit phases of ||t_rec - e^{i theta} t_gen|| / ||t_gen||."""
-    inner = complex(np.trace(t_gen.conj().T @ t_rec))
-    theta = inner / abs(inner) if abs(inner) > 0 else 1.0
-    return float(np.linalg.norm(t_rec - theta * t_gen) / np.linalg.norm(t_gen))
-
-
-def _suite_thm2(
-    dim: int, rng: np.random.Generator, tol: Tolerances, cond_cap: float = CONDITION_CAP,
-    residual_tol: float = 1e-6,
-) -> list[str]:
-    t0 = _random_invertible(rng, dim, cond_cap)
-    conj0 = bool(rng.integers(0, 2))
-    x0 = _random_hermitian(rng, dim)
-    phi0 = OrderAutomorphism.create(t0, conjugate=conj0, x=x0)
-    handle = from_automorphism(phi0)
-    report = reconstruct(handle, seed=int(rng.integers(2**31)), tol=tol)
+def _suite_thm2(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str]:
+    phi0 = random_automorphism(rng, dim)
+    report = reconstruct(from_automorphism(phi0), seed=int(rng.integers(2**31)), tol=tol)
     failures = []
     rec = report.recovered
-    if _gauge_distance(rec.T, t0) > residual_tol:
-        failures.append(f"T mismatch beyond {residual_tol:g} (residual {report.max_residual:.2e})")
-    if float(np.max(np.abs(rec.X.mat - (x0 + x0.conj().T) / 2))) > 1e-8:
+    if gauge_distance(rec.T, phi0.T) > 1e-6:
+        failures.append(f"T mismatch beyond 1e-06 (residual {report.max_residual:.2e})")
+    if float(np.max(np.abs(rec.X.mat - phi0.X.mat))) > 1e-8:
         failures.append("X mismatch beyond 1e-8")
-    if rec.conjugate != conj0 and not report.conjugate_degenerate:
+    if rec.conjugate != phi0.conjugate and not report.conjugate_degenerate:
         failures.append("conjugation flag mismatch")
     return failures
 
@@ -331,13 +217,12 @@ def _suite_thm2_illcond(dim: int, rng: np.random.Generator, tol: Tolerances) -> 
         u, s, vh = np.linalg.svd(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         s = np.geomspace(1.0, 1e-5, dim)
         t = u @ np.diag(s) @ vh
-    phi0 = OrderAutomorphism.create(t, conjugate=bool(rng.integers(0, 2)), x=_random_hermitian(rng, dim))
-    handle = from_automorphism(phi0)
+    phi0 = OrderAutomorphism.create(t, conjugate=bool(rng.integers(0, 2)), x=random_hermitian(rng, dim))
     try:
-        report = reconstruct(handle, seed=int(rng.integers(2**31)), tol=tol)
+        report = reconstruct(from_automorphism(phi0), seed=int(rng.integers(2**31)), tol=tol)
     except (ObsOrderError, np.linalg.LinAlgError) as exc:  # loud, not wrong
         return [f"reconstruction raised: {exc}"]
-    if _gauge_distance(report.recovered.T, t) > 1e-3:
+    if gauge_distance(report.recovered.T, t) > 1e-3:
         return ["T mismatch beyond relaxed 1e-3"]
     return []
 
@@ -345,7 +230,7 @@ def _suite_thm2_illcond(dim: int, rng: np.random.Generator, tol: Tolerances) -> 
 def _suite_cor3(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str]:
     failures = []
     # positive branch: unitary-scalar instance
-    u = _random_unitary(rng, dim)
+    u = random_unitary(rng, dim)
     lam = float(rng.uniform(0.5, 2.0))
     mu = float(rng.uniform(-1.0, 1.0))
     phi = OrderAutomorphism.create(
@@ -360,13 +245,13 @@ def _suite_cor3(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str
             failures.append("canonical (lambda, mu) mismatch")
     # negative branch: non-scalar T*T or non-scalar X
     if rng.integers(0, 2):
-        t = _random_invertible(rng, dim)
+        t = random_invertible(rng, dim)
         if local_scalar(t.conj().T @ t) is not None:
             t = t @ np.diag(np.linspace(1.0, 2.0, dim))
         x = mu * np.eye(dim)
     else:
         t = np.sqrt(lam) * u
-        x = _random_hermitian(rng, dim)
+        x = random_hermitian(rng, dim)
         if local_scalar(x) is not None:
             x = x + np.diag(np.linspace(0.0, 1.0, dim))
     bad = OrderAutomorphism.create(t, conjugate=False, x=x)
@@ -390,11 +275,11 @@ def local_scalar(s: np.ndarray) -> float | None:
 def _suite_cor4(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str]:
     failures = []
     c = float(rng.uniform(-2.0, 2.0))
-    b = _random_hermitian(rng, dim)
+    b = random_hermitian(rng, dim)
     if not complementary(c * np.eye(dim), b, tol):
         failures.append("scalar not complementary to a random observable")
     # non-scalar A: violating partner shares an eigenvector
-    a = _random_hermitian(rng, dim)
+    a = random_hermitian(rng, dim)
     if local_scalar(a) is not None:
         a = a + np.diag(np.linspace(0.0, 1.0, dim))
     _, vecs = np.linalg.eigh(a)
@@ -406,11 +291,11 @@ def _suite_cor4(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str
 
 def _suite_cor5(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str]:
     failures = []
-    phi = _random_automorphism(rng, dim)
+    phi = random_automorphism(rng, dim)
     if rng.integers(0, 3) == 0:
         # make a genuinely preserving instance part of the mix
         phi = OrderAutomorphism.create(
-            float(rng.uniform(0.5, 2.0)) * _random_unitary(rng, dim),
+            float(rng.uniform(0.5, 2.0)) * random_unitary(rng, dim),
             conjugate=bool(rng.integers(0, 2)),
         )
     s = phi.T.conj().T @ phi.T

@@ -45,6 +45,13 @@ def _check_square_finite(arr: np.ndarray) -> tuple[np.ndarray, float]:
     return arr, peak
 
 
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """``(M + M*)/2``, halved before the sum so that finite entries above
+    half the float range cannot overflow it."""
+    h = 0.5 * m
+    return h + h.conj().T
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     """Square complex matrix equal to its conjugate transpose.
@@ -70,8 +77,7 @@ class HermitianMatrix:
             raise ValidationError(
                 f"matrix is not Hermitian: relative asymmetry {rel:.3e}"
             )
-        sym = (arr + arr.conj().T) / 2.0
-        return cls(mat=_freeze(sym), asymmetry=asym * s)
+        return cls(mat=_freeze(symmetrize(arr)), asymmetry=asym * s)
 
     @classmethod
     def hermitian_part(cls, arr) -> "HermitianMatrix":
@@ -80,15 +86,13 @@ class HermitianMatrix:
         ``T A T* + X``, whose rounding is not bounded relative to the
         result. ``asymmetry`` stays 0."""
         arr, _ = _check_square_finite(arr)
-        return cls(mat=_freeze((arr + arr.conj().T) / 2.0))
+        return cls(mat=_freeze(symmetrize(arr)))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
     def spectral_norm(self) -> float:
-        if self.dim == 0:
-            return 0.0
         return float(np.max(np.abs(np.linalg.eigvalsh(self.mat))))
 
 
@@ -212,7 +216,7 @@ def sqrt_psd(a, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdMatrix:
     clamped to zero before rooting."""
     a = as_psd(a, tol)
     dec = eig(a.base)
-    norm = float(np.max(np.abs(dec.eigenvalues))) if a.dim else 0.0
+    norm = float(np.max(np.abs(dec.eigenvalues)))
     clamped = np.where(dec.eigenvalues < tol.tol_psd * norm, 0.0, dec.eigenvalues)
     root = (dec.eigenvectors * np.sqrt(clamped)) @ dec.eigenvectors.conj().T
     return as_psd(HermitianMatrix.from_array(root), tol)
@@ -223,7 +227,7 @@ def pinv(m, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianMatrix:
     rank threshold map to zero."""
     h = as_hermitian(m)
     dec = eig(h)
-    norm = float(np.max(np.abs(dec.eigenvalues))) if h.dim else 0.0
+    norm = float(np.max(np.abs(dec.eigenvalues)))
     thr = scaled(tol.tol_rank, norm)
     mask = np.abs(dec.eigenvalues) > thr
     inv = np.zeros_like(dec.eigenvalues)
@@ -233,7 +237,7 @@ def pinv(m, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianMatrix:
 
 
 def _rank_of(evals: np.ndarray, tol: Tolerances) -> int:
-    norm = float(np.max(np.abs(evals))) if evals.size else 0.0
+    norm = float(np.max(np.abs(evals)))
     thr = scaled(tol.tol_rank, norm)
     return int(np.count_nonzero(np.abs(evals) > thr))
 
@@ -258,7 +262,7 @@ def range_basis(m, tol: Tolerances = DEFAULT_TOLERANCES) -> list[np.ndarray]:
     eigenvalues exceed the rank threshold."""
     h = as_hermitian(m)
     dec = eig(h)
-    norm = float(np.max(np.abs(dec.eigenvalues))) if h.dim else 0.0
+    norm = float(np.max(np.abs(dec.eigenvalues)))
     thr = scaled(tol.tol_rank, norm)
     keep = np.abs(dec.eigenvalues) > thr
     return [np.array(dec.eigenvectors[:, j]) for j in range(h.dim) if keep[j]]

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import OracleNotAutomorphicError, TransportFailureError, ValidationError
-from .hermitian import HermitianMatrix
+from .hermitian import HermitianMatrix, symmetrize
 from .io import (
     c128le_stack_from_dict,
     matrices_to_c128le,
@@ -88,14 +88,17 @@ class OracleHandle:
             raise ValidationError(f"probe has shape {a.shape}, expected ({self.dim}, {self.dim})")
         return a
 
-    def _image(self, out) -> np.ndarray:
-        """The check every answer passes: d x d, finite and Hermitian to
-        1e-9 max-abs; returns its Hermitian part."""
-        out = np.asarray(out, dtype=np.complex128)
+    def _check_shape(self, out: np.ndarray) -> None:
         if out.shape != (self.dim, self.dim):
             raise TransportFailureError(
                 f"oracle returned shape {out.shape}, expected ({self.dim}, {self.dim})"
             )
+
+    def _image(self, out) -> np.ndarray:
+        """The check every in-process answer passes: d x d, finite and
+        Hermitian to 1e-9 max-abs; returns its Hermitian part."""
+        out = np.asarray(out, dtype=np.complex128)
+        self._check_shape(out)
         peak = float(np.max(np.abs(out)))  # NaN propagates through max
         if not math.isfinite(peak):
             raise OracleNotAutomorphicError("oracle response has non-finite entries")
@@ -104,7 +107,7 @@ class OracleHandle:
             raise OracleNotAutomorphicError(
                 f"oracle response is not Hermitian (asymmetry {asym:.3e})"
             )
-        return (out + out.conj().T) / 2.0
+        return symmetrize(out)
 
     def query(self, a: np.ndarray) -> np.ndarray:
         a = self._probe(a)
@@ -233,14 +236,16 @@ class SubprocessOracle(OracleHandle):
             raise TransportFailureError(f"malformed oracle response: {exc}") from exc
 
     def _image(self, out) -> np.ndarray:
-        # the entry check of io.hermitian_from_dict, then the common one
+        # the entry check of io.hermitian_from_dict; its result is finite and
+        # exactly Hermitian, so only the shape is left to check
         try:
             out = HermitianMatrix.from_array(out).mat
         except ValidationError as exc:
             raise OracleNotAutomorphicError(
                 f"oracle response is not a valid Hermitian matrix: {exc}"
             ) from exc
-        return super()._image(out)
+        self._check_shape(out)
+        return out
 
     def _roundtrip(self, a: np.ndarray) -> np.ndarray:
         if self._binary:

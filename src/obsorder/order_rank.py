@@ -45,7 +45,7 @@ def _descending_spectral_terms(a: PsdMatrix, tol: Tolerances):
     only eigenvalues above the rank threshold. Ties resolve through the
     deterministic eigenvector gauge of ``eig``."""
     dec = eig(a.base)
-    norm = float(np.max(np.abs(dec.eigenvalues))) if a.dim else 0.0
+    norm = float(np.max(np.abs(dec.eigenvalues)))
     thr = scaled(tol.tol_rank, norm)
     order = np.argsort(-dec.eigenvalues, kind="stable")
     terms = []

@@ -19,6 +19,7 @@ import numpy as np
 
 from .automorphism import OrderAutomorphism, apply, invert
 from .errors import DimensionMismatchError, SearchExhaustedError
+from .generators import random_hermitian, random_uniform
 from .hermitian import as_psd, eig, herm_array, rank_one
 from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
@@ -121,7 +122,7 @@ def _eigen_clusters(m: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     returns one orthonormal column block per eigenvalue cluster."""
     dec = eig(m)
     evals = dec.eigenvalues
-    norm = float(np.max(np.abs(evals))) if evals.size else 0.0
+    norm = float(np.max(np.abs(evals)))
     gap = scaled(tol.tol_rank, norm)
     blocks: list[list[int]] = [[0]]
     for i in range(1, evals.size):
@@ -160,12 +161,13 @@ def complementary(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     # With k >= 2 clusters the smallest has dimension <= d/2, so a pair gets
     # here only when each operand has exactly two clusters of dimension d/2.
     # The nontrivial projections are then the single clusters, and each of
-    # the four pairs must span the whole space.
-    for pa in ca:
-        for pb in cb:
-            s = np.linalg.svd(np.column_stack([pa, pb]), compute_uv=False)
-            if int(np.count_nonzero(s > scaled(tol.tol_rank, float(s[0])))) < d:
-                return False
+    # the four pairs must span the whole space. The clusters are orthogonal
+    # complements, so A_2 ∩ B_2 = (A_1 + B_1)^⊥ and A_2 ∩ B_1 = (A_1 + B_2)^⊥:
+    # the two pairs of A_1 decide all four.
+    for pb in cb:
+        s = np.linalg.svd(np.column_stack([ca[0], pb]), compute_uv=False)
+        if int(np.count_nonzero(s > scaled(tol.tol_rank, float(s[0])))) < d:
+            return False
     return True
 
 
@@ -218,8 +220,7 @@ def _counterexample_candidates(
     if kind is not RelationKind.COMPLEMENTARITY:
         # zero relates to everything; a non-scalar (or nonzero) X breaks it
         for _ in range(4):
-            g = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-            yield zero, (g + g.conj().T) / 2.0
+            yield zero, random_hermitian(rng, d)
     else:
         # scalars are complementary to everything; map a shared-eigenvector
         # partner back through the inverse
@@ -238,19 +239,14 @@ def _counterexample_candidates(
 
     while True:
         if kind is RelationKind.COMMUTATIVITY:
-            g = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-            a = (g + g.conj().T) / 2.0
+            a = random_hermitian(rng, d)
             yield a, a @ a  # commuting by functional calculus
         elif kind is RelationKind.ORTHOGONALITY:
-            g = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-            q, _ = np.linalg.qr(g)
+            q, _ = np.linalg.qr(random_uniform(rng, d))
             yield rank_one(q[:, 0], q[:, 0]), rank_one(q[:, 1], q[:, 1])
         else:
-            g = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-            a = (g + g.conj().T) / 2.0
-            h = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-            b = (h + h.conj().T) / 2.0
-            yield a, b
+            a = random_hermitian(rng, d)
+            yield a, random_hermitian(rng, d)
 
 
 def preserves_relation(

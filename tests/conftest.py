@@ -2,41 +2,6 @@ import numpy as np
 import pytest
 
 
-def random_hermitian(rng, d):
-    g = rng.uniform(-1.0, 1.0, (d, d)) + 1j * rng.uniform(-1.0, 1.0, (d, d))
-    return (g + g.conj().T) / 2.0
-
-
-def random_psd(rng, d, rank=None, spectrum=(0.5, 2.0)):
-    rank = d if rank is None else rank
-    m = np.zeros((d, d), dtype=np.complex128)
-    for _ in range(rank):
-        lam = rng.uniform(*spectrum)
-        x = rng.normal(size=d) + 1j * rng.normal(size=d)
-        x /= np.linalg.norm(x)
-        m += lam * np.outer(x, x.conj())
-    return m
-
-
-def random_unit(rng, d):
-    x = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return x / np.linalg.norm(x)
-
-
-def random_unitary(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_invertible(rng, d, cond_cap=1e4):
-    while True:
-        t = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        s = np.linalg.svd(t, compute_uv=False)
-        if s[0] / s[-1] <= cond_cap:
-            return t
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -32,18 +32,17 @@ from obsorder import (
     rank_one,
     reconstruct,
 )
+from obsorder.automorphism import gauge_distance
 from obsorder.cli import main as cli_main
-from obsorder.harness import (
-    _gauge_distance,
-    _random_automorphism,
-    _random_hermitian,
-    _random_invertible,
-    _random_psd_rank,
-    _random_unit,
-    _random_unitary,
-    bisection_max_lambda,
-    local_scalar,
+from obsorder.generators import (
+    random_automorphism,
+    random_hermitian,
+    random_invertible,
+    random_psd,
+    random_unit,
+    random_unitary,
 )
+from obsorder.harness import bisection_max_lambda, local_scalar
 from obsorder.hermitian import PsdMatrix
 from obsorder.io import dumps, matrix_to_dict
 from obsorder.loewner import quadratic_form
@@ -80,14 +79,14 @@ def test_criterion_01_order_predicate_soundness():
     bad = []
     for d in range(2, 7):
         for _ in range(1000):
-            a = _random_hermitian(rng, d)
-            p = _random_psd_rank(rng, d, int(rng.integers(1, d + 1)), (0.1, 1.0))
+            a = random_hermitian(rng, d)
+            p = random_psd(rng, d, int(rng.integers(1, d + 1)), (0.1, 1.0))
             if not leq(a, a + p):
                 bad.append(f"constructed <= pair rejected at d={d}")
                 break
         for _ in range(1000):
-            a = _random_hermitian(rng, d)
-            h = _random_hermitian(rng, d)
+            a = random_hermitian(rng, d)
+            h = random_hermitian(rng, d)
             evals = np.linalg.eigvalsh(h)
             diff = h - 0.5 * (evals[0] + evals[-1]) * np.eye(d)  # indefinite by shift
             if leq(a, a + diff):
@@ -111,9 +110,9 @@ def test_criterion_02_range_inclusion_equivalence():
     for d in range(2, 7):
         for _ in range(300):
             k = int(rng.integers(1, d + 1))
-            b = _random_psd_rank(rng, d, k, (0.5, 2.0))
+            b = random_psd(rng, d, k, (0.5, 2.0))
             if rng.integers(0, 2) and k < d:
-                x = _random_unit(rng, d)
+                x = random_unit(rng, d)
             else:
                 evals, evecs = np.linalg.eigh(b)
                 cols = evecs[:, evals > 1e-8]
@@ -137,7 +136,7 @@ def test_criterion_03_extremal_lambda():
     for i in range(300):
         d = 2 + i % 5
         k = int(rng.integers(1, d + 1))
-        b = _random_psd_rank(rng, d, k, (0.5, 2.0))
+        b = random_psd(rng, d, k, (0.5, 2.0))
         evals, evecs = np.linalg.eigh(b)
         cols = evecs[:, evals > 1e-8]
         c = rng.normal(size=cols.shape[1]) + 1j * rng.normal(size=cols.shape[1])
@@ -165,7 +164,7 @@ def test_criterion_04_order_rank_witnesses():
     for d in range(3, 7):
         for _ in range(300):
             r = int(rng.integers(1, d + 1))
-            a = PsdMatrix.from_hermitian(_random_psd_rank(rng, d, r, (0.5, 2.0)))
+            a = PsdMatrix.from_hermitian(random_psd(rng, d, r, (0.5, 2.0)))
             for n in range(1, d - 1):
                 w = rank_gt_np1_witness(a, n)
                 if (w is not None) != (r > n + 1):
@@ -180,18 +179,18 @@ def test_criterion_05_congruence_preserves_order():
     violations = 0
     for i in range(500):
         d = 2 + i % 4
-        phi = _random_automorphism(rng, d)
+        phi = random_automorphism(rng, d)
         inv = invert(phi)
         for _ in range(10):
-            a = _random_hermitian(rng, d)
-            b = a + _random_psd_rank(rng, d, int(rng.integers(1, d + 1)), (0.1, 1.0))
+            a = random_hermitian(rng, d)
+            b = a + random_psd(rng, d, int(rng.integers(1, d + 1)), (0.1, 1.0))
             if not leq(apply(phi, a), apply(phi, b)):
                 violations += 1
             if not leq(apply(inv, a), apply(inv, b)):
                 violations += 1
         for _ in range(10):
-            a = _random_hermitian(rng, d)
-            b = _random_hermitian(rng, d)
+            a = random_hermitian(rng, d)
+            b = random_hermitian(rng, d)
             if leq(a, b) != leq(apply(phi, a).mat, apply(phi, b).mat):
                 violations += 1
     _report(5, "congruence maps preserve order both ways", violations == 0,
@@ -206,11 +205,11 @@ def test_criterion_06_reconstruction_round_trip():
         for trial in range(200):
             total += 1
             seed = int(rng.integers(2**31))
-            phi = _random_automorphism(rng, d)
+            phi = random_automorphism(rng, d)
             report = reconstruct(from_automorphism(phi), seed=seed)
             rec = report.recovered
             ok = (
-                _gauge_distance(rec.T, phi.T) <= 1e-6
+                gauge_distance(rec.T, phi.T) <= 1e-6
                 and float(np.max(np.abs(rec.X.mat - phi.X.mat))) <= 1e-8
                 and (rec.conjugate == phi.conjugate or report.conjugate_degenerate)
             )
@@ -226,7 +225,7 @@ def test_criterion_07_unitary_scalar_classifier():
     bad = []
     for i in range(200):
         d = 2 + i % 4
-        u = _random_unitary(rng, d)
+        u = random_unitary(rng, d)
         lam = float(rng.uniform(0.5, 2.0))
         mu = float(rng.uniform(-1.0, 1.0))
         conj = bool(rng.integers(0, 2))
@@ -244,20 +243,20 @@ def test_criterion_07_unitary_scalar_classifier():
         ):
             bad.append(f"canonical form wrong (d={d}, i={i})")
             continue
-        a = _random_hermitian(rng, d)
+        a = random_hermitian(rng, d)
         expect = form.lam * form.U @ (a.conj() if conj else a) @ form.U.conj().T + form.mu * np.eye(d)
         if np.linalg.norm(apply(phi, a).mat - expect, 2) > 1e-8 * max(1.0, np.linalg.norm(expect, 2)):
             bad.append(f"canonical form does not reproduce the map (d={d}, i={i})")
     for i in range(200):
         d = 2 + i % 4
         if i % 2 == 0:
-            t = _random_invertible(rng, d)
+            t = random_invertible(rng, d)
             if local_scalar(t.conj().T @ t) is not None:
                 t = t @ np.diag(np.linspace(1.0, 2.0, d))
             x = float(rng.uniform(-1.0, 1.0)) * np.eye(d)
         else:
-            t = _random_unitary(rng, d)
-            x = _random_hermitian(rng, d)
+            t = random_unitary(rng, d)
+            x = random_hermitian(rng, d)
             if local_scalar(x) is not None:
                 x = x + np.diag(np.linspace(0.0, 1.0, d))
         phi = OrderAutomorphism.create(t, x=x)
@@ -279,11 +278,11 @@ def test_criterion_08_complementarity_scalar_test():
     for d in (2, 3, 4):
         for _ in range(100):
             c = float(rng.uniform(-2.0, 2.0))
-            if not complementary(c * np.eye(d), _random_hermitian(rng, d)):
+            if not complementary(c * np.eye(d), random_hermitian(rng, d)):
                 bad.append(f"scalar rejected at d={d}")
     for i in range(100):
         d = 2 + i % 3
-        a = _random_hermitian(rng, d)
+        a = random_hermitian(rng, d)
         if local_scalar(a) is not None:
             a = a + np.diag(np.linspace(0.0, 1.0, d))
         _, vecs = np.linalg.eigh(a)
@@ -301,11 +300,11 @@ def test_criterion_09_orthogonality_preserver_classifier():
         d = 2 + i % 4
         if i % 3 == 0:
             phi = OrderAutomorphism.create(
-                float(rng.uniform(0.5, 2.0)) * _random_unitary(rng, d),
+                float(rng.uniform(0.5, 2.0)) * random_unitary(rng, d),
                 conjugate=bool(rng.integers(0, 2)),
             )
         else:
-            phi = _random_automorphism(rng, d)
+            phi = random_automorphism(rng, d)
         s = phi.T.conj().T @ phi.T
         analytic = local_scalar(s) is not None and float(
             np.max(np.abs(np.linalg.eigvalsh(phi.X.mat)))

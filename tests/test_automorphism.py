@@ -25,8 +25,9 @@ from obsorder import (
     reconstruct,
 )
 from obsorder import oracle as oracle_module
+from obsorder.automorphism import gauge_distance
 from obsorder.demo_oracles import serve
-from obsorder.harness import _gauge_distance
+from obsorder.generators import random_hermitian, random_invertible, random_psd
 from obsorder.io import (
     c128le_stack_from_dict,
     complex_matrix_from_dict,
@@ -35,7 +36,6 @@ from obsorder.io import (
     matrix_frame_from_dict,
     matrix_to_c128le,
 )
-from conftest import random_hermitian, random_invertible, random_psd
 
 
 def random_automorphism(rng, d, conjugate=None):
@@ -69,7 +69,7 @@ class TestApply:
             d = int(rng.integers(2, 6))
             phi = random_automorphism(rng, d)
             a = random_hermitian(rng, d)
-            b = a + random_psd(rng, d)
+            b = a + random_psd(rng, d, d)
             assert leq(apply(phi, a), apply(phi, b))
 
     def test_conjugate_branch(self, rng):
@@ -150,7 +150,7 @@ class TestReconstruct:
         for _ in range(20):
             phi = random_automorphism(rng, d)
             report = reconstruct(from_automorphism(phi), seed=int(rng.integers(2**31)))
-            assert _gauge_distance(report.recovered.T, phi.T) <= 1e-6
+            assert gauge_distance(report.recovered.T, phi.T) <= 1e-6
             assert np.max(np.abs(report.recovered.X.mat - phi.X.mat)) <= 1e-8
             assert report.recovered.conjugate == phi.conjugate or report.conjugate_degenerate
             assert report.max_residual <= 1e-6
@@ -187,8 +187,8 @@ class TestReconstruct:
         phi = random_automorphism(rng, 4)
         x = phi.X.mat
         for _ in range(20):
-            a = random_psd(rng, 4)
-            b = random_psd(rng, 4)
+            a = random_psd(rng, 4, 4)
+            b = random_psd(rng, 4, 4)
             lhs = apply(phi, a + b).mat - x
             rhs = (apply(phi, a).mat - x) + (apply(phi, b).mat - x)
             assert np.linalg.norm(lhs - rhs, 2) <= 1e-8 * max(1.0, np.linalg.norm(lhs, 2))
@@ -527,6 +527,11 @@ class TestInProcessChecks:
         handle = OracleHandle(lambda a: np.full((2, 2), np.nan), 2)
         with pytest.raises(OracleNotAutomorphicError, match="non-finite"):
             handle.query(np.eye(2))
+
+    def test_image_above_half_the_float_range(self):
+        m = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.0]])
+        handle = OracleHandle(lambda a: m, 2)
+        np.testing.assert_array_equal(handle.query(np.eye(2)), m)
 
     def test_query_many_is_lazy(self):
         seen = []

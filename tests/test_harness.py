@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from obsorder import OrderAutomorphism, ValidationError, max_lambda, rank_numeric
-from obsorder.harness import (
-    SUITE_NAMES,
-    GeneratorSpec,
-    Kind,
-    bisection_max_lambda,
-    generate,
-    replay_trial,
-    run_suite,
-)
+from obsorder.generators import GeneratorSpec, Kind, generate
+from obsorder.harness import SUITE_NAMES, bisection_max_lambda, replay_trial, run_suite
 
 
 class TestGenerators:

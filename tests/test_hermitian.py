@@ -13,7 +13,7 @@ from obsorder import (
     rank_one,
     sqrt_psd,
 )
-from conftest import random_hermitian, random_psd, random_unit
+from obsorder.generators import random_hermitian, random_psd, random_unit
 
 
 class TestConstruction:
@@ -44,6 +44,12 @@ class TestConstruction:
         h = HermitianMatrix.from_array(m)
         np.testing.assert_array_equal(h.mat, m)
         assert h.asymmetry == 0.0
+
+    @pytest.mark.parametrize("wrap", [HermitianMatrix.from_array, HermitianMatrix.hermitian_part])
+    def test_entries_above_half_the_float_range(self, wrap):
+        # M + M* overflows here; the halves do not
+        m = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.0]])
+        np.testing.assert_array_equal(wrap(m).mat, m)
 
     def test_hermitian_part_skips_the_asymmetry_limit(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -106,7 +112,7 @@ class TestSqrt:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_square_residual(self, rng, d):
         for _ in range(20):
-            a = random_psd(rng, d)
+            a = random_psd(rng, d, d)
             r = sqrt_psd(a).mat
             norm = np.linalg.norm(a, 2)
             assert np.linalg.norm(r @ r - a, 2) <= 1e-9 * max(1.0, norm)
@@ -119,7 +125,7 @@ class TestPinv:
 
     def test_penrose_identities(self, rng):
         for _ in range(20):
-            m = random_psd(rng, 4, rank=2)
+            m = random_psd(rng, 4, 2)
             mp = pinv(m).mat
             assert np.linalg.norm(m @ mp @ m - m, 2) <= 1e-9
             assert np.linalg.norm(mp @ m @ mp - mp, 2) <= 1e-9
@@ -165,7 +171,7 @@ class TestRankOne:
 
 
 def test_psd_quadratic_forms_nonnegative(rng):
-    a = PsdMatrix.from_hermitian(random_psd(rng, 5))
+    a = PsdMatrix.from_hermitian(random_psd(rng, 5, 5))
     norm = a.spectral_norm()
     for _ in range(1000):
         x = random_unit(rng, 5)

@@ -15,17 +15,17 @@ from obsorder import (
     range_dominates,
 )
 from obsorder import loewner
-from obsorder.harness import bisection_max_lambda
-from obsorder.hermitian import herm_array
-from obsorder.loewner import quadratic_form
-from obsorder.tolerances import DEFAULT_TOLERANCES
-from conftest import (
+from obsorder.generators import (
     random_hermitian,
     random_invertible,
     random_psd,
     random_unit,
     random_unitary,
 )
+from obsorder.harness import bisection_max_lambda
+from obsorder.hermitian import herm_array
+from obsorder.loewner import quadratic_form
+from obsorder.tolerances import DEFAULT_TOLERANCES
 
 
 class TestLeq:
@@ -38,7 +38,7 @@ class TestLeq:
     def test_constructed_majorant(self, rng):
         for d in range(2, 7):
             a = random_hermitian(rng, d)
-            assert leq(a, a + random_psd(rng, d))
+            assert leq(a, a + random_psd(rng, d, d))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -48,8 +48,8 @@ class TestLeq:
         for _ in range(50):
             d = int(rng.integers(2, 7))
             a = random_hermitian(rng, d)
-            p = random_psd(rng, d)
-            q = random_psd(rng, d)
+            p = random_psd(rng, d, d)
+            q = random_psd(rng, d, d)
             assert leq(a, a)  # reflexive
             assert leq(a, a + p) and leq(a + p, a + p + q)
             assert leq(a, a + p + q)  # transitive along the chain
@@ -108,7 +108,7 @@ class TestMaxLambda:
     def test_random_against_bisection(self, rng):
         for _ in range(30):
             d = int(rng.integers(2, 6))
-            b = random_psd(rng, d)
+            b = random_psd(rng, d, d)
             x = random_unit(rng, d)
             lam = max_lambda(x, PsdMatrix.from_hermitian(b))
             oracle = bisection_max_lambda(x, b)
@@ -117,7 +117,7 @@ class TestMaxLambda:
     def test_extremality(self, rng):
         for _ in range(30):
             d = int(rng.integers(2, 6))
-            b = random_psd(rng, d)
+            b = random_psd(rng, d, d)
             x = random_unit(rng, d)
             lam = max_lambda(x, PsdMatrix.from_hermitian(b))
             lo = np.linalg.eigvalsh(b - lam * np.outer(x, x.conj()))[0]
@@ -162,7 +162,7 @@ class TestRangeDominates:
         for _ in range(100):
             d = int(rng.integers(2, 7))
             k = int(rng.integers(1, d + 1))
-            b = random_psd(rng, d, rank=k)
+            b = random_psd(rng, d, k)
             if rng.integers(0, 2) and k < d:
                 x = random_unit(rng, d)
             else:
@@ -213,11 +213,11 @@ class TestLeanCompare:
         a = random_hermitian(rng, d)
         u = random_unitary(rng, d)
         mu = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
-        p = random_psd(rng, d, rank=1)
-        q = random_psd(rng, d, rank=1)
+        p = random_psd(rng, d, 1)
+        q = random_psd(rng, d, 1)
         yield a, random_hermitian(rng, d)
-        yield a, a + random_psd(rng, d)
-        yield a, a - random_psd(rng, d)
+        yield a, a + random_psd(rng, d, d)
+        yield a, a - random_psd(rng, d, d)
         yield a, a + _spectral(u, mu)
         yield a, a.copy()
         # near EQUAL: B - A far inside or far outside the threshold
@@ -337,7 +337,7 @@ class TestLeanMaxLambda:
 
         monkeypatch.setattr(loewner, "_range_weight", perturbed)
         for d in (2, 8):
-            b = random_psd(rng, d)
+            b = random_psd(rng, d, d)
             x = random_unit(rng, d)
             with pytest.raises(InternalInconsistencyError, match=message):
                 max_lambda(x, b)
@@ -367,7 +367,7 @@ class TestLapackCalls:
 
     def _gate_decided_pairs(self, rng, d):
         a = random_hermitian(rng, d)
-        for b in (a.copy(), a + random_psd(rng, d), a - random_psd(rng, d), random_hermitian(rng, d)):
+        for b in (a.copy(), a + random_psd(rng, d, d), a - random_psd(rng, d, d), random_hermitian(rng, d)):
             yield a, b
 
     def test_compare(self, rng, calls):

@@ -13,9 +13,9 @@ from obsorder import (
     rank_numeric,
     ranges_linearly_independent,
 )
+from obsorder.generators import random_psd, random_unit
 from obsorder.hermitian import as_psd, psd_rank
 from obsorder.order_rank import check_rank_witness, rank_two_counterexample
-from conftest import random_psd, random_unit
 
 
 def psd(m):
@@ -54,7 +54,7 @@ class TestRankOneByOrder:
         for _ in range(100):
             d = int(rng.integers(2, 6))
             r = int(rng.integers(1, min(3, d) + 1))
-            a = psd(random_psd(rng, d, rank=r))
+            a = psd(random_psd(rng, d, r))
             assert is_rank_one_by_order(a) == (r == 1)
 
 
@@ -76,7 +76,7 @@ class TestRankFromTheCertificate:
     def test_same_certificate_and_rank(self, rng):
         for d in (2, 8, 64):
             for r in (1, max(1, d // 2), d):
-                m = random_psd(rng, d, rank=r)
+                m = random_psd(rng, d, r)
                 got, rank = psd_rank(m)
                 assert rank == rank_numeric(m) == r
                 assert got.min_eig == as_psd(m).min_eig
@@ -87,7 +87,7 @@ class TestRankFromTheCertificate:
     def test_one_eigvalsh_for_the_rank(self, rng, eigvalsh_calls):
         # a rank-1 operand and a rank <= n + 1 operand return right after
         # their rank: one eigvalsh, raw or already certified
-        rank_one, low = random_psd(rng, 6, rank=1), random_psd(rng, 6, rank=3)
+        rank_one, low = random_psd(rng, 6, 1), random_psd(rng, 6, 3)
         for m in (rank_one, psd(rank_one)):
             eigvalsh_calls.clear()
             assert is_rank_one_by_order(m)
@@ -116,7 +116,7 @@ class TestRankGtNp1:
     def test_both_directions_random(self, rng):
         for _ in range(60):
             r = int(rng.integers(1, 7))
-            a = psd(random_psd(rng, 6, rank=r))
+            a = psd(random_psd(rng, 6, r))
             for n in range(1, 5):
                 w = rank_gt_np1_witness(a, n)
                 assert (w is not None) == (r > n + 1)
@@ -136,8 +136,8 @@ class TestNoCommonRank1Minorant:
     def test_deliberately_shared_vector(self, rng):
         d = 5
         shared = random_unit(rng, d)
-        e = random_psd(rng, d, rank=1) + np.outer(shared, shared.conj())
-        f = random_psd(rng, d, rank=1) + np.outer(shared, shared.conj())
+        e = random_psd(rng, d, 1) + np.outer(shared, shared.conj())
+        f = random_psd(rng, d, 1) + np.outer(shared, shared.conj())
         assert not no_common_rank1_minorant(psd(e), psd(f))
 
     def test_reduction_via_order(self, rng):
@@ -146,8 +146,8 @@ class TestNoCommonRank1Minorant:
         from obsorder.harness import bisection_max_lambda
 
         for _ in range(20):
-            e = random_psd(rng, 4, rank=2)
-            f = random_psd(rng, 4, rank=2)
+            e = random_psd(rng, 4, 2)
+            f = random_psd(rng, 4, 2)
             got = no_common_rank1_minorant(psd(e), psd(f))
             # brute direction: a common minorant direction must be dominated
             # by both; probe the intersection candidate numerically
@@ -188,7 +188,7 @@ class TestActsOn:
         q, _ = np.linalg.qr(g)
         basis = [q[:, j] for j in range(3)]
         p = q @ q.conj().T
-        r = random_psd(rng, d)
+        r = random_psd(rng, d, d)
         t = p @ r @ p
         assert acts_on(psd((t + t.conj().T) / 2), basis)
 
@@ -206,7 +206,7 @@ class TestActsOn:
             q, _ = np.linalg.qr(g)
             basis = [q[:, j] for j in range(k)]
             p = q @ q.conj().T
-            r = random_psd(rng, d)
+            r = random_psd(rng, d, d)
             if rng.integers(0, 2):
                 t = p @ r @ p
             else:

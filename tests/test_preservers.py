@@ -17,10 +17,15 @@ from obsorder import (
 )
 from obsorder import preservers
 from obsorder.cli import main
+from obsorder.generators import (
+    random_hermitian,
+    random_invertible,
+    random_unit,
+    random_unitary,
+)
 from obsorder.hermitian import herm_array
 from obsorder.preservers import _eigen_clusters
 from obsorder.tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
-from conftest import random_hermitian, random_invertible, random_unit, random_unitary
 
 
 def enumerated_complementary(a, b, tol=DEFAULT_TOLERANCES):
@@ -280,6 +285,27 @@ class TestComplementary:
                 half_half.append(got)
         assert 0 < sum(verdicts) < len(verdicts)
         assert 0 < sum(half_half) < len(half_half)
+
+    def test_agrees_with_enumeration_at_the_rank_cut(self, rng):
+        # half/half pairs, d even in 2..64, where a vector of one cluster of
+        # B lies at an angle log-uniform in [1e-10, 1e-6] to one cluster of
+        # A: the smallest singular value of the stacked bases, about
+        # angle / sqrt(2), then falls on either side of the rank cut
+        # tol_rank * sqrt(2). The reference checks all four cluster pairs.
+        verdicts = []
+        for _ in range(300):
+            m = int(rng.integers(1, 33))
+            d = 2 * m
+            u = random_unitary(rng, d)
+            angle = 10.0 ** rng.uniform(-10.0, -6.0)
+            near = np.cos(angle) * u[:, 0] + np.sin(angle) * u[:, m]
+            v, _ = np.linalg.qr(np.column_stack([near, random_unitary(rng, d)[:, 1:]]))
+            a = clustered(rng, [m, m], u)
+            b = clustered(rng, [m, m], v)
+            got = complementary(a, b)
+            assert got == enumerated_complementary(a, b), (d, angle)
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_half_half_at_d64(self, rng):
         u = random_unitary(rng, 64)
