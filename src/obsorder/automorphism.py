@@ -152,24 +152,6 @@ def _column_from_rank_one(m: np.ndarray, what: str) -> np.ndarray:
     return evecs[:, -1] * np.sqrt(float(evals[-1]))
 
 
-def _relative_phase(t1: np.ndarray, uj: np.ndarray, cross: np.ndarray, what: str) -> complex:
-    """Unit scalar c with t_j = c u_j, read off from
-    cross = t_1 t_j* + t_j t_1*."""
-    basis = np.column_stack([t1, uj])
-    rhs = cross @ uj
-    coeffs, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
-    c = np.conj(coeffs[0]) / float(np.real(np.vdot(uj, uj)))
-    mag = abs(c)
-    if not (0.5 < mag < 2.0):
-        raise OracleNotAutomorphicError(f"{what}: inconsistent relative phase (|c|={mag:.3e})")
-    c = c / mag
-    predicted = np.conj(c) * np.outer(t1, uj.conj()) + c * np.outer(uj, t1.conj())
-    scale = max(float(np.max(np.abs(cross))), 1.0)
-    if float(np.max(np.abs(cross - predicted))) > RECON_TOL * scale:
-        raise OracleNotAutomorphicError(f"{what}: cross block does not match a congruence")
-    return c
-
-
 def _conjugation_probe(d: int) -> np.ndarray:
     w = (_basis_vector(d, 0) + 1j * _basis_vector(d, 1)) / np.sqrt(2.0)
     return rank_one(w, w)
@@ -178,14 +160,14 @@ def _conjugation_probe(d: int) -> np.ndarray:
 def _structure_probes(d: int) -> Iterator[np.ndarray]:
     """The probes fixing X, T and the conjugation flag, in the order
     ``reconstruct`` reads their images: the zero matrix, the d basis
-    projectors, the d-1 superpositions of e_1 and e_j, the conjugation probe."""
+    projectors, the all-ones projector vv* with v = (1, ..., 1)/sqrt(d), the
+    conjugation probe."""
     yield np.zeros((d, d), dtype=np.complex128)
     for j in range(d):
         e = _basis_vector(d, j)
         yield rank_one(e, e)
-    for j in range(1, d):
-        v = (_basis_vector(d, 0) + _basis_vector(d, j)) / np.sqrt(2.0)
-        yield rank_one(v, v)
+    v = np.ones(d, dtype=np.complex128) / np.sqrt(d)
+    yield rank_one(v, v)
     yield _conjugation_probe(d)
 
 
@@ -198,10 +180,12 @@ def reconstruct(
     """Recover (T, conjugate flag, X) from a black-box order-automorphism.
 
     Probe plan (for dimension d): the zero matrix fixes X; the d basis
-    projections give T's columns up to phase; d-1 two-element superpositions
-    fix relative phases; one complex superposition decides the conjugation
-    flag; ``validation_probes`` random Hermitian matrices (not only PSD)
-    populate the residual. Total calls: d + (d-1) + 1 + 1 + validation_probes.
+    projections give T's columns up to phase; the all-ones projection gives
+    Tv up to one global phase, and solving cols . c = Tv sqrt(d) fixes every
+    column phase at once (each c_j must have modulus 1); one complex
+    superposition decides the conjugation flag; ``validation_probes`` random
+    Hermitian matrices (not only PSD) populate the residual. Total calls:
+    d + 3 + validation_probes.
 
     No probe depends on an earlier answer, so the plan goes to the oracle as
     one stream (``OracleHandle.query_many``) and each check reads the next
@@ -223,17 +207,23 @@ def reconstruct(
         return next(images) - x
 
     # columns up to phase
-    cols = [_column_from_rank_one(psi(), f"basis probe {j}") for j in range(d)]
+    cols = np.column_stack([_column_from_rank_one(psi(), f"basis probe {j}") for j in range(d)])
 
-    # phase gauge for the first column, relative phases for the rest
-    t1 = gauge_fix(cols[0].reshape(-1, 1))[:, 0]
-    fixed = [t1]
-    for j in range(1, d):
-        m = psi()
-        cross = 2.0 * m - np.outer(t1, t1.conj()) - np.outer(cols[j], cols[j].conj())
-        c = _relative_phase(t1, cols[j], cross, f"phase probe {j}")
-        fixed.append(c * cols[j])
-    t = np.column_stack(fixed)
+    # one phase per column from T v = sum_j t_j / sqrt(d)
+    tv = _column_from_rank_one(psi(), "all-ones probe")
+    try:
+        c = np.linalg.solve(cols, tv * np.sqrt(d))
+    except np.linalg.LinAlgError:
+        raise OracleNotAutomorphicError(
+            "images of the basis probes are linearly dependent"
+        ) from None
+    mag = np.abs(c)
+    off = float(np.max(np.abs(mag - 1.0)))
+    if not off <= RECON_TOL:
+        raise OracleNotAutomorphicError(
+            f"all-ones probe: column weights off the unit circle by {off:.3e}"
+        )
+    t = gauge_fix(cols * (c / mag))
 
     # conjugation flag
     mw = psi()

@@ -26,6 +26,7 @@ from obsorder import (
 )
 from obsorder import oracle as oracle_module
 from obsorder.automorphism import gauge_distance
+from obsorder.cli import main
 from obsorder.demo_oracles import serve
 from obsorder.generators import random_hermitian, random_invertible, random_psd
 from obsorder.io import (
@@ -165,12 +166,39 @@ class TestReconstruct:
         assert r1.recovered.conjugate == r2.recovered.conjugate
 
     def test_probe_economy(self, rng):
-        for d in (2, 3, 5):
+        for d in (2, 3, 5, 64):
             phi = random_automorphism(rng, d)
             handle = from_automorphism(phi)
             report = reconstruct(handle)
-            assert report.probes_used <= d + (d - 1) + 1 + 1 + 20
-            assert handle.calls == report.probes_used
+            assert report.probes_used == handle.calls == d + 3 + 20
+
+    def test_rejects_all_ones_image_of_wrong_weights(self):
+        # the identity, except that the all-ones probe comes back as ww* with
+        # |w_j| not all equal: no phase fix can make the columns sum to w
+        d = 3
+        v = np.ones(d) / np.sqrt(d)
+        w = np.array([1.0, 2.0, 1.0]) / np.sqrt(d)
+
+        def fn(a):
+            return np.outer(w, w) if np.array_equal(a, np.outer(v, v)) else a
+
+        handle = OracleHandle(fn, d)
+        with pytest.raises(OracleNotAutomorphicError, match="all-ones probe"):
+            reconstruct(handle)
+        # zero, d basis and all-ones probes: no validation probe was asked
+        assert handle.calls == d + 2
+
+    def test_rejects_dependent_basis_images(self):
+        # every basis projector maps to e1 e1*, so the columns are singular
+        e1 = np.diag([1.0, 0.0, 0.0])
+        handle = OracleHandle(lambda a: np.trace(a).real * e1, 3)
+        with pytest.raises(OracleNotAutomorphicError, match="linearly dependent"):
+            reconstruct(handle)
+
+    def test_verify_thm2_illcond_at_large_dims(self, capsys):
+        # cond(T) up to 1e6 against the all-ones certificate at d = 32 and 64
+        assert main(["verify", "thm2-illcond", "--dims", "32,64", "--trials", "2"]) == 0
+        capsys.readouterr()
 
     def test_rejects_non_automorphic_cube(self):
         handle = OracleHandle(lambda a: a @ a @ a, 3)
@@ -376,19 +404,19 @@ class TestStackFrames:
         sent = record_frames(monkeypatch)
         with SubprocessOracle(AFFINE_CHILD, 3) as handle:
             report = reconstruct(handle)
-            assert handle.calls == report.probes_used == 27
+            assert handle.calls == report.probes_used == 26
         np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
         assert len(sent) == 2
         first, stack = sent
         assert "entries" in first["matrix"] and first["accept"] == ["c128le"]
-        assert stack["matrix"]["count"] == 26 and "accept" not in stack
-        assert len(base64.b64decode(stack["matrix"]["c128le"])) == 26 * 16 * 9
+        assert stack["matrix"]["count"] == 25 and "accept" not in stack
+        assert len(base64.b64decode(stack["matrix"]["c128le"])) == 25 * 16 * 9
 
     def test_dim_64_sends_one_matrix_per_frame(self, monkeypatch):
         sent = record_frames(monkeypatch)
         with SubprocessOracle(AFFINE_CHILD, 64) as handle:
             report = reconstruct(handle, validation_probes=2)
-        assert report.probes_used == 64 + 63 + 2 + 2
+        assert report.probes_used == 64 + 3 + 2
         assert len(sent) == report.probes_used
         assert all(f["matrix"]["count"] == 1 for f in sent[1:])
 
@@ -406,7 +434,7 @@ class TestStackFrames:
             report = reconstruct(handle)
         np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
         np.testing.assert_allclose(report.recovered.X.mat, np.eye(3), atol=1e-12)
-        assert len(sent) == report.probes_used == 27
+        assert len(sent) == report.probes_used == 26
         assert all("c128le" in f["matrix"] and "count" not in f["matrix"] for f in sent[1:])
 
     @pytest.mark.parametrize("frames", ["single", "stack"])
