@@ -29,6 +29,11 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 # Structure and validation threshold for reconstruction (relative residual).
 RECON_TOL = 1e-6
 
+# Largest cond(psi(I)) = cond(T)^2 at which reconstruct reads T from the pencil
+# (psi(D), psi(I)). Measured at d = 3..64: gauge error under 1e-7 up to 9e8;
+# at 1e10 the validation residual failed in up to 87% of maps.
+PENCIL_COND_CAP = 1e9
+
 PHASE_GAUGE_RULE = "largest-magnitude entry of the first column of T made real positive"
 
 
@@ -132,12 +137,6 @@ def gauge_distance(t_rec: np.ndarray, t_gen: np.ndarray) -> float:
     return float(np.linalg.norm(t_rec - theta * t_gen) / np.linalg.norm(t_gen))
 
 
-def _basis_vector(dim: int, j: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=np.complex128)
-    e[j] = 1.0
-    return e
-
-
 def _column_from_rank_one(m: np.ndarray, what: str) -> np.ndarray:
     """Recover t (up to phase) from a matrix that must equal t t*."""
     evals, evecs = np.linalg.eigh(m)
@@ -153,64 +152,41 @@ def _column_from_rank_one(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def _conjugation_probe(d: int) -> np.ndarray:
-    w = (_basis_vector(d, 0) + 1j * _basis_vector(d, 1)) / np.sqrt(2.0)
+    e = np.eye(d)
+    w = (e[0] + 1j * e[1]) / np.sqrt(2.0)
     return rank_one(w, w)
 
 
-def _structure_probes(d: int) -> Iterator[np.ndarray]:
-    """The probes fixing X, T and the conjugation flag, in the order
-    ``reconstruct`` reads their images: the zero matrix, the d basis
-    projectors, the all-ones projector vv* with v = (1, ..., 1)/sqrt(d), the
-    conjugation probe."""
-    yield np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        e = _basis_vector(d, j)
-        yield rank_one(e, e)
-    v = np.ones(d, dtype=np.complex128) / np.sqrt(d)
-    yield rank_one(v, v)
-    yield _conjugation_probe(d)
+def _basis_columns(images: Iterator[np.ndarray], x: np.ndarray) -> np.ndarray:
+    cols = [_column_from_rank_one(next(images) - x, f"basis probe {j}") for j in range(len(x))]
+    return np.column_stack(cols)
 
 
-def reconstruct(
-    oracle: OracleHandle,
-    validation_probes: int = 20,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> ReconstructionReport:
-    """Recover (T, conjugate flag, X) from a black-box order-automorphism.
+def _pencil_columns(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """T's columns up to phase from P = TT* and Q = TDT*: with P = LL*,
+    L^-1 Q L^-* = W D W* for the unitary W = L^-1 T, and cols = LW (the
+    Cholesky reduction of the definite pencil (Q, P); Golub & Van Loan,
+    *Matrix Computations*, 8.7)."""
+    evals = np.linalg.eigvalsh(p)
+    if not 0.0 < evals[-1] <= PENCIL_COND_CAP * evals[0]:
+        raise OracleNotAutomorphicError("pencil: psi(I) is not well-conditioned positive definite")
+    l = np.linalg.cholesky(p)
+    lam, w = np.linalg.eigh(np.linalg.solve(l, np.linalg.solve(l, q).conj().T))
+    off = float(np.max(np.abs(lam - np.arange(1, len(p) + 1))))
+    if not off <= RECON_TOL * len(p):  # calibrated: under 7e-8 * d up to PENCIL_COND_CAP
+        raise OracleNotAutomorphicError(f"pencil: eigenvalues off 1, ..., d by {off:.3e}")
+    return l @ w
 
-    Probe plan (for dimension d): the zero matrix fixes X; the d basis
-    projections give T's columns up to phase; the all-ones projection gives
-    Tv up to one global phase, and solving cols . c = Tv sqrt(d) fixes every
-    column phase at once (each c_j must have modulus 1); one complex
-    superposition decides the conjugation flag; ``validation_probes`` random
-    Hermitian matrices (not only PSD) populate the residual. Total calls:
-    d + 3 + validation_probes.
 
-    No probe depends on an earlier answer, so the plan goes to the oracle as
-    one stream (``OracleHandle.query_many``) and each check reads the next
-    image from it. A subprocess oracle sends probes a frame at a time: when
-    a check fails, up to one frame of probes beyond the failing one has
-    already reached the child.
-    """
-    d = oracle.dim
-    if d < 2:
-        raise ValidationError("reconstruction requires dimension >= 2")
-    start_calls = oracle.calls
-    rng = np.random.default_rng(seed)
-    checks, sent = itertools.tee(random_hermitian(rng, d) for _ in range(validation_probes))
-    images = oracle.query_many(itertools.chain(_structure_probes(d), sent))
-
-    x = next(images)
-
-    def psi() -> np.ndarray:
-        return next(images) - x
-
-    # columns up to phase
-    cols = np.column_stack([_column_from_rank_one(psi(), f"basis probe {j}") for j in range(d)])
+def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: list,
+         tol: Tolerances) -> tuple[OrderAutomorphism, float, bool]:
+    """The map, its validation residual and whether the flag is degenerate,
+    from T's columns up to phase and the next images: all-ones, conjugation,
+    then one per validation probe in ``checks``."""
+    d = len(x)
 
     # one phase per column from T v = sum_j t_j / sqrt(d)
-    tv = _column_from_rank_one(psi(), "all-ones probe")
+    tv = _column_from_rank_one(next(images) - x, "all-ones probe")
     try:
         c = np.linalg.solve(cols, tv * np.sqrt(d))
     except np.linalg.LinAlgError:
@@ -226,7 +202,7 @@ def reconstruct(
     t = gauge_fix(cols * (c / mag))
 
     # conjugation flag
-    mw = psi()
+    mw = next(images) - x
     pw = _conjugation_probe(d)
     pred_lin = t @ pw @ t.conj().T
     pred_conj = t @ pw.conj() @ t.conj().T
@@ -253,6 +229,62 @@ def reconstruct(
         raise OracleNotAutomorphicError(
             f"validation residual {max_residual:.3e} exceeds {RECON_TOL:.0e}"
         )
+    return recovered, max_residual, degenerate
+
+
+def reconstruct(
+    oracle: OracleHandle,
+    validation_probes: int = 20,
+    seed: int = 0,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> ReconstructionReport:
+    """Recover (T, conjugate flag, X) from a black-box order-automorphism.
+
+    The zero matrix fixes X. T's columns up to phase come from the pencil
+    read at d >= 3: psi(I) = TT* and psi(D) = TDT*, D = diag(1, ..., d)
+    (psi = image - X); or from the basis read: the images t_j t_j* of the d
+    basis projections. The all-ones projection gives Tv up to one global
+    phase, and solving cols . c = Tv sqrt(d) fixes every column phase at once
+    (each c_j must have modulus 1); one complex superposition decides the
+    conjugation flag; ``validation_probes`` random Hermitian matrices (not
+    only PSD) populate the residual, which must not exceed ``RECON_TOL``.
+
+    At d >= 3 the plan is zero, I, D, the all-ones and conjugation probes
+    and the validation probes: 5 + validation_probes calls. If any pencil
+    check fails (cond(psi(I)) above ``PENCIL_COND_CAP``, the Cholesky
+    factor, psi(D)'s eigenvalues 1, ..., d, the column weights, the
+    conjugation fit or the validation residual), the basis projections go
+    out as a second stream and the basis read reuses the other images:
+    d + 5 + validation_probes calls. At d = 2, where the pencil saves no
+    probe, the plan is the basis read's: d + 3 + validation_probes calls.
+
+    No probe of the first stream depends on an earlier answer, so it goes to
+    the oracle as one stream (``OracleHandle.query_many``). At d >= 3 all of
+    it is answered before any check; at d = 2 each check reads the next
+    image, and a subprocess oracle has been sent up to one frame of probes
+    beyond a failing one.
+    """
+    d = oracle.dim
+    if d < 2:
+        raise ValidationError("reconstruction requires dimension >= 2")
+    start_calls = oracle.calls
+    rng = np.random.default_rng(seed)
+    checks = [random_hermitian(rng, d) for _ in range(validation_probes)]
+    v = np.ones(d, dtype=np.complex128) / np.sqrt(d)
+    tail = [rank_one(v, v), _conjugation_probe(d), *checks]
+    zero = np.zeros((d, d), dtype=np.complex128)
+    basis = (rank_one(e, e) for e in np.eye(d))
+    if d == 2:
+        images = oracle.query_many(itertools.chain([zero], basis, tail))
+        x = next(images)
+        fit = _fit(_basis_columns(images, x), x, images, checks, tol)
+    else:
+        x, p, q, *held = oracle.query_many([zero, np.eye(d), np.diag(np.arange(1.0, d + 1)), *tail])
+        try:
+            fit = _fit(_pencil_columns(p - x, q - x), x, iter(held), checks, tol)
+        except (OracleNotAutomorphicError, np.linalg.LinAlgError):
+            fit = _fit(_basis_columns(oracle.query_many(basis), x), x, iter(held), checks, tol)
+    recovered, max_residual, degenerate = fit
 
     return ReconstructionReport(
         recovered=recovered,

@@ -206,17 +206,9 @@ def _suite_thm2(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str
 
 
 def _suite_thm2_illcond(dim: int, rng: np.random.Generator, tol: Tolerances) -> list[str]:
-    # stress: condition numbers above the default cap, relaxed residual
-    for _ in range(100):
-        t = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        s = np.linalg.svd(t, compute_uv=False)
-        if 1e4 < s[0] / s[-1] <= 1e6:
-            break
-    else:
-        # force the conditioning by rescaling singular values
-        u, s, vh = np.linalg.svd(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        s = np.geomspace(1.0, 1e-5, dim)
-        t = u @ np.diag(s) @ vh
+    # stress: cond(T) above the default cap, log10 uniform in (4, 6], relaxed residual
+    s = np.geomspace(1.0, 10.0 ** (rng.uniform(0.0, 2.0) - 6.0), dim)
+    t = (random_unitary(rng, dim) * s) @ random_unitary(rng, dim).conj().T
     phi0 = OrderAutomorphism.create(t, conjugate=bool(rng.integers(0, 2)), x=random_hermitian(rng, dim))
     try:
         report = reconstruct(from_automorphism(phi0), seed=int(rng.integers(2**31)), tol=tol)

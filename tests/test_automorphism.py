@@ -25,10 +25,10 @@ from obsorder import (
     reconstruct,
 )
 from obsorder import oracle as oracle_module
-from obsorder.automorphism import gauge_distance
+from obsorder.automorphism import _pencil_columns, gauge_distance
 from obsorder.cli import main
 from obsorder.demo_oracles import serve
-from obsorder.generators import random_hermitian, random_invertible, random_psd
+from obsorder.generators import random_hermitian, random_invertible, random_psd, random_unitary
 from obsorder.io import (
     c128le_stack_from_dict,
     complex_matrix_from_dict,
@@ -166,18 +166,66 @@ class TestReconstruct:
         assert r1.recovered.conjugate == r2.recovered.conjugate
 
     def test_probe_economy(self, rng):
-        for d in (2, 3, 5, 64):
+        # the basis read at d = 2, the pencil read at every d >= 3
+        for d, plan in ((2, 2 + 3 + 20), (3, 25), (5, 25), (64, 25)):
             phi = random_automorphism(rng, d)
             handle = from_automorphism(phi)
             report = reconstruct(handle)
-            assert report.probes_used == handle.calls == d + 3 + 20
+            assert report.probes_used == handle.calls == plan
+
+    def test_ill_conditioned_map_falls_back_to_the_basis_read(self, rng):
+        # cond(psi(I)) = cond(T)^2 = 1e10 is above the pencil's cap
+        d = 8
+        t = (random_unitary(rng, d) * np.geomspace(1.0, 1e-5, d)) @ random_unitary(rng, d)
+        phi = OrderAutomorphism.create(t, x=random_hermitian(rng, d))
+        report = reconstruct(from_automorphism(phi))
+        assert report.probes_used == d + 25
+        assert gauge_distance(report.recovered.T, t) <= 1e-6
+
+    def test_pencil_columns_and_certificates(self, rng):
+        d = 4
+        t = random_invertible(rng, d)
+        p, q = t @ t.conj().T, t @ np.diag(np.arange(1.0, d + 1)) @ t.conj().T
+        cols = _pencil_columns(p, q)
+        # each column is t's up to a unit phase
+        phase = np.sum(t.conj() * cols, axis=0)
+        np.testing.assert_allclose(cols, t * (phase / np.abs(phase)), atol=1e-9 * np.abs(t).max())
+        with pytest.raises(OracleNotAutomorphicError, match="eigenvalues off"):
+            _pencil_columns(p, q + 1e-3 * np.eye(d))
+        thin = t * np.array([1.0, 1.0, 1.0, 1e-5])  # cond(TT*) ~ 1e10 or more
+        with pytest.raises(OracleNotAutomorphicError, match="well-conditioned"):
+            _pencil_columns(thin @ thin.conj().T, q)
+
+    @pytest.mark.parametrize("fault", ["eigenvalues", "eigenvectors"])
+    def test_wrong_image_of_d_is_recovered_by_the_basis_read(self, rng, fault):
+        # phi everywhere except psi(D). A shift moves the pencil's eigenvalues
+        # off 1, ..., d. A rotation R of e3, e4 keeps them, the column weights
+        # (R* 1 = e^{-i s} 1 on that block) and the conjugation probe on e1,
+        # e2, so only the validation residual sees it. Either way the basis
+        # read, which never asks for D, recovers phi.
+        d = 4
+        phi = random_automorphism(rng, d)
+        diag = np.diag(np.arange(1.0, d + 1))
+        r = np.eye(d, dtype=np.complex128)
+        r[2:, 2:] = [[np.cos(1e-3), 1j * np.sin(1e-3)], [1j * np.sin(1e-3), np.cos(1e-3)]]
+        wrong = {"eigenvalues": apply(phi, diag).mat + 1e-3 * np.eye(d),
+                 "eigenvectors": apply(phi, r @ diag @ r.conj().T).mat}[fault]
+
+        def fn(a):
+            return wrong if np.array_equal(a, diag) else apply(phi, a).mat
+
+        report = reconstruct(OracleHandle(fn, d))
+        assert report.probes_used == d + 25
+        assert gauge_distance(report.recovered.T, phi.T) <= 1e-6
+        assert report.max_residual <= 1e-6
 
     def test_rejects_all_ones_image_of_wrong_weights(self):
         # the identity, except that the all-ones probe comes back as ww* with
         # |w_j| not all equal: no phase fix can make the columns sum to w
-        d = 3
+        # (d = 2 keeps this on the basis read, which is the plan there)
+        d = 2
         v = np.ones(d) / np.sqrt(d)
-        w = np.array([1.0, 2.0, 1.0]) / np.sqrt(d)
+        w = np.array([1.0, 2.0]) / np.sqrt(d)
 
         def fn(a):
             return np.outer(w, w) if np.array_equal(a, np.outer(v, v)) else a
@@ -188,12 +236,43 @@ class TestReconstruct:
         # zero, d basis and all-ones probes: no validation probe was asked
         assert handle.calls == d + 2
 
+    def test_pencil_rejects_all_ones_image_of_wrong_weights(self):
+        # the same fault at d = 3: the pencil's column weights fail, and so
+        # do the fallback's
+        d = 3
+        v = np.ones(d) / np.sqrt(d)
+        w = np.array([1.0, 2.0, 1.0]) / np.sqrt(d)
+
+        def fn(a):
+            return np.outer(w, w) if np.array_equal(a, np.outer(v, v)) else a
+
+        handle = OracleHandle(fn, d)
+        with pytest.raises(OracleNotAutomorphicError, match="all-ones probe"):
+            reconstruct(handle)
+        # the whole first stream, then the d basis projectors
+        assert handle.calls == 25 + d
+
     def test_rejects_dependent_basis_images(self):
         # every basis projector maps to e1 e1*, so the columns are singular
+        # (d = 2 keeps this on the basis read, which is the plan there)
+        e1 = np.diag([1.0, 0.0])
+        handle = OracleHandle(lambda a: np.trace(a).real * e1, 2)
+        with pytest.raises(OracleNotAutomorphicError, match="linearly dependent"):
+            reconstruct(handle)
+
+    def test_pencil_rejects_dependent_basis_images(self):
+        # at d = 3 psi(I) = 3 e1 e1* is singular: the pencil falls back, and
+        # the basis read finds the dependent columns
         e1 = np.diag([1.0, 0.0, 0.0])
         handle = OracleHandle(lambda a: np.trace(a).real * e1, 3)
         with pytest.raises(OracleNotAutomorphicError, match="linearly dependent"):
             reconstruct(handle)
+        assert handle.calls == 25 + 3
+
+    def test_verify_thm2_at_large_dims(self, capsys):
+        # the pencil read against thm2's 1e-6 gauge bound at d = 32 and 64
+        assert main(["verify", "thm2", "--dims", "32,64", "--trials", "3"]) == 0
+        capsys.readouterr()
 
     def test_verify_thm2_illcond_at_large_dims(self, capsys):
         # cond(T) up to 1e6 against the all-ones certificate at d = 32 and 64
@@ -404,19 +483,19 @@ class TestStackFrames:
         sent = record_frames(monkeypatch)
         with SubprocessOracle(AFFINE_CHILD, 3) as handle:
             report = reconstruct(handle)
-            assert handle.calls == report.probes_used == 26
+            assert handle.calls == report.probes_used == 25
         np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
         assert len(sent) == 2
         first, stack = sent
         assert "entries" in first["matrix"] and first["accept"] == ["c128le"]
-        assert stack["matrix"]["count"] == 25 and "accept" not in stack
-        assert len(base64.b64decode(stack["matrix"]["c128le"])) == 25 * 16 * 9
+        assert stack["matrix"]["count"] == 24 and "accept" not in stack
+        assert len(base64.b64decode(stack["matrix"]["c128le"])) == 24 * 16 * 9
 
     def test_dim_64_sends_one_matrix_per_frame(self, monkeypatch):
         sent = record_frames(monkeypatch)
         with SubprocessOracle(AFFINE_CHILD, 64) as handle:
-            report = reconstruct(handle, validation_probes=2)
-        assert report.probes_used == 64 + 3 + 2
+            report = reconstruct(handle)
+        assert report.probes_used == 25
         assert len(sent) == report.probes_used
         assert all(f["matrix"]["count"] == 1 for f in sent[1:])
 
@@ -434,7 +513,7 @@ class TestStackFrames:
             report = reconstruct(handle)
         np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
         np.testing.assert_allclose(report.recovered.X.mat, np.eye(3), atol=1e-12)
-        assert len(sent) == report.probes_used == 26
+        assert len(sent) == report.probes_used == 25
         assert all("c128le" in f["matrix"] and "count" not in f["matrix"] for f in sent[1:])
 
     @pytest.mark.parametrize("frames", ["single", "stack"])
