@@ -13,7 +13,6 @@ from .automorphism import (
     apply,
     check_order_automorphism,
     compose,
-    identity_automorphism,
     invert,
     reconstruct,
 )
@@ -27,18 +26,15 @@ from .errors import (
     TransportFailureError,
     ValidationError,
 )
-from .generators import GeneratorSpec, Kind, generate
 from .harness import SuiteReport, run_suite
 from .hermitian import (
     Eigendecomposition,
     HermitianMatrix,
     PsdMatrix,
     eig,
-    pinv,
     range_basis,
     rank_numeric,
     rank_one,
-    sqrt_psd,
 )
 from .loewner import (
     OrderResult,
@@ -52,11 +48,9 @@ from .loewner import (
 from .oracle import OracleHandle, SubprocessOracle, from_automorphism
 from .order_rank import (
     RankWitness,
-    acts_on,
     is_rank_one_by_order,
     no_common_rank1_minorant,
     rank_gt_np1_witness,
-    ranges_linearly_independent,
 )
 from .preservers import (
     PreserverClassification,

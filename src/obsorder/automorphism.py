@@ -21,7 +21,13 @@ from .errors import (
     ValidationError,
 )
 from .generators import random_hermitian, random_uniform
-from .hermitian import HermitianMatrix, as_hermitian, herm_array, rank_one
+from .hermitian import (
+    HermitianMatrix,
+    _check_square_finite,
+    as_hermitian,
+    herm_array,
+    rank_one,
+)
 from .loewner import compare
 from .oracle import OracleHandle
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -33,6 +39,9 @@ RECON_TOL = 1e-6
 # (psi(D), psi(I)). Measured at d = 3..64: gauge error under 1e-7 up to 9e8;
 # at 1e10 the validation residual failed in up to 87% of maps.
 PENCIL_COND_CAP = 1e9
+
+# Random Hermitian probes whose images must match the recovered map.
+VALIDATION_PROBES = 20
 
 PHASE_GAUGE_RULE = "largest-magnitude entry of the first column of T made real positive"
 
@@ -50,11 +59,10 @@ class OrderAutomorphism:
     def create(
         cls, t, conjugate: bool = False, x=None, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> "OrderAutomorphism":
-        t = np.ascontiguousarray(t, dtype=np.complex128)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValidationError(f"T must be square, got shape {t.shape}")
+        t, _ = _check_square_finite(t)
+        t = np.ascontiguousarray(t)
         s = np.linalg.svd(t, compute_uv=False)
-        if float(s[-1]) <= tol.tol_rank * float(s[0]):
+        if not float(s[-1]) > tol.tol_rank * float(s[0]):  # a NaN fails this too
             raise ValidationError(
                 f"T is numerically singular (sigma_min/sigma_max = {s[-1]/s[0]:.3e})"
             )
@@ -69,10 +77,6 @@ class OrderAutomorphism:
     @property
     def dim(self) -> int:
         return self.T.shape[0]
-
-
-def identity_automorphism(dim: int) -> OrderAutomorphism:
-    return OrderAutomorphism.create(np.eye(dim, dtype=np.complex128))
 
 
 def apply(phi: OrderAutomorphism, a) -> HermitianMatrix:
@@ -234,7 +238,6 @@ def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: 
 
 def reconstruct(
     oracle: OracleHandle,
-    validation_probes: int = 20,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ReconstructionReport:
@@ -246,17 +249,17 @@ def reconstruct(
     basis projections. The all-ones projection gives Tv up to one global
     phase, and solving cols . c = Tv sqrt(d) fixes every column phase at once
     (each c_j must have modulus 1); one complex superposition decides the
-    conjugation flag; ``validation_probes`` random Hermitian matrices (not
+    conjugation flag; ``VALIDATION_PROBES`` random Hermitian matrices (not
     only PSD) populate the residual, which must not exceed ``RECON_TOL``.
 
     At d >= 3 the plan is zero, I, D, the all-ones and conjugation probes
-    and the validation probes: 5 + validation_probes calls. If any pencil
+    and the validation probes: 25 calls. If any pencil
     check fails (cond(psi(I)) above ``PENCIL_COND_CAP``, the Cholesky
     factor, psi(D)'s eigenvalues 1, ..., d, the column weights, the
     conjugation fit or the validation residual), the basis projections go
     out as a second stream and the basis read reuses the other images:
-    d + 5 + validation_probes calls. At d = 2, where the pencil saves no
-    probe, the plan is the basis read's: d + 3 + validation_probes calls.
+    d + 25 calls. At d = 2, where the pencil saves no probe, the plan is the
+    basis read's: d + 23 calls.
 
     No probe of the first stream depends on an earlier answer, so it goes to
     the oracle as one stream (``OracleHandle.query_many``). At d >= 3 all of
@@ -269,7 +272,7 @@ def reconstruct(
         raise ValidationError("reconstruction requires dimension >= 2")
     start_calls = oracle.calls
     rng = np.random.default_rng(seed)
-    checks = [random_hermitian(rng, d) for _ in range(validation_probes)]
+    checks = [random_hermitian(rng, d) for _ in range(VALIDATION_PROBES)]
     v = np.ones(d, dtype=np.complex128) / np.sqrt(d)
     tail = [rank_one(v, v), _conjugation_probe(d), *checks]
     zero = np.zeros((d, d), dtype=np.complex128)

@@ -37,7 +37,7 @@ from .loewner import Relation, compare, max_lambda
 from .oracle import SubprocessOracle
 from .order_rank import rank_gt_np1_witness
 from .preservers import RelationKind, preserves_relation
-from .tolerances import Tolerances
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -203,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
         "congruence automorphisms and preserver classifiers on JSON matrices.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-psd", type=float, default=1e-9)
-    common.add_argument("--tol-rank", type=float, default=1e-8)
-    common.add_argument("--tol-range", type=float, default=1e-8)
+    common.add_argument("--tol-psd", type=float, default=DEFAULT_TOLERANCES.tol_psd)
+    common.add_argument("--tol-rank", type=float, default=DEFAULT_TOLERANCES.tol_rank)
+    common.add_argument("--tol-range", type=float, default=DEFAULT_TOLERANCES.tol_range)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

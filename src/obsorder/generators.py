@@ -4,9 +4,6 @@ suite trial, a probe set or a counterexample search."""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -14,34 +11,6 @@ from .hermitian import rank_numeric, rank_one, symmetrize
 
 # largest condition number of a drawn invertible matrix
 CONDITION_CAP = 1e4
-
-
-class Kind(enum.Enum):
-    HERMITIAN = "HERMITIAN"
-    PSD = "PSD"
-    PSD_RANK = "PSD_RANK"
-    RANK_ONE = "RANK_ONE"
-    INVERTIBLE = "INVERTIBLE"
-    UNITARY = "UNITARY"
-    AUTOMORPHISM = "AUTOMORPHISM"
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    dim: int
-    kind: Kind
-    rank: int | None = None
-    spectrum_range: tuple[float, float] = (0.5, 2.0)
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {self.dim}")
-        if self.rank is not None and not (1 <= self.rank <= self.dim):
-            raise ValidationError(f"rank must be in [1, dim], got {self.rank}")
-        lo, hi = self.spectrum_range
-        if not (0.0 < lo <= hi):
-            raise ValidationError(f"spectrum_range must be 0 < lo <= hi, got {self.spectrum_range}")
 
 
 def random_uniform(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -95,26 +64,3 @@ def random_automorphism(rng: np.random.Generator, d: int):
     conj = bool(rng.integers(0, 2))
     x = random_hermitian(rng, d)
     return OrderAutomorphism.create(t, conjugate=conj, x=x)
-
-
-def generate(spec: GeneratorSpec):
-    """Deterministic sample for the given spec (same spec, same output)."""
-    rng = np.random.default_rng(spec.seed)
-    d = spec.dim
-    if spec.kind is Kind.HERMITIAN:
-        return random_hermitian(rng, d)
-    if spec.kind is Kind.PSD:
-        return random_psd(rng, d, d, spec.spectrum_range)
-    if spec.kind is Kind.PSD_RANK:
-        if spec.rank is None:
-            raise ValidationError("PSD_RANK requires a rank")
-        return random_psd(rng, d, spec.rank, spec.spectrum_range)
-    if spec.kind is Kind.RANK_ONE:
-        return random_psd(rng, d, 1, spec.spectrum_range)
-    if spec.kind is Kind.INVERTIBLE:
-        return random_invertible(rng, d)
-    if spec.kind is Kind.UNITARY:
-        return random_unitary(rng, d)
-    if spec.kind is Kind.AUTOMORPHISM:
-        return random_automorphism(rng, d)
-    raise ValidationError(f"unknown generator kind: {spec.kind}")

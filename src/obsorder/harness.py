@@ -331,6 +331,8 @@ def run_suite(
     (wall time aside)."""
     if name not in _SUITES:
         raise ValidationError(f"unknown suite '{name}'; known: {', '.join(SUITE_NAMES)}")
+    if not dims or trials < 1:
+        raise ValidationError("a suite run needs at least one dim and one trial")
     fn = _SUITES[name]
     start = time.perf_counter()
     failures = []

@@ -1,6 +1,5 @@
 """Hermitian matrix foundation: validated wrappers, eigendecomposition with a
-deterministic eigenvector gauge, positive square root, pseudoinverse, rank and
-range utilities.
+deterministic eigenvector gauge, rank and range utilities.
 
 All public entry points accept either the wrapper types defined here or bare
 ``numpy`` arrays; arrays are validated on the way in. Internally everything is
@@ -92,16 +91,13 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def spectral_norm(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.mat))))
-
 
 @dataclass(frozen=True)
 class PsdMatrix:
     """Hermitian matrix certified positive semidefinite at construction.
 
     ``min_eig`` is the certified smallest eigenvalue; it must not fall below
-    ``-tol_psd * spectral_norm``. There is no unchecked constructor.
+    ``-tol_psd * max(||A||, 1)``. There is no unchecked constructor.
     """
 
     base: HermitianMatrix
@@ -121,9 +117,6 @@ class PsdMatrix:
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    def spectral_norm(self) -> float:
-        return self.base.spectral_norm()
 
 
 def as_hermitian(m) -> HermitianMatrix:
@@ -211,31 +204,6 @@ def _freeze_real(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def sqrt_psd(a, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdMatrix:
-    """Unique PSD square root. Eigenvalues below the PSD threshold are
-    clamped to zero before rooting."""
-    a = as_psd(a, tol)
-    dec = eig(a.base)
-    norm = float(np.max(np.abs(dec.eigenvalues)))
-    clamped = np.where(dec.eigenvalues < tol.tol_psd * norm, 0.0, dec.eigenvalues)
-    root = (dec.eigenvectors * np.sqrt(clamped)) @ dec.eigenvectors.conj().T
-    return as_psd(HermitianMatrix.from_array(root), tol)
-
-
-def pinv(m, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianMatrix:
-    """Moore-Penrose pseudoinverse on the eigenbasis; eigenvalues under the
-    rank threshold map to zero."""
-    h = as_hermitian(m)
-    dec = eig(h)
-    norm = float(np.max(np.abs(dec.eigenvalues)))
-    thr = scaled(tol.tol_rank, norm)
-    mask = np.abs(dec.eigenvalues) > thr
-    inv = np.zeros_like(dec.eigenvalues)
-    inv[mask] = 1.0 / dec.eigenvalues[mask]
-    out = (dec.eigenvectors * inv) @ dec.eigenvectors.conj().T
-    return HermitianMatrix.from_array(out)
-
-
 def _rank_of(evals: np.ndarray, tol: Tolerances) -> int:
     norm = float(np.max(np.abs(evals)))
     thr = scaled(tol.tol_rank, norm)
@@ -277,19 +245,3 @@ def rank_one(x, y) -> np.ndarray:
             f"rank_one: vector lengths differ ({x.size} vs {y.size})"
         )
     return np.outer(x, y.conj())
-
-
-def projector(vectors: list[np.ndarray] | np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Orthogonal projection onto the span of the given (orthonormal) columns.
-
-    ``dim`` is only needed to disambiguate the empty span.
-    """
-    if isinstance(vectors, list):
-        if not vectors:
-            if dim is None:
-                raise ValidationError("projector of empty span needs an explicit dim")
-            return np.zeros((dim, dim), dtype=np.complex128)
-        v = np.column_stack(vectors)
-    else:
-        v = np.asarray(vectors, dtype=np.complex128)
-    return v @ v.conj().T

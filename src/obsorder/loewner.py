@@ -168,10 +168,11 @@ def _range_weight(
 ) -> tuple[float, float]:
     """Split unit x over PSD B = V diag(mu) V*, with c = V* x.
 
-    The range of B keeps the mu_i >= tol_psd * ||B|| whose root clears
-    tol_rank * max(sqrt ||B||, 1) (the cuts of ``sqrt_psd`` then ``pinv``).
+    The range of B keeps each mu_i that is at least tol_psd * ||B|| (smaller
+    ones count as zero) and whose root sqrt(mu_i) exceeds
+    tol_rank * max(sqrt ||B||, 1), the rank cut at the scale of sqrt B.
     Returns the norm of c off that range (the range residual) and
-    sum |c_i|^2 / mu_i over it, which is ||pinv(sqrt B) x||^2.
+    sum |c_i|^2 / mu_i over it, the squared norm of B^(-1/2) x on the range.
     """
     norm = float(np.max(np.abs(evals)))
     root = np.sqrt(np.where(evals >= tol.tol_psd * norm, evals, 0.0))
@@ -230,7 +231,7 @@ def max_lambda(
     if x.size != b.dim:
         raise DimensionMismatchError(f"vector length {x.size} vs matrix dim {b.dim}")
     nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:  # a NaN norm fails this too
         raise ValidationError(f"x must be a unit vector, got norm {nrm}")
     return _certified_max_lambda(x / nrm, b, evals, evecs, tol)
 
@@ -260,10 +261,3 @@ def range_dominates(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
             "range criterion and extremal-lambda feasibility disagree"
         )
     return in_range
-
-
-def quadratic_form(a, x) -> float:
-    """<Ax, x> for Hermitian A (real by construction)."""
-    a = herm_array(a)
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    return float(np.real(np.vdot(x, a @ x)))

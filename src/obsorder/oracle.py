@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import OracleNotAutomorphicError, TransportFailureError, ValidationError
-from .hermitian import HermitianMatrix, symmetrize
+from .hermitian import MAX_DIM, HermitianMatrix, symmetrize
 from .io import (
     c128le_stack_from_dict,
     matrices_to_c128le,
@@ -76,8 +76,8 @@ class OracleHandle:
     """Serial request/response channel to an order-automorphism candidate."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int):
-        if dim < 1:
-            raise ValidationError(f"oracle dimension must be >= 1, got {dim}")
+        if not 1 <= dim <= MAX_DIM:
+            raise ValidationError(f"oracle dimension must be in [1, {MAX_DIM}], got {dim}")
         self._fn = fn
         self.dim = dim
         self.calls = 0
@@ -141,6 +141,7 @@ class SubprocessOracle(OracleHandle):
     """Oracle backed by a child process speaking the stdio JSON protocol."""
 
     def __init__(self, command: list[str], dim: int):
+        super().__init__(self._roundtrip, dim)  # checks dim before the child starts
         argv = list(command) + [str(dim)]
         try:
             self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -154,7 +155,6 @@ class SubprocessOracle(OracleHandle):
         # a child that stops reading must not hold a frame larger than the
         # pipe buffer past the deadline
         os.set_blocking(self._proc.stdin.fileno(), False)
-        super().__init__(self._roundtrip, dim)
 
     def _exit_status(self) -> str:
         try:

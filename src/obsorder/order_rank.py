@@ -3,8 +3,8 @@
 A nonzero PSD matrix has rank 1 exactly when its order interval [0, A] is
 total (any two elements comparable); rank A > n+1 exactly when A dominates a
 rank-n E and a rank->1 F with trivially intersecting ranges. Both detectors
-live here, together with range linear independence and the "acts on a
-subspace" test used by the automorphism analysis.
+live here, together with the trivial-intersection test that checks a rank
+witness.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .hermitian import (
     PsdMatrix,
     as_psd,
     eig,
-    herm_array,
-    projector,
     psd_rank,
     rank_numeric,
     range_basis,
@@ -134,16 +132,6 @@ def check_rank_witness(
     )
 
 
-def _stacked_rank(bases: list[list[np.ndarray]], tol: Tolerances) -> int:
-    cols = [v for basis in bases for v in basis]
-    if not cols:
-        return 0
-    m = np.column_stack(cols)
-    s = np.linalg.svd(m, compute_uv=False)
-    thr = scaled(tol.tol_rank, float(s[0]) if s.size else 0.0)
-    return int(np.count_nonzero(s > thr))
-
-
 def no_common_rank1_minorant(e, f, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """True iff no rank-1 PSD G has G <= E and G <= F, i.e. iff
     rng E and rng F intersect trivially (stacked-basis rank test)."""
@@ -151,38 +139,8 @@ def no_common_rank1_minorant(e, f, tol: Tolerances = DEFAULT_TOLERANCES) -> bool
     f = as_psd(f, tol)
     if e.dim != f.dim:
         raise DimensionMismatchError(f"dimension mismatch: {e.dim} vs {f.dim}")
-    be = range_basis(e, tol)
-    bf = range_basis(f, tol)
-    return _stacked_rank([be, bf], tol) == len(be) + len(bf)
-
-
-def ranges_linearly_independent(
-    mats, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
-    """True iff the spanning vectors of the given rank-1 PSD matrices cannot
-    fit in a subspace of dimension less than their count."""
-    vectors = []
-    for m in mats:
-        m = as_psd(m, tol)
-        basis = range_basis(m, tol)
-        if len(basis) != 1:
-            raise ValidationError("every input must have rank exactly 1")
-        vectors.append(basis[0])
-    return _stacked_rank([vectors], tol) == len(vectors)
-
-
-def acts_on(t, vectors: list[np.ndarray], tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """True iff span(vectors) is invariant under T and T vanishes on its
-    orthogonal complement: ||T - P T P|| <= tol_psd * max(1, ||T||)."""
-    t = as_psd(t, tol)
-    if vectors:
-        v = np.column_stack(vectors)
-        if v.shape[0] != t.dim:
-            raise DimensionMismatchError("subspace vectors have wrong length")
-        gram = v.conj().T @ v
-        if float(np.max(np.abs(gram - np.eye(v.shape[1])))) > 1e-10:
-            raise ValidationError("subspace vectors must be orthonormal")
-    p = projector(vectors, dim=t.dim)
-    resid = t.mat - p @ t.mat @ p
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(herm_array(resid)))))
-    return norm <= tol.tol_psd * max(1.0, t.spectral_norm())
+    cols = range_basis(e, tol) + range_basis(f, tol)
+    if not cols:
+        return True
+    s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    return int(np.count_nonzero(s > scaled(tol.tol_rank, float(s[0])))) == len(cols)

@@ -171,24 +171,24 @@ def complementary(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     return True
 
 
-def local_linear_dependence_scalar(m, tol_rel: float = SCALAR_TOL) -> float | None:
+def local_linear_dependence_scalar(m) -> float | None:
     """lambda when the PSD matrix equals lambda I (eigenvalue spread within
     tolerance), else None."""
     m = as_psd(m)
     evals = np.linalg.eigvalsh(m.mat)
     spread = float(evals[-1] - evals[0])
-    if spread <= tol_rel * max(1.0, float(np.abs(evals).max())):
+    if spread <= SCALAR_TOL * max(1.0, float(np.abs(evals).max())):
         return float(np.mean(evals))
     return None
 
 
-def _scalar_part(x: np.ndarray, tol_rel: float = SCALAR_TOL) -> float | None:
+def _scalar_part(x: np.ndarray) -> float | None:
     """mu when X = mu I within tolerance, else None (X Hermitian, any sign)."""
     d = x.shape[0]
     mu = float(np.real(np.trace(x))) / d
     resid = float(np.linalg.norm(x - mu * np.eye(d), 2))
     norm = float(np.max(np.abs(np.linalg.eigvalsh(x))))
-    if resid <= tol_rel * max(1.0, norm):
+    if resid <= SCALAR_TOL * max(1.0, norm):
         return mu
     return None
 

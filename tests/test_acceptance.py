@@ -45,10 +45,14 @@ from obsorder.generators import (
 from obsorder.harness import bisection_max_lambda, local_scalar
 from obsorder.hermitian import PsdMatrix
 from obsorder.io import dumps, matrix_to_dict
-from obsorder.loewner import quadratic_form
 from obsorder.order_rank import check_rank_witness
 
 from test_cli import AFFINE_ORACLE, CUBE_ORACLE, GOLDEN, IDENTITY_ORACLE, write_matrix
+
+
+def quadratic_form(a, x) -> float:
+    """<Ax, x> for Hermitian A, the witness gap's reference."""
+    return float(np.real(np.vdot(x, np.asarray(a) @ x)))
 
 
 _CAP = None

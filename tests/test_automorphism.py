@@ -19,7 +19,6 @@ from obsorder import (
     check_order_automorphism,
     compose,
     from_automorphism,
-    identity_automorphism,
     invert,
     leq,
     reconstruct,
@@ -51,6 +50,14 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             OrderAutomorphism.create(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "t", [np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0]), np.zeros((0, 0))],
+        ids=["inf", "nan", "empty"],
+    )
+    def test_rejects_invalid_t(self, t):
+        with pytest.raises(ValidationError):
+            OrderAutomorphism.create(t)
+
     def test_x_defaults_to_zero(self):
         phi = OrderAutomorphism.create(np.eye(3))
         np.testing.assert_array_equal(phi.X.mat, np.zeros((3, 3)))
@@ -59,7 +66,7 @@ class TestConstruction:
 class TestApply:
     def test_identity(self, rng):
         a = random_hermitian(rng, 3)
-        np.testing.assert_allclose(apply(identity_automorphism(3), a).mat, a, atol=1e-14)
+        np.testing.assert_allclose(apply(OrderAutomorphism.create(np.eye(3)), a).mat, a, atol=1e-14)
 
     def test_affine_scalar(self):
         phi = OrderAutomorphism.create(np.sqrt(2.0) * np.eye(2), x=np.eye(2))
@@ -96,7 +103,7 @@ class TestApply:
 
 class TestComposeInvert:
     def test_identity_composition(self):
-        e = identity_automorphism(3)
+        e = OrderAutomorphism.create(np.eye(3))
         c = compose(e, e)
         np.testing.assert_allclose(c.T, np.eye(3))
         assert not c.conjugate
@@ -135,7 +142,7 @@ class TestComposeInvert:
 
 class TestReconstruct:
     def test_identity_oracle(self):
-        report = reconstruct(from_automorphism(identity_automorphism(3)))
+        report = reconstruct(from_automorphism(OrderAutomorphism.create(np.eye(3))))
         np.testing.assert_allclose(report.recovered.T, np.eye(3), atol=1e-10)
         np.testing.assert_allclose(report.recovered.X.mat, np.zeros((3, 3)), atol=1e-12)
         assert not report.recovered.conjugate
@@ -303,7 +310,7 @@ class TestReconstruct:
 
 class TestOrderCheck:
     def test_identity_clean(self):
-        report = check_order_automorphism(from_automorphism(identity_automorphism(3)), trials=200)
+        report = check_order_automorphism(from_automorphism(OrderAutomorphism.create(np.eye(3))), trials=200)
         assert report.passed
 
     def test_negation_flagged(self):

@@ -218,6 +218,12 @@ class TestReconstruct:
         code, _, err = run_cli(["reconstruct", "--oracle", "", "--dim", "2"], capsys)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("dim", ["0", "65"])
+    def test_dim_checked_before_spawn(self, dim, capsys):
+        # a spawn would fail (exit 4), so exit 2 shows that the check comes first
+        code, _, err = run_cli(["reconstruct", "--oracle", "/nonexistent", "--dim", dim], capsys)
+        assert code == 2 and "error:" in err
+
 
 class TestPreserver:
     def test_affine_scalar_preserves(self, files, capsys):
@@ -271,3 +277,8 @@ class TestVerify:
     def test_bad_dims(self, capsys):
         code, _, err = run_cli(["verify", "thm1", "--dims", "2,x"], capsys)
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("argv", [["--dims", ""], ["--trials", "0"]], ids=["no_dims", "no_trials"])
+    def test_nothing_to_run(self, argv, capsys):
+        code, out, err = run_cli(["verify", "thm1", *argv], capsys)
+        assert code == 2 and "error:" in err and out == ""

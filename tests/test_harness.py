@@ -2,62 +2,60 @@ import numpy as np
 import pytest
 
 from obsorder import OrderAutomorphism, ValidationError, max_lambda, rank_numeric
-from obsorder.generators import GeneratorSpec, Kind, generate
+from obsorder.generators import (
+    random_automorphism,
+    random_hermitian,
+    random_invertible,
+    random_psd,
+    random_unitary,
+)
 from obsorder.harness import SUITE_NAMES, bisection_max_lambda, replay_trial, run_suite
 
 
 class TestGenerators:
     def test_deterministic(self):
-        spec = GeneratorSpec(dim=4, kind=Kind.HERMITIAN, seed=11)
-        a = generate(spec)
-        b = generate(spec)
+        a = random_hermitian(np.random.default_rng(11), 4)
+        b = random_hermitian(np.random.default_rng(11), 4)
         np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_output(self):
-        a = generate(GeneratorSpec(dim=4, kind=Kind.HERMITIAN, seed=1))
-        b = generate(GeneratorSpec(dim=4, kind=Kind.HERMITIAN, seed=2))
+        a = random_hermitian(np.random.default_rng(1), 4)
+        b = random_hermitian(np.random.default_rng(2), 4)
         assert np.max(np.abs(a - b)) > 1e-3
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_psd_rank_exact(self, rank):
         for seed in range(10):
-            m = generate(GeneratorSpec(dim=4, kind=Kind.PSD_RANK, rank=rank, seed=seed))
+            m = random_psd(np.random.default_rng(seed), 4, rank)
             assert rank_numeric(m) == rank
             assert np.linalg.eigvalsh(m)[0] >= -1e-12
 
     def test_psd_rank_requires_rank(self):
+        # a rank above the dimension is never drawn
         with pytest.raises(ValidationError):
-            generate(GeneratorSpec(dim=3, kind=Kind.PSD_RANK))
+            random_psd(np.random.default_rng(0), 3, 4)
 
     def test_rank_one(self):
-        m = generate(GeneratorSpec(dim=5, kind=Kind.RANK_ONE, seed=3))
+        m = random_psd(np.random.default_rng(3), 5, 1)
         assert rank_numeric(m) == 1
         lam = np.linalg.eigvalsh(m)[-1]
         assert 0.5 <= lam <= 2.0
 
     def test_unitary_residual(self):
         for seed in range(20):
-            u = generate(GeneratorSpec(dim=5, kind=Kind.UNITARY, seed=seed))
+            u = random_unitary(np.random.default_rng(seed), 5)
             assert np.linalg.norm(u.conj().T @ u - np.eye(5), 2) <= 1e-12
 
     def test_invertible_condition(self):
         for seed in range(20):
-            t = generate(GeneratorSpec(dim=6, kind=Kind.INVERTIBLE, seed=seed))
+            t = random_invertible(np.random.default_rng(seed), 6)
             s = np.linalg.svd(t, compute_uv=False)
             assert s[0] / s[-1] <= 1e4
 
     def test_automorphism(self):
-        phi = generate(GeneratorSpec(dim=3, kind=Kind.AUTOMORPHISM, seed=9))
+        phi = random_automorphism(np.random.default_rng(9), 3)
         assert isinstance(phi, OrderAutomorphism)
         assert phi.T.shape == (3, 3)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValidationError):
-            GeneratorSpec(dim=0, kind=Kind.HERMITIAN)
-        with pytest.raises(ValidationError):
-            GeneratorSpec(dim=3, kind=Kind.PSD_RANK, rank=4)
-        with pytest.raises(ValidationError):
-            GeneratorSpec(dim=3, kind=Kind.PSD, spectrum_range=(0.0, 1.0))
 
 
 class TestBisectionOracle:

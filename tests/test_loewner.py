@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,12 @@ from obsorder.generators import (
 )
 from obsorder.harness import bisection_max_lambda
 from obsorder.hermitian import herm_array
-from obsorder.loewner import quadratic_form
 from obsorder.tolerances import DEFAULT_TOLERANCES
+
+
+def quadratic_form(a, x) -> float:
+    """<Ax, x> for Hermitian A, the witness gap's reference."""
+    return float(np.real(np.vdot(x, np.asarray(a) @ x)))
 
 
 class TestLeq:
@@ -127,6 +133,12 @@ class TestMaxLambda:
     def test_rejects_non_unit(self):
         with pytest.raises(ValidationError):
             max_lambda(np.array([2.0, 0.0]), PsdMatrix.from_hermitian(np.eye(2)))
+
+    def test_rejects_nan_x_as_non_unit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="unit vector"):
+                max_lambda(np.array([np.nan, 0.0]), PsdMatrix.from_hermitian(np.eye(2)))
 
 
 class TestRangeDominates:
@@ -313,9 +325,9 @@ class TestLeanMaxLambda:
                     assert range_dominates(a, b) is inside
 
     def test_tiny_norm_range_uses_the_rank_cut(self):
-        # at ||B|| = 1e-10 the eigenvalue 1e-18 clears the sqrt_psd clamp
-        # (tol_psd * ||B|| = 1e-19) but its root 1e-9 fails the pinv cut
-        # tol_rank * max(sqrt ||B||, 1) = 1e-8, so it lies outside rng B
+        # at ||B|| = 1e-10 the eigenvalue 1e-18 clears the PSD cut
+        # (tol_psd * ||B|| = 1e-19) but its root 1e-9 fails the rank cut of
+        # sqrt B, tol_rank * max(sqrt ||B||, 1) = 1e-8, so it lies outside rng B
         b = 1e-10 * np.diag([1.0, 1e-8])
         assert max_lambda(np.array([0.0, 1.0]), b) is None
         assert max_lambda(np.array([1.0, 0.0]), b) == pytest.approx(1e-10, rel=1e-12)

@@ -5,13 +5,11 @@ from obsorder import (
     InternalInconsistencyError,
     PsdMatrix,
     ValidationError,
-    acts_on,
     is_rank_one_by_order,
     leq,
     no_common_rank1_minorant,
     rank_gt_np1_witness,
     rank_numeric,
-    ranges_linearly_independent,
 )
 from obsorder.generators import random_psd, random_unit
 from obsorder.hermitian import as_psd, psd_rank
@@ -159,66 +157,3 @@ class TestNoCommonRank1Minorant:
                     break
             if found:
                 assert not got
-
-
-class TestRangesLinearlyIndependent:
-    def test_basics(self, rng):
-        e1 = np.diag([1.0, 0.0])
-        e2 = np.diag([0.0, 1.0])
-        assert ranges_linearly_independent([psd(e1), psd(e2)])
-        assert not ranges_linearly_independent([psd(e1), psd(e1)])
-        xs = [random_unit(rng, 5) for _ in range(4)]
-        mats = [psd(np.outer(x, x.conj())) for x in xs]
-        assert ranges_linearly_independent(mats)
-
-    def test_rank_precondition(self):
-        with pytest.raises(ValidationError):
-            ranges_linearly_independent([psd(np.eye(2))])
-
-
-class TestActsOn:
-    def test_diagonal_cases(self):
-        e = np.eye(3)
-        assert acts_on(psd(np.diag([1.0, 2.0, 0.0])), [e[:, 0], e[:, 1]])
-        assert not acts_on(psd(np.diag([1.0, 0.0, 2.0])), [e[:, 0], e[:, 1]])
-
-    def test_compressed_construction(self, rng):
-        d = 5
-        g = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
-        q, _ = np.linalg.qr(g)
-        basis = [q[:, j] for j in range(3)]
-        p = q @ q.conj().T
-        r = random_psd(rng, d, d)
-        t = p @ r @ p
-        assert acts_on(psd((t + t.conj().T) / 2), basis)
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValidationError):
-            acts_on(psd(np.eye(2)), [np.array([1.0, 1.0])])
-
-    def test_order_characterization(self, rng):
-        # T acts on span(M) iff no rank-1 A <= T has its direction outside
-        # span(M); search candidates among T's own spectral directions
-        for _ in range(20):
-            d = 5
-            k = int(rng.integers(1, 4))
-            g = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
-            q, _ = np.linalg.qr(g)
-            basis = [q[:, j] for j in range(k)]
-            p = q @ q.conj().T
-            r = random_psd(rng, d, d)
-            if rng.integers(0, 2):
-                t = p @ r @ p
-            else:
-                t = r  # full-rank, does not act on the k-dim subspace
-            t = (t + t.conj().T) / 2
-            inside = acts_on(psd(t), basis)
-            evals, evecs = np.linalg.eigh(t)
-            escape = False
-            for j in range(d):
-                if evals[j] > 1e-8:
-                    x = evecs[:, j]
-                    outside = x - p @ x
-                    if np.linalg.norm(outside) > 1e-6:
-                        escape = True
-            assert inside == (not escape)

@@ -1,9 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "obsorder"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "obsorder"
 
 
 def test_no_assert_statements():
@@ -20,3 +23,13 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, "assert statements in the package: " + ", ".join(found)
+
+
+def test_benchmark_selfcheck_passes():
+    # the benchmark calls the public API by name; a deleted or renamed name
+    # it relies on fails here rather than in a benchmark run
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "selfcheck.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
