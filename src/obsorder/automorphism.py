@@ -60,7 +60,7 @@ class OrderAutomorphism:
         cls, t, conjugate: bool = False, x=None, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> "OrderAutomorphism":
         t, _ = _check_square_finite(t)
-        t = np.ascontiguousarray(t)
+        t = np.array(t, order="C")  # a copy: the caller's array stays writable
         s = np.linalg.svd(t, compute_uv=False)
         if not float(s[-1]) > tol.tol_rank * float(s[0]):  # a NaN fails this too
             raise ValidationError(

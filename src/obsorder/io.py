@@ -1,4 +1,4 @@
-"""JSON wire formats.
+"""Wire formats: matrix JSON, and the raw stack payload of the oracle pipe.
 
 Matrix format (shared by every module and the CLI):
 
@@ -13,14 +13,17 @@ float64), so the payload is exactly 16 * d * d bytes before base64. The
 decimal form stays the only one written to files, CLI output and golden
 files.
 
-The oracle pipe also carries stacks of n >= 1 matrices in one frame,
+The oracle pipe also carries stacks of n >= 1 matrices, as raw bytes after
+a JSON header line (see ``obsorder.oracle``). The header's matrix object is
 
-    {"dim": d, "count": n, "c128le": "<base64 of the n*d*d entries>"}
+    {"dim": d, "count": n, "bytes": 16 * n * d * d}
 
-whose payload is exactly 16 * n * d * d bytes, matrix after matrix. Only
-``matrices_to_c128le`` and ``c128le_stack_from_dict`` read or write this
-form; the single-matrix readers reject a dict carrying ``count``, so files
-and CLI input cannot hold stacks.
+and exactly that many bytes follow the newline: the n*d*d entries as
+little-endian complex128, matrix after matrix, each row-major. A stack is
+not JSON, so files and CLI input cannot hold one; the single-matrix
+readers reject a dict carrying ``count``. ``stack_frame`` writes a header
+and its payload, ``stack_shape`` checks a header and ``stack_from_bytes``
+reads a payload.
 
 Vectors are a single list of ``[re, im]`` pairs. Automorphism files are
 ``{"T": <matrix>, "conjugate": bool, "X": <matrix>}`` where ``T`` may be an
@@ -48,11 +51,12 @@ from .hermitian import MAX_DIM, HermitianMatrix
 __all__ = [
     "matrix_to_dict",
     "matrix_to_c128le",
-    "matrices_to_c128le",
     "matrix_frame_from_dict",
     "hermitian_from_dict",
     "complex_matrix_from_dict",
-    "c128le_stack_from_dict",
+    "stack_frame",
+    "stack_shape",
+    "stack_from_bytes",
     "vector_to_list",
     "vector_from_list",
     "dumps",
@@ -80,26 +84,19 @@ def matrix_to_c128le(arr: np.ndarray) -> dict:
     return {"dim": int(arr.shape[0]), "c128le": payload}
 
 
-def matrices_to_c128le(stack) -> dict:
-    """Stack frame of the oracle pipe: n same-size matrices in one payload."""
-    arr = np.asarray(stack, dtype=_C128LE)
-    payload = base64.b64encode(arr.tobytes()).decode("ascii")
-    return {"dim": int(arr.shape[1]), "count": int(arr.shape[0]), "c128le": payload}
-
-
-def _c128le_decode(payload, n: int, d: int, what: str) -> np.ndarray:
-    """The (n, d, d) entries of a c128le payload; entries are not checked."""
+def _c128le_decode(payload, d: int) -> np.ndarray:
+    """The d x d entries of a c128le payload; entries are not checked."""
     if not isinstance(payload, str):
         raise ValidationError("c128le payload must be a base64 string")
     try:
         raw = base64.b64decode(payload, validate=True)
     except (binascii.Error, ValueError) as exc:
         raise ValidationError(f"c128le payload is not valid base64: {exc}") from exc
-    if len(raw) != 16 * n * d * d:
+    if len(raw) != 16 * d * d:
         raise ValidationError(
-            f"c128le payload has {len(raw)} bytes, expected {16 * n * d * d} for {what}"
+            f"c128le payload has {len(raw)} bytes, expected {16 * d * d} for dim {d}"
         )
-    return np.frombuffer(raw, dtype=_C128LE).reshape(n, d, d).astype(np.complex128)
+    return stack_from_bytes(raw, 1, d)[0]
 
 
 def _checked_dim(obj) -> int:
@@ -109,17 +106,41 @@ def _checked_dim(obj) -> int:
     return d
 
 
-def c128le_stack_from_dict(obj: dict) -> np.ndarray:
-    """The (n, d, d) complex array of a stack frame. Checks the frame (dim,
-    count >= 1, strict base64, exactly 16*n*d*d bytes), not the entries:
-    each matrix goes through ``HermitianMatrix.from_array`` on its own."""
-    if not isinstance(obj, dict) or not {"dim", "count", "c128le"} <= obj.keys():
-        raise ValidationError("matrix stack JSON must have 'dim', 'count' and 'c128le'")
+def stack_shape(obj: dict) -> tuple[int, int]:
+    """The (count, dim) of a stack header. Checks that dim is in range,
+    count is an integer >= 1 and bytes is exactly 16*count*dim*dim; the
+    payload is read by ``stack_from_bytes``."""
+    if not isinstance(obj, dict) or not {"dim", "count", "bytes"} <= obj.keys():
+        raise ValidationError("matrix stack header must have 'dim', 'count' and 'bytes'")
     d = _checked_dim(obj)
     n = obj["count"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"matrix stack count must be an integer >= 1, got {n!r}")
-    return _c128le_decode(obj["c128le"], n, d, f"{n} matrices of dim {d}")
+    size = obj["bytes"]
+    if not isinstance(size, int) or isinstance(size, bool) or size != 16 * n * d * d:
+        raise ValidationError(
+            f"matrix stack header gives {size!r} bytes, expected {16 * n * d * d}"
+            f" for {n} matrices of dim {d}"
+        )
+    return n, d
+
+
+def stack_frame(stack) -> tuple[dict, bytes]:
+    """The header matrix object and the payload of an (n, d, d) stack."""
+    arr = np.ascontiguousarray(stack, dtype=_C128LE)
+    n, d = arr.shape[0], arr.shape[1]
+    return {"dim": d, "count": n, "bytes": arr.nbytes}, arr.tobytes()
+
+
+def stack_from_bytes(raw, n: int, d: int) -> np.ndarray:
+    """The (n, d, d) complex array of a payload of exactly 16*n*d*d bytes;
+    entries are not checked: each matrix goes through
+    ``HermitianMatrix.from_array`` on its own."""
+    if len(raw) != 16 * n * d * d:
+        raise ValidationError(
+            f"matrix stack payload has {len(raw)} bytes, expected {16 * n * d * d}"
+        )
+    return np.frombuffer(raw, dtype=_C128LE).reshape(n, d, d).astype(np.complex128)
 
 
 def matrix_frame_from_dict(obj: dict) -> np.ndarray:
@@ -133,7 +154,7 @@ def matrix_frame_from_dict(obj: dict) -> np.ndarray:
         raise ValidationError("a matrix stack ('count') is read only on the oracle pipe")
     d = _checked_dim(obj)
     if "c128le" in obj:
-        return _c128le_decode(obj["c128le"], 1, d, f"dim {d}")[0]
+        return _c128le_decode(obj["c128le"], d)
     rows = obj["entries"]
     out = np.empty((d, d), dtype=np.complex128)
     try:

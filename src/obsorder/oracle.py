@@ -2,7 +2,8 @@
 
 An oracle maps Hermitian matrices to Hermitian matrices of the same
 dimension. Two transports are supported: an in-process callable and a
-subprocess speaking newline-delimited JSON on stdin/stdout:
+subprocess speaking JSON lines (with raw bytes after a stack header, see
+below) on stdin/stdout:
 
     request:  {"id": k, "matrix": <matrix JSON>[, "accept": ["c128le"]]}
     response: {"id": k, "matrix": <matrix JSON>[, "accept": [...]]}
@@ -18,21 +19,29 @@ requests from then on. A child that replies in c128le when asked (as the
 demo oracles do) saves the decimal codec on both sides of the pipe; a child
 that only speaks decimal never sees a c128le request.
 
-A child whose reply to an ``accept`` request lists ``"batch"`` under its own
-``accept`` (the demo oracles list ``["c128le", "batch"]``) also takes stack
-frames, ``{"id": k, "matrix": {"dim": d, "count": n, "c128le": ...}}``, and
-answers each with a stack frame of the n images in order. ``query_many``
-then sends every probe in stack frames, as many per frame as fit in
-``FRAME_BUDGET_BYTES`` of raw matrix bytes. A reply whose frame is at fault
-(no ``matrix``, a bad form or payload, a wrong ``count`` or id) is a
-``TransportFailureError``; a matrix whose entries are non-finite or not
-Hermitian is an ``OracleNotAutomorphicError``. Both rules and every check
-are the same for single and stack frames.
+A child whose reply to an ``accept`` request lists ``"raw-stack"`` under
+its own ``accept`` (the demo oracles list ``["c128le", "raw-stack"]``)
+gets stack frames from then on, for ``query`` and ``query_many`` alike. A
+stack frame is one JSON header line followed by raw bytes:
 
-Each request must be taken and answered within ``RESPONSE_TIMEOUT_S``;
-otherwise the child is killed and the query fails with
-``TransportFailureError``. The waits use ``select`` on the child's pipes,
-so this transport needs a POSIX system.
+    {"id": k, "matrix": {"dim": d, "count": n, "bytes": 16 * n * d * d}}
+    <the n matrices as little-endian complex128, each row-major>
+
+The child answers with a stack frame of the n images, in order, in the
+same form. ``query_many`` puts as many probes in a frame as fit in
+``FRAME_BUDGET_BYTES`` of payload; ``query`` sends a stack of one. A child
+that does not offer ``"raw-stack"`` keeps getting single JSON frames.
+
+A reply whose frame is at fault (no ``matrix``, a bad form or payload; an
+id, ``dim``, ``count`` or ``bytes`` other than the request's; the end of
+the stream inside a payload) is a ``TransportFailureError``; a matrix whose
+entries are non-finite or not Hermitian is an ``OracleNotAutomorphicError``.
+Both rules are the same for single and stack frames.
+
+Each request must be taken and answered, the reply's payload included,
+within ``RESPONSE_TIMEOUT_S``; otherwise the child is killed and the query
+fails with ``TransportFailureError``. The waits use ``select`` on the
+child's pipes, so this transport needs a POSIX system.
 """
 
 from __future__ import annotations
@@ -51,11 +60,12 @@ import numpy as np
 from .errors import OracleNotAutomorphicError, TransportFailureError, ValidationError
 from .hermitian import MAX_DIM, HermitianMatrix, symmetrize
 from .io import (
-    c128le_stack_from_dict,
-    matrices_to_c128le,
     matrix_frame_from_dict,
     matrix_to_c128le,
     matrix_to_dict,
+    stack_frame,
+    stack_from_bytes,
+    stack_shape,
 )
 
 # how long a child that closed its output gets to exit before it is reported
@@ -65,10 +75,16 @@ EXIT_WAIT_S = 1.0
 # how long a child gets to take and answer one frame before it is killed
 RESPONSE_TIMEOUT_S = 60.0
 
+# the token of a child that takes stack frames
+RAW_STACK = "raw-stack"
+
 # raw matrix bytes (16 per entry) per stack frame: the whole reconstruction
-# plan at d <= 8, 4 probes at d = 32, one at d = 64. Every frame is copied
-# several times in transient memory on both sides of the pipe, so a larger
-# budget raises peak memory without saving further hand-overs.
+# plan at d <= 8, 4 probes at d = 32, one at d = 64. Measured with raw frames
+# (reconstruct over the demo affine child, one CPU of a shared 2-vCPU VM,
+# 60 calls per setting, two runs): at d = 64 a 256 KiB budget moved the best
+# call from 18-19 to 17 ms and left the median (19-23 ms) within run-to-run
+# noise; the whole plan in one 2 MiB frame saved nothing (best 20-21 ms) and
+# raised peak RSS by ~6 MB in the parent and ~8 MB in the child.
 FRAME_BUDGET_BYTES = 64 * 1024
 
 
@@ -138,7 +154,7 @@ def from_automorphism(phi) -> OracleHandle:
 
 
 class SubprocessOracle(OracleHandle):
-    """Oracle backed by a child process speaking the stdio JSON protocol."""
+    """Oracle backed by a child process speaking the stdio protocol above."""
 
     def __init__(self, command: list[str], dim: int):
         super().__init__(self._roundtrip, dim)  # checks dim before the child starts
@@ -149,7 +165,7 @@ class SubprocessOracle(OracleHandle):
             raise TransportFailureError(f"failed to launch oracle: {exc}") from exc
         self._next_id = 0
         self._binary = False  # set by the first c128le response
-        self._batch = False  # set by a response whose accept lists "batch"
+        self._raw = False  # set by a response whose accept lists RAW_STACK
         self._per_frame = max(1, FRAME_BUDGET_BYTES // (16 * dim * dim))
         self._pending = bytearray()  # bytes read from the child past the last line
         # a child that stops reading must not hold a frame larger than the
@@ -200,17 +216,38 @@ class SubprocessOracle(OracleHandle):
         del self._pending[: end + 1]
         return line
 
-    def _exchange(self, body: dict, decode) -> tuple[dict, np.ndarray]:
-        """Write one request frame; return its reply object, id checked, and
-        the reply matrix read by ``decode``, frame checked. Both must be done
-        within RESPONSE_TIMEOUT_S. A fault of the frame is a transport
-        failure; the entries are left to ``_image``."""
+    def _read_exact(self, n: int, deadline: float) -> bytearray:
+        # the payload after a reply line; _readline may have read some of it
+        fd = self._proc.stdout.fileno()
+        data = self._pending[:n]
+        del self._pending[:n]
+        while len(data) < n:
+            self._wait(deadline, read=[fd])
+            try:
+                chunk = os.read(fd, n - len(data))
+            except OSError as exc:
+                raise TransportFailureError(
+                    f"oracle I/O failed: {exc} ({self._exit_status()})"
+                ) from exc
+            if not chunk:
+                raise TransportFailureError(
+                    f"oracle closed its output stream after {len(data)} of {n} payload "
+                    f"bytes ({self._exit_status()})"
+                )
+            data += chunk
+        return data
+
+    def _exchange(self, body: dict, payload: bytes = b"") -> tuple[dict, float]:
+        """Write one request frame, a JSON line and then ``payload``; return
+        the reply object, id checked, and the frame's deadline, by which any
+        payload after the reply line must be read too. A fault of the frame
+        is a transport failure; the entries are left to ``_image``."""
         k = self._next_id
         self._next_id += 1
-        request = json.dumps({"id": k, **body}) + "\n"
+        request = (json.dumps({"id": k, **body}) + "\n").encode("ascii")
         deadline = time.monotonic() + RESPONSE_TIMEOUT_S
         try:
-            self._write(request.encode("ascii"), deadline)
+            self._write(request + payload, deadline)
             line = self._readline(deadline)
         except (OSError, ValueError) as exc:
             raise TransportFailureError(
@@ -230,10 +267,7 @@ class SubprocessOracle(OracleHandle):
             raise TransportFailureError(
                 f"out-of-order oracle response: expected id {k}, got {obj.get('id')}"
             )
-        try:
-            return obj, decode(obj["matrix"])
-        except (KeyError, ValidationError) as exc:
-            raise TransportFailureError(f"malformed oracle response: {exc}") from exc
+        return obj, deadline
 
     def _image(self, out) -> np.ndarray:
         # the entry check of io.hermitian_from_dict; its result is finite and
@@ -248,27 +282,36 @@ class SubprocessOracle(OracleHandle):
         return out
 
     def _roundtrip(self, a: np.ndarray) -> np.ndarray:
+        if self._raw:
+            return self._exchange_stack(a[None])[0]
         if self._binary:
             body = {"matrix": matrix_to_c128le(a)}
         else:
             body = {"matrix": matrix_to_dict(a), "accept": ["c128le"]}
-        obj, out = self._exchange(body, matrix_frame_from_dict)
+        obj, _ = self._exchange(body)
+        try:
+            out = matrix_frame_from_dict(obj["matrix"])
+        except (KeyError, ValidationError) as exc:
+            raise TransportFailureError(f"malformed oracle response: {exc}") from exc
         self._binary = self._binary or "c128le" in obj["matrix"]
         accept = obj.get("accept")
-        if self._binary and isinstance(accept, list) and "batch" in accept:
-            self._batch = True
+        self._raw = isinstance(accept, list) and RAW_STACK in accept
         return out
 
-    def _query_stack(self, probes: list[np.ndarray]) -> Iterator[np.ndarray]:
-        stack = [self._probe(a) for a in probes]
-        self.calls += len(stack)
-        _, out = self._exchange({"matrix": matrices_to_c128le(stack)}, c128le_stack_from_dict)
-        if len(out) != len(stack):
-            raise TransportFailureError(
-                f"oracle stack response has {len(out)} matrices, expected {len(stack)}"
-            )
-        for m in out:
-            yield self._image(m)
+    def _exchange_stack(self, stack: np.ndarray) -> np.ndarray:
+        """The (n, d, d) reply to a stack frame of ``stack``, frame checked."""
+        n, d = len(stack), self.dim
+        header, payload = stack_frame(stack)
+        obj, deadline = self._exchange({"matrix": header}, payload)
+        try:
+            count, dim = stack_shape(obj["matrix"])
+        except (KeyError, ValidationError) as exc:
+            raise TransportFailureError(f"malformed oracle response: {exc}") from exc
+        if dim != d:
+            raise TransportFailureError(f"oracle stack response has dim {dim}, expected {d}")
+        if count != n:
+            raise TransportFailureError(f"oracle stack response has {count} matrices, expected {n}")
+        return stack_from_bytes(self._read_exact(len(payload), deadline), n, d)
 
     def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         """The answers to ``probes``, in order. Until the child has offered
@@ -276,13 +319,15 @@ class SubprocessOracle(OracleHandle):
         ``FRAME_BUDGET_BYTES`` at a time, so up to one frame of probes is
         sent before the answers ahead of it are taken."""
         probes = iter(probes)
-        while not self._batch:
+        while not self._raw:
             a = next(probes, None)
             if a is None:
                 return
             yield self.query(a)
-        while chunk := list(itertools.islice(probes, self._per_frame)):
-            yield from self._query_stack(chunk)
+        while chunk := [self._probe(a) for a in itertools.islice(probes, self._per_frame)]:
+            self.calls += len(chunk)
+            for m in self._exchange_stack(np.stack(chunk)):
+                yield self._image(m)
 
     def close(self) -> None:
         if self._proc.poll() is None:
