@@ -9,10 +9,12 @@ the decimal form. A reply to a request carrying "accept" lists
 stack frames, a JSON header line ``{"id": k, "matrix": {"dim": d,
 "count": n, "bytes": 16*n*d*d}}`` followed by that many raw bytes (see
 ``obsorder.io``), and answers each with a stack frame of its n images, in
-order. Each matrix of a stack passes the checks of
-``io.hermitian_from_dict``, and ``fn`` is applied to one matrix at a time,
-so it need not handle stacks. A stack whose payload ends early raises
-``ValidationError``.
+order. A stack is checked once, as one (n, d, d) array, by the rule of
+``io.hermitian_from_dict`` (finite entries, relative asymmetry at most
+``hermitian.ASYMMETRY_LIMIT``); the first matrix that fails raises that
+reader's ``ValidationError``. ``fn`` is applied to one symmetrized matrix
+at a time, so it need not handle stacks. A stack whose payload ends early
+raises ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..hermitian import HermitianMatrix
+from ..hermitian import HermitianMatrix, _hermitian_stack
 from ..io import (
     hermitian_from_dict,
     matrix_to_c128le,
@@ -47,7 +49,10 @@ def serve(fn: Callable[[np.ndarray], np.ndarray]) -> None:
         if "count" in matrix:
             n, d = stack_shape(matrix)
             stack = stack_from_bytes(stdin.read(matrix["bytes"]), n, d)
-            out, payload = stack_frame([fn(HermitianMatrix.from_array(a).mat) for a in stack])
+            good, k = _hermitian_stack(stack)
+            # the first bad matrix raises from_array's error
+            checked = [*good, *(HermitianMatrix.from_array(a).mat for a in stack[k:])]
+            out, payload = stack_frame([fn(a) for a in checked])
         else:
             a = hermitian_from_dict(matrix).mat
             binary = "c128le" in matrix or "c128le" in request.get("accept", [])

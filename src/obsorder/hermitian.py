@@ -45,10 +45,43 @@ def _check_square_finite(arr: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """``(M + M*)/2``, halved before the sum so that finite entries above
-    half the float range cannot overflow it."""
+    """``(M + M*)/2`` over the last two axes, halved before the sum so that
+    finite entries above half the float range cannot overflow it."""
     h = 0.5 * m
-    return h + h.conj().T
+    return h + h.conj().swapaxes(-1, -2)
+
+
+def _leading(ok: np.ndarray) -> int:
+    """How many leading entries of the boolean ``ok`` are True."""
+    return len(ok) if ok.all() else int(ok.argmin())
+
+
+def _sum_squares(m: np.ndarray) -> np.ndarray:
+    """The squared Frobenius norm of each matrix of a complex (n, d, d) stack."""
+    f = m.view(np.float64)
+    return np.einsum("ijk,ijk->i", f, f)
+
+
+def _hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, int]:
+    """``HermitianMatrix.from_array``'s rule applied to every matrix of a
+    complex128 (n, d, d) stack in a fixed number of numpy calls: a finite
+    peak, then relative asymmetry at most ``ASYMMETRY_LIMIT`` on M / s with
+    s = max(peak, 1). Returns the symmetrized matrices ahead of the first
+    that fails, read-only, and their count. The norms are summed in another
+    order than ``from_array``'s, so within rounding of the limit the two
+    may decide differently."""
+    peak = np.abs(stack).max(axis=(1, 2))
+    k = _leading(np.isfinite(peak))
+    stack = stack[:k]
+    s = np.maximum(peak[:k], 1.0)
+    unit = stack * (1.0 / s)[:, None, None]
+    asym2 = _sum_squares(unit - unit.conj().swapaxes(1, 2))
+    # squares of rel = asym / max(||unit||, 1/s); both norms are of entries
+    # at most 1 in modulus, so nothing overflows
+    k = _leading(asym2 <= ASYMMETRY_LIMIT**2 * np.maximum(_sum_squares(unit), s**-2))
+    out = symmetrize(stack[:k])
+    out.flags.writeable = False
+    return out, k
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,15 @@ that does not offer ``"raw-stack"`` keeps getting single JSON frames.
 
 A reply whose frame is at fault (no ``matrix``, a bad form or payload; an
 id, ``dim``, ``count`` or ``bytes`` other than the request's; the end of
-the stream inside a payload) is a ``TransportFailureError``; a matrix whose
-entries are non-finite or not Hermitian is an ``OracleNotAutomorphicError``.
-Both rules are the same for single and stack frames.
+the stream inside a payload) is a ``TransportFailureError``, and the child
+is killed, since the rest of its reply would be read as the next one; every
+later query then fails with the child's exit status. A matrix whose entries
+are non-finite or not Hermitian is an ``OracleNotAutomorphicError`` and
+leaves the stream in step. Both rules are the same for single and stack
+frames. Every reply matrix is checked by the rule of
+``io.hermitian_from_dict`` (finite entries, relative asymmetry at most
+``hermitian.ASYMMETRY_LIMIT``): a stack reply once per frame, as one
+(n, d, d) array, with the images ahead of a bad matrix still yielded.
 
 Each request must be taken and answered, the reply's payload included,
 within ``RESPONSE_TIMEOUT_S``; otherwise the child is killed and the query
@@ -58,7 +64,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import OracleNotAutomorphicError, TransportFailureError, ValidationError
-from .hermitian import MAX_DIM, HermitianMatrix, symmetrize
+from .hermitian import MAX_DIM, HermitianMatrix, _hermitian_stack, symmetrize
 from .io import (
     matrix_frame_from_dict,
     matrix_to_c128le,
@@ -179,6 +185,15 @@ class SubprocessOracle(OracleHandle):
             return f"child still running after {EXIT_WAIT_S:g} s"
         return f"child exit status {code}"  # -N: killed by signal N
 
+    def _fault(self, message: str) -> TransportFailureError:
+        """The error of a frame fault. The rest of the reply may still be in
+        the pipe, where the next query would read it as its own, so the
+        child is killed: every later query fails on the dead pipe."""
+        self._proc.kill()
+        self._proc.wait()
+        self._pending.clear()
+        return TransportFailureError(message)
+
     def _wait(self, deadline: float, read=(), write=()) -> None:
         """Block until a pipe is ready; past the deadline, kill the child."""
         left = deadline - time.monotonic()
@@ -226,11 +241,9 @@ class SubprocessOracle(OracleHandle):
             try:
                 chunk = os.read(fd, n - len(data))
             except OSError as exc:
-                raise TransportFailureError(
-                    f"oracle I/O failed: {exc} ({self._exit_status()})"
-                ) from exc
+                raise self._fault(f"oracle I/O failed: {exc} ({self._exit_status()})") from exc
             if not chunk:
-                raise TransportFailureError(
+                raise self._fault(
                     f"oracle closed its output stream after {len(data)} of {n} payload "
                     f"bytes ({self._exit_status()})"
                 )
@@ -250,36 +263,30 @@ class SubprocessOracle(OracleHandle):
             self._write(request + payload, deadline)
             line = self._readline(deadline)
         except (OSError, ValueError) as exc:
-            raise TransportFailureError(
-                f"oracle I/O failed: {exc} ({self._exit_status()})"
-            ) from exc
+            raise self._fault(f"oracle I/O failed: {exc} ({self._exit_status()})") from exc
         if not line:
-            raise TransportFailureError(
-                f"oracle closed its output stream ({self._exit_status()})"
-            )
+            raise self._fault(f"oracle closed its output stream ({self._exit_status()})")
         try:
             obj = json.loads(line)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise TransportFailureError(f"malformed oracle response: {exc}") from exc
+            raise self._fault(f"malformed oracle response: {exc}") from exc
         if not isinstance(obj, dict):
-            raise TransportFailureError("malformed oracle response: not a JSON object")
+            raise self._fault("malformed oracle response: not a JSON object")
         if obj.get("id") != k:
-            raise TransportFailureError(
+            raise self._fault(
                 f"out-of-order oracle response: expected id {k}, got {obj.get('id')}"
             )
         return obj, deadline
 
     def _image(self, out) -> np.ndarray:
-        # the entry check of io.hermitian_from_dict; its result is finite and
-        # exactly Hermitian, so only the shape is left to check
+        # the entry check of io.hermitian_from_dict on a d x d reply; its
+        # result is finite and exactly Hermitian
         try:
-            out = HermitianMatrix.from_array(out).mat
+            return HermitianMatrix.from_array(out).mat
         except ValidationError as exc:
             raise OracleNotAutomorphicError(
                 f"oracle response is not a valid Hermitian matrix: {exc}"
             ) from exc
-        self._check_shape(out)
-        return out
 
     def _roundtrip(self, a: np.ndarray) -> np.ndarray:
         if self._raw:
@@ -292,7 +299,11 @@ class SubprocessOracle(OracleHandle):
         try:
             out = matrix_frame_from_dict(obj["matrix"])
         except (KeyError, ValidationError) as exc:
-            raise TransportFailureError(f"malformed oracle response: {exc}") from exc
+            raise self._fault(f"malformed oracle response: {exc}") from exc
+        if out.shape != (self.dim, self.dim):
+            raise self._fault(
+                f"oracle returned shape {out.shape}, expected ({self.dim}, {self.dim})"
+            )
         self._binary = self._binary or "c128le" in obj["matrix"]
         accept = obj.get("accept")
         self._raw = isinstance(accept, list) and RAW_STACK in accept
@@ -306,11 +317,11 @@ class SubprocessOracle(OracleHandle):
         try:
             count, dim = stack_shape(obj["matrix"])
         except (KeyError, ValidationError) as exc:
-            raise TransportFailureError(f"malformed oracle response: {exc}") from exc
+            raise self._fault(f"malformed oracle response: {exc}") from exc
         if dim != d:
-            raise TransportFailureError(f"oracle stack response has dim {dim}, expected {d}")
+            raise self._fault(f"oracle stack response has dim {dim}, expected {d}")
         if count != n:
-            raise TransportFailureError(f"oracle stack response has {count} matrices, expected {n}")
+            raise self._fault(f"oracle stack response has {count} matrices, expected {n}")
         return stack_from_bytes(self._read_exact(len(payload), deadline), n, d)
 
     def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
@@ -326,17 +337,22 @@ class SubprocessOracle(OracleHandle):
             yield self.query(a)
         while chunk := [self._probe(a) for a in itertools.islice(probes, self._per_frame)]:
             self.calls += len(chunk)
-            for m in self._exchange_stack(np.stack(chunk)):
+            stack = self._exchange_stack(np.stack(chunk))
+            images, k = _hermitian_stack(stack)
+            yield from images
+            # the first bad matrix raises _image's error, as a lone reply does
+            for m in stack[k:]:
                 yield self._image(m)
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        # also after a kill, so that no pipe is left open
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._proc.stdout.close()

@@ -459,14 +459,16 @@ C128LE_ONLY_CHILD = (
 
 # identity oracle that answers the first request correctly (offering
 # "raw-stack" when sys.argv[2] is "stack") and then spoils the reply that
-# carries probe 2 counted from the second request, in the way sys.argv[1]
-# names; after a stack payload cut short it ends its output
+# carries probe 2 (or probe sys.argv[3], when given before the dimension)
+# counted from the second request, in the way sys.argv[1] names; after a
+# stack payload cut short it ends its output
 BAD_REPLY_CHILD = (
     "import sys, json\n"
     "import numpy as np\n"
     "from obsorder.io import hermitian_from_dict, matrix_to_c128le, stack_frame,"
     " stack_from_bytes, stack_shape\n"
     "mode, raw = sys.argv[1], sys.argv[2] == 'stack'\n"
+    "target = int(sys.argv[3]) if len(sys.argv) > 4 else 2\n"
     "stdin, stdout = sys.stdin.buffer, sys.stdout.buffer\n"
     "seen = -1  # probes answered after the first request\n"
     "for line in stdin:\n"
@@ -477,7 +479,7 @@ BAD_REPLY_CHILD = (
     "        stack = stack_from_bytes(stdin.read(m['bytes']), n, d)\n"
     "    else:\n"
     "        stack = np.array([hermitian_from_dict(m).mat])\n"
-    "    slot, seen = 2 - seen, seen + len(stack)\n"
+    "    slot, seen = target - seen, seen + len(stack)\n"
     "    fault = mode if 0 <= slot < len(stack) else None\n"
     "    if fault == 'non_hermitian':\n"
     "        stack[slot, 0, 1] += 1.0\n"
@@ -487,6 +489,8 @@ BAD_REPLY_CHILD = (
     "        stack[slot, 0, 0] = np.nan\n"
     "    if fault == 'too_few':\n"
     "        stack = stack[:-1]\n"
+    "    if fault == 'dim':  # images of the next dimension up\n"
+    "        stack = np.zeros((len(stack), len(stack[0]) + 1, len(stack[0]) + 1))\n"
     "    if 'count' in m:\n"
     "        out, payload = stack_frame(stack)\n"
     "    else:\n"
@@ -523,6 +527,7 @@ BAD_REPLIES = [
         ("no_matrix", TransportFailureError),
         ("id", TransportFailureError),
         ("bytes", TransportFailureError),
+        ("dim", TransportFailureError),
         ("non_hermitian", OracleNotAutomorphicError),
         ("slightly_asymmetric", OracleNotAutomorphicError),
         ("non_finite", OracleNotAutomorphicError),
@@ -612,6 +617,39 @@ class TestStackFrames:
             with pytest.raises(error):
                 next(images)
 
+    @pytest.mark.parametrize("frames", ["single", "stack"])
+    @pytest.mark.parametrize("slot", [0, 3])
+    @pytest.mark.parametrize("mode", ["non_hermitian", "slightly_asymmetric", "non_finite"])
+    def test_bad_matrix_at_the_frame_edges(self, mode, slot, frames):
+        # the images ahead of the bad one are yielded, then its error is
+        # raised; the stream stays in step, so the child is kept
+        probes = [np.eye(2) * k for k in range(4)]
+        child = [sys.executable, "-c", BAD_REPLY_CHILD, mode, frames, str(slot)]
+        with SubprocessOracle(child, 2) as handle:
+            handle.query(np.eye(2))
+            images = handle.query_many(probes)
+            for a in probes[:slot]:
+                np.testing.assert_array_equal(next(images), a)
+            with pytest.raises(OracleNotAutomorphicError):
+                next(images)
+            np.testing.assert_array_equal(handle.query(2 * np.eye(2)), 2 * np.eye(2))
+            assert handle._proc.poll() is None
+
+    @pytest.mark.parametrize(
+        "mode, frames",
+        [(mode, frames) for mode, error, frames in BAD_REPLIES if error is TransportFailureError],
+    )
+    def test_frame_fault_kills_the_child(self, mode, frames):
+        # the rest of the faulty reply must not be read as the next one
+        child = [sys.executable, "-c", BAD_REPLY_CHILD, mode, frames]
+        with SubprocessOracle(child, 2) as handle:
+            handle.query(np.eye(2))
+            with pytest.raises(TransportFailureError):
+                list(handle.query_many([np.eye(2) * k for k in range(4)]))
+            assert handle._proc.poll() is not None
+            with pytest.raises(TransportFailureError, match=r"child exit status -?\d+"):
+                handle.query(np.eye(2))
+
     def test_stack_reply_with_too_few_matrices(self):
         child = [sys.executable, "-c", BAD_REPLY_CHILD, "too_few", "stack"]
         with SubprocessOracle(child, 2) as handle:
@@ -657,6 +695,14 @@ class TestStackFrames:
     def test_serve_checks_each_stack_matrix(self, monkeypatch):
         stack = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])])
         with pytest.raises(ValidationError, match="not Hermitian"):
+            serve_bytes(monkeypatch, lambda a: a, stack_request(0, stack))
+
+    @pytest.mark.parametrize("slot", [0, 3])
+    @pytest.mark.parametrize("entry, match", [(1.0, "not Hermitian"), (np.nan, "finite")])
+    def test_serve_checks_the_stack_edges(self, monkeypatch, slot, entry, match):
+        stack = np.stack([np.eye(2, dtype=complex)] * 4)
+        stack[slot, 0, 1] = entry
+        with pytest.raises(ValidationError, match=match):
             serve_bytes(monkeypatch, lambda a: a, stack_request(0, stack))
 
     def test_serve_rejects_payload_cut_short(self, monkeypatch):

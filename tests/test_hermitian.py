@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from obsorder import (
     DimensionMismatchError,
@@ -12,6 +14,7 @@ from obsorder import (
     rank_one,
 )
 from obsorder.generators import random_hermitian, random_psd, random_unit
+from obsorder.hermitian import ASYMMETRY_LIMIT, _hermitian_stack
 
 
 class TestConstruction:
@@ -65,6 +68,74 @@ class TestConstruction:
             PsdMatrix.from_hermitian(np.diag([1.0, -1.0]))
         p = PsdMatrix.from_hermitian(np.diag([1.0, 0.0]))
         assert p.min_eig >= -1e-12
+
+
+def _matrix_case(d: int):
+    """One matrix of a stack: a Hermitian draw at some scale, spoiled by a
+    relative asymmetry, maybe with one non-finite entry."""
+    return st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300, 1.5e308]),
+        st.sampled_from([0.0, 1e-14, 1e-12, 1e-10, 1.0]),
+        st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        st.integers(0, 2 * d * d - 1),
+    )
+
+
+@st.composite
+def _stacks(draw):
+    d = draw(st.sampled_from([1, 2, 3, 8, 64]))
+    cases = draw(st.lists(_matrix_case(d), min_size=1, max_size=8))
+    # at most one matrix carries a non-finite entry
+    bad = draw(st.integers(0, len(cases) - 1))
+    stack = np.empty((len(cases), d, d), dtype=np.complex128)
+    for i, (seed, scale, asym, special, spot) in enumerate(cases):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        with np.errstate(over="ignore"):  # 1.5e308 makes some entries inf
+            m = scale * (h + asym * np.linalg.norm(h) / np.linalg.norm(g) * g)
+        if i == bad and special is not None:
+            m.view(np.float64).reshape(-1)[spot] = special
+        stack[i] = m
+    return stack
+
+
+def _relative_asymmetry(m: np.ndarray) -> float:
+    """from_array's measure, for a finite matrix."""
+    s = max(float(np.max(np.abs(m))), 1.0)
+    unit = m * (1.0 / s)
+    return float(np.linalg.norm(unit - unit.conj().T)) / max(float(np.linalg.norm(unit)), 1.0 / s)
+
+
+class TestStackCheck:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_stacks())
+    def test_agrees_with_from_array(self, stack):
+        accepted = []
+        with np.errstate(over="ignore"):  # moduli beyond the float range
+            for m in stack:
+                if np.isfinite(np.max(np.abs(m))):
+                    # the two sum the norms in different orders
+                    assume(abs(_relative_asymmetry(m) / ASYMMETRY_LIMIT - 1.0) > 0.01)
+                try:
+                    accepted.append(HermitianMatrix.from_array(m).mat)
+                except ValidationError:
+                    accepted.append(None)
+            images, k = _hermitian_stack(stack)
+            alone = [_hermitian_stack(m[None])[1] == 1 for m in stack]
+        assert alone == [a is not None for a in accepted]
+        lead = next((i for i, a in enumerate(accepted) if a is None), len(stack))
+        assert k == lead and images.shape == (k, *stack.shape[1:])
+        assert not images.flags.writeable
+        for image, want in zip(images, accepted):
+            np.testing.assert_array_equal(image.view(np.int64), want.view(np.int64))
+
+    def test_matrices_after_a_bad_one_are_not_returned(self):
+        stack = np.stack([np.eye(2), [[1.0, 1.0], [0.0, 1.0]], np.eye(2)]).astype(complex)
+        images, k = _hermitian_stack(stack)
+        assert k == 1 and len(images) == 1
+        np.testing.assert_array_equal(images[0], np.eye(2))
 
 
 class TestEig:
