@@ -20,7 +20,7 @@ from .errors import (
     OracleNotAutomorphicError,
     ValidationError,
 )
-from .generators import random_hermitian, random_uniform
+from .generators import random_hermitian, random_hermitians, random_uniform
 from .hermitian import (
     HermitianMatrix,
     _check_square_finite,
@@ -30,7 +30,7 @@ from .hermitian import (
     symmetrize,
 )
 from .loewner import compare
-from .oracle import OracleHandle
+from .oracle import OracleHandle, frame_capacity
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # Structure and validation threshold for reconstruction (relative residual).
@@ -187,7 +187,10 @@ def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: 
          tol: Tolerances) -> tuple[OrderAutomorphism, float, bool]:
     """The map, its validation residual and whether the flag is degenerate,
     from T's columns up to phase and the next images: all-ones, conjugation,
-    then one per validation probe in ``checks``."""
+    then one per validation probe. ``checks`` holds the validation probes as
+    (n, d, d) blocks; each block's images are compared with
+    symmetrize(T K(block) T* + X) at once, and its per-matrix relative
+    max-abs residuals taken in one pass."""
     d = len(x)
 
     # one phase per column from T v = sum_j t_j / sqrt(d)
@@ -225,15 +228,16 @@ def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: 
 
     # validation on random Hermitian probes, negative parts included; each
     # probe is exactly Hermitian, so this is apply(recovered, a) bit for bit
-    # without re-wrapping it
+    # without re-wrapping it (matmul runs one product per matrix of a block)
     t_star = t.conj().T
     residuals = []
-    for a in checks:
-        got = next(images)
-        want = symmetrize(t @ (a.conj() if conjugate else a) @ t_star + x)
-        denom = max(1.0, float(np.max(np.abs(got))))
-        residuals.append(float(np.max(np.abs(got - want))) / denom)
-    max_residual = float(np.max(residuals))  # NaN, from an overflowing T, propagates
+    for block in checks:
+        got = np.stack([next(images) for _ in block])
+        want = symmetrize(t @ (block.conj() if conjugate else block) @ t_star + x)
+        peak = np.abs(got).max(axis=(1, 2))
+        residuals.append(np.abs(got - want).max(axis=(1, 2)) / np.maximum(peak, 1.0))
+    # NaN, from an overflowing T, propagates
+    max_residual = float(np.max(np.concatenate(residuals)))
     if not max_residual <= RECON_TOL:
         raise OracleNotAutomorphicError(
             f"validation residual {max_residual:.3e} exceeds {RECON_TOL:.0e}"
@@ -256,6 +260,10 @@ def reconstruct(
     (each c_j must have modulus 1); one complex superposition decides the
     conjugation flag; ``VALIDATION_PROBES`` random Hermitian matrices (not
     only PSD) populate the residual, which must not exceed ``RECON_TOL``.
+    They are drawn and checked in blocks of at most
+    ``oracle.FRAME_BUDGET_BYTES`` of matrix bytes, the size of a stack
+    frame: one block of 20 at d <= 8, blocks of 4 at d = 32, one probe per
+    block at d = 64.
 
     At d >= 3 the plan is zero, I, D, the all-ones and conjugation probes
     and the validation probes: 25 calls. If any pencil
@@ -268,18 +276,21 @@ def reconstruct(
 
     No probe of the first stream depends on an earlier answer, so it goes to
     the oracle as one stream (``OracleHandle.query_many``). At d >= 3 all of
-    it is answered before any check; at d = 2 each check reads the next
-    image, and a subprocess oracle has been sent up to one frame of probes
-    beyond a failing one.
+    it is answered before any check; at d = 2 the basis and all-ones checks
+    each read the next image and the validation reads a block of images at
+    a time, so a subprocess oracle has been sent up to one frame of probes
+    beyond a failing check.
     """
     d = oracle.dim
     if d < 2:
         raise ValidationError("reconstruction requires dimension >= 2")
     start_calls = oracle.calls
     rng = np.random.default_rng(seed)
-    checks = [random_hermitian(rng, d) for _ in range(VALIDATION_PROBES)]
+    size = frame_capacity(d)
+    checks = [random_hermitians(rng, min(size, VALIDATION_PROBES - k), d)
+              for k in range(0, VALIDATION_PROBES, size)]
     v = np.ones(d, dtype=np.complex128) / np.sqrt(d)
-    tail = [rank_one(v, v), _conjugation_probe(d), *checks]
+    tail = [rank_one(v, v), _conjugation_probe(d), *itertools.chain.from_iterable(checks)]
     zero = np.zeros((d, d), dtype=np.complex128)
     basis = (rank_one(e, e) for e in np.eye(d))
     if d == 2:

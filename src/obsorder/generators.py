@@ -23,6 +23,13 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return symmetrize(random_uniform(rng, d))
 
 
+def random_hermitians(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """An (n, d, d) stack of ``random_hermitian`` draws in one call: the same
+    bits and the same stream as n calls in a row."""
+    u = rng.uniform(-1.0, 1.0, (n, 2, d, d))
+    return symmetrize(u[:, 0] + 1j * u[:, 1])
+
+
 def random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
     x = rng.normal(size=d) + 1j * rng.normal(size=d)
     return x / np.linalg.norm(x)

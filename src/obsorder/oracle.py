@@ -34,9 +34,11 @@ that does not offer ``"raw-stack"`` keeps getting single JSON frames.
 
 A reply whose frame is at fault (no ``matrix``, a bad form or payload; an
 id, ``dim``, ``count`` or ``bytes`` other than the request's; the end of
-the stream inside a payload) is a ``TransportFailureError``, and the child
-is killed, since the rest of its reply would be read as the next one; every
-later query then fails with the child's exit status. A matrix whose entries
+the stream inside a payload; a reply line longer than
+``LINE_BYTES_PER_ENTRY`` * d * d + ``LINE_SLACK_BYTES``) is a
+``TransportFailureError``, and the child is killed, since the rest of its
+reply would be read as the next one; every later query then fails with the
+child's exit status. A matrix whose entries
 are non-finite or not Hermitian is an ``OracleNotAutomorphicError`` and
 leaves the stream in step. Both rules are the same for single and stack
 frames. Every reply matrix is checked by the rule of
@@ -92,6 +94,22 @@ RAW_STACK = "raw-stack"
 # noise; the whole plan in one 2 MiB frame saved nothing (best 20-21 ms) and
 # raised peak RSS by ~6 MB in the parent and ~8 MB in the child.
 FRAME_BUDGET_BYTES = 64 * 1024
+
+
+# the longest reply line read at dim d is LINE_BYTES_PER_ENTRY * d * d +
+# LINE_SLACK_BYTES. The longest legitimate line is a decimal single frame:
+# json.dumps writes an entry as "[re, im], ", at most 54 bytes since a
+# shortest round-trip float has at most 24 characters
+# (-2.2250738585072014e-308), plus 4 bytes of brackets per row and about 100
+# for the id and keys. A c128le frame takes ~21.4 bytes per entry, a stack
+# header under 100 in all.
+LINE_BYTES_PER_ENTRY = 64
+LINE_SLACK_BYTES = 4096
+
+
+def frame_capacity(d: int) -> int:
+    """How many d x d matrices fit in ``FRAME_BUDGET_BYTES``; at least one."""
+    return max(1, FRAME_BUDGET_BYTES // (16 * d * d))
 
 
 class OracleHandle:
@@ -172,7 +190,8 @@ class SubprocessOracle(OracleHandle):
         self._next_id = 0
         self._binary = False  # set by the first c128le response
         self._raw = False  # set by a response whose accept lists RAW_STACK
-        self._per_frame = max(1, FRAME_BUDGET_BYTES // (16 * dim * dim))
+        self._per_frame = frame_capacity(dim)
+        self._line_cap = LINE_BYTES_PER_ENTRY * dim * dim + LINE_SLACK_BYTES
         self._pending = bytearray()  # bytes read from the child past the last line
         # a child that stops reading must not hold a frame larger than the
         # pipe buffer past the deadline
@@ -217,9 +236,12 @@ class SubprocessOracle(OracleHandle):
     def _readline(self, deadline: float) -> bytes:
         # reads the raw fd: a buffered readline could block after select
         fd = self._proc.stdout.fileno()
+        cap = self._line_cap
         scanned = 0
-        while (end := self._pending.find(b"\n", scanned)) < 0:
+        while (end := self._pending.find(b"\n", scanned, cap)) < 0:
             scanned = len(self._pending)
+            if scanned >= cap:  # no newline among the first cap bytes
+                raise self._fault(f"oracle reply line is longer than {cap} bytes")
             self._wait(deadline, read=[fd])
             chunk = os.read(fd, 1 << 16)
             if not chunk:  # end of stream: whatever is left, maybe nothing

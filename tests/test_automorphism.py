@@ -24,10 +24,11 @@ from obsorder import (
     reconstruct,
 )
 from obsorder import oracle as oracle_module
-from obsorder.automorphism import _pencil_columns, gauge_distance
+from obsorder.automorphism import VALIDATION_PROBES, _fit, _pencil_columns, gauge_distance
 from obsorder.cli import main
 from obsorder.demo_oracles import serve
 from obsorder.generators import random_hermitian, random_invertible, random_psd, random_unitary
+from obsorder.hermitian import symmetrize
 from obsorder.io import (
     complex_matrix_from_dict,
     hermitian_from_dict,
@@ -37,6 +38,7 @@ from obsorder.io import (
     stack_from_bytes,
     stack_shape,
 )
+from obsorder.tolerances import DEFAULT_TOLERANCES
 
 
 def random_automorphism(rng, d, conjugate=None):
@@ -149,6 +151,20 @@ class TestComposeInvert:
                 assert np.linalg.norm(out - a, 2) <= 1e-9 * max(1.0, np.linalg.norm(a, 2))
 
 
+class RecordingOracle(OracleHandle):
+    """The in-process oracle of ``phi``, keeping every probe and image."""
+
+    def __init__(self, phi):
+        super().__init__(lambda a: apply(phi, a).mat, phi.dim)
+        self.probes, self.images = [], []
+
+    def query(self, a):
+        image = super().query(a)
+        self.probes.append(np.array(a))
+        self.images.append(image)
+        return image
+
+
 class TestReconstruct:
     def test_identity_oracle(self):
         report = reconstruct(from_automorphism(OrderAutomorphism.create(np.eye(3))))
@@ -188,6 +204,66 @@ class TestReconstruct:
             handle = from_automorphism(phi)
             report = reconstruct(handle)
             assert report.probes_used == handle.calls == plan
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 8, 32, 64])
+    def test_validation_blocks_match_the_probe_loop(self, rng, d, conjugate):
+        # the probes sent are the per-probe draws, and max_residual is the
+        # per-probe loop's, bit for bit, whatever the block size at this d
+        phi = random_automorphism(rng, d, conjugate)
+        handle = RecordingOracle(phi)
+        report = reconstruct(handle, seed=9)
+        assert report.recovered.conjugate == conjugate
+        draws = np.random.default_rng(9)
+        checks = [random_hermitian(draws, d) for _ in range(VALIDATION_PROBES)]
+        # zero, then I and D or the two basis projectors, all-ones, conjugation
+        sent = handle.probes[5:5 + VALIDATION_PROBES]
+        assert [a.tobytes() for a in sent] == [a.tobytes() for a in checks]
+        t, x = report.recovered.T, handle.images[0]
+        residuals = []
+        for a, got in zip(checks, handle.images[5:]):
+            want = symmetrize(t @ (a.conj() if conjugate else a) @ t.conj().T + x)
+            denom = max(1.0, float(np.max(np.abs(got))))
+            residuals.append(float(np.max(np.abs(got - want))) / denom)
+        assert report.max_residual == max(residuals)
+
+    @pytest.mark.parametrize("d, slot", [(32, 0), (32, 3), (32, 4), (32, 19), (2, 0), (2, 19)])
+    def test_wrong_validation_image_at_a_block_edge(self, rng, d, slot):
+        # blocks of 4 at d = 32, one block of 20 at d = 2
+        phi = random_automorphism(rng, d)
+        draws = np.random.default_rng(0)
+        target = [random_hermitian(draws, d) for _ in range(VALIDATION_PROBES)][slot]
+
+        def fn(a):
+            image = apply(phi, a).mat
+            if np.array_equal(a, target):
+                image = image + 1e-2 * max(1.0, np.max(np.abs(image))) * np.eye(d)
+            return image
+
+        handle = OracleHandle(fn, d)
+        with pytest.raises(OracleNotAutomorphicError, match="validation residual .* exceeds"):
+            reconstruct(handle)
+        # the whole first stream, and at d >= 3 the basis projectors after it
+        assert handle.calls == (d + 23 if d == 2 else 25 + d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_non_finite_validation_residual_is_rejected(self, d):
+        # T K(A) T* overflows on the second block's probe, while every image
+        # is finite: the NaN or inf residual fails the fit, as an
+        # OracleNotAutomorphicError, which is what sends d >= 3 to the basis
+        # read. No oracle reaches this: images of probes with entries at most
+        # 1 are as large as psi(I), which must be finite.
+        t = 100.0 * np.eye(d, dtype=np.complex128)
+        x = np.zeros((d, d), dtype=np.complex128)
+        v = np.ones(d) / np.sqrt(d)
+        pw = np.zeros((d, d), dtype=np.complex128)
+        pw[:2, :2] = [[0.5, -0.5j], [0.5j, 0.5]]
+        good, huge = np.eye(d)[None], np.full((1, d, d), 1e307)
+        images = iter([t @ np.outer(v, v) @ t, t @ pw @ t, t @ good[0] @ t, np.zeros((d, d))])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            OracleNotAutomorphicError, match="validation residual (nan|inf) exceeds"
+        ):
+            _fit(t, x, images, [good, huge], DEFAULT_TOLERANCES)
 
     def test_ill_conditioned_map_falls_back_to_the_basis_read(self, rng):
         # cond(psi(I)) = cond(T)^2 = 1e10 is above the pencil's cap
@@ -743,6 +819,52 @@ class TestResponseDeadline:
             with pytest.raises(TransportFailureError, match="no response within"):
                 handle.query(np.zeros((2, 2)))
             assert handle._proc.poll() is not None
+
+
+# reads one request, then writes 4 MiB of one reply line with no newline
+# and sleeps
+ENDLESS_LINE_CHILD = (
+    "import sys, time\n"
+    "sys.stdin.readline()\n"
+    "for _ in range(64):\n"
+    "    sys.stdout.write('1' * 65536)\n"
+    "    sys.stdout.flush()\n"
+    "time.sleep(60)\n"
+)
+
+# decimal-only oracle whose every reply is the longest decimal frame
+# json.dumps writes: each entry a pair of 24-character floats
+LONGEST_DECIMAL_CHILD = (
+    "import sys, json\n"
+    "tiny = -2.2250738585072014e-308\n"
+    "for line in sys.stdin:\n"
+    "    req = json.loads(line)\n"
+    "    d = req['matrix']['dim']\n"
+    "    entries = [[[tiny, tiny]] * d] * d\n"
+    "    print(json.dumps({'id': req['id'], 'matrix': {'dim': d, 'entries': entries}}),"
+    " flush=True)\n"
+)
+
+
+class TestReplyLineCap:
+    def test_endless_line_is_a_frame_fault(self):
+        # the cap, not the 60 s deadline, ends the read
+        start = time.monotonic()
+        with SubprocessOracle([sys.executable, "-c", ENDLESS_LINE_CHILD], 2) as handle:
+            with pytest.raises(TransportFailureError, match="longer than 4352 bytes"):
+                handle.query(np.zeros((2, 2)))
+            assert handle._proc.poll() is not None
+        assert time.monotonic() - start < 5.0
+
+    def test_longest_decimal_frame_at_dim_64_is_read(self):
+        d = 64
+        entries = [[[-2.2250738585072014e-308] * 2] * d] * d
+        line = json.dumps({"id": 0, "matrix": {"dim": d, "entries": entries}}) + "\n"
+        assert len(line) > 54 * d * d
+        with SubprocessOracle([sys.executable, "-c", LONGEST_DECIMAL_CHILD], d) as handle:
+            for _ in range(2):
+                image = handle.query(np.eye(d))
+                assert image.shape == (d, d) and np.max(np.abs(image)) < 1e-307
 
 
 # identity oracle offering raw stacks that writes each stack reply's header,

@@ -214,6 +214,14 @@ class TestReconstruct:
         code, _, err = run_cli(["reconstruct", "--oracle", silent, "--dim", "2"], capsys)
         assert code == 4 and "no response within 0.5 s" in err
 
+    def test_endless_reply_line_is_transport(self, capsys):
+        endless = shlex.join([sys.executable, "-c",
+                              "import sys; sys.stdin.readline(); "
+                              "[sys.stdout.write('1' * 65536) for _ in range(64)]; "
+                              "sys.stdout.flush()"])
+        code, _, err = run_cli(["reconstruct", "--oracle", endless, "--dim", "2"], capsys)
+        assert code == 4 and "longer than" in err
+
     def test_empty_oracle_command(self, capsys):
         code, _, err = run_cli(["reconstruct", "--oracle", "", "--dim", "2"], capsys)
         assert code == 2 and "error:" in err

@@ -21,6 +21,7 @@ import pytest
 from obsorder.generators import (
     random_automorphism,
     random_hermitian,
+    random_hermitians,
     random_invertible,
     random_psd,
     random_uniform,
@@ -111,3 +112,12 @@ def test_stream_is_pinned(name, seed, d):
     assert _digest(repr(rng.bit_generator.state).encode()) == want_state
     if want_bytes is not None:
         assert _digest(out.tobytes()) == want_bytes
+
+
+@pytest.mark.parametrize("d", [1, 2, 32, 64])
+@pytest.mark.parametrize("n", [1, 4, 20])
+def test_hermitian_stack_is_single_draws_in_a_row(n, d):
+    one, many = np.random.default_rng(11), np.random.default_rng(11)
+    want = np.stack([random_hermitian(one, d) for _ in range(n)])
+    assert random_hermitians(many, n, d).tobytes() == want.tobytes()
+    assert many.uniform(-1.0, 1.0, 8).tobytes() == one.uniform(-1.0, 1.0, 8).tobytes()
