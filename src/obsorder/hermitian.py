@@ -88,13 +88,11 @@ def _hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, int]:
 class HermitianMatrix:
     """Square complex matrix equal to its conjugate transpose.
 
-    Construction symmetrizes ``(M + M*)/2`` and records the size of the
-    applied correction; asymmetry above ``ASYMMETRY_LIMIT`` (relative) is an
-    error rather than silently absorbed.
+    Construction symmetrizes ``(M + M*)/2``; asymmetry above
+    ``ASYMMETRY_LIMIT`` (relative) is an error rather than silently absorbed.
     """
 
     mat: np.ndarray
-    asymmetry: float = 0.0
 
     @classmethod
     def from_array(cls, arr) -> "HermitianMatrix":
@@ -109,14 +107,14 @@ class HermitianMatrix:
             raise ValidationError(
                 f"matrix is not Hermitian: relative asymmetry {rel:.3e}"
             )
-        return cls(mat=_freeze(symmetrize(arr)), asymmetry=asym * s)
+        return cls(mat=_freeze(symmetrize(arr)))
 
     @classmethod
     def hermitian_part(cls, arr) -> "HermitianMatrix":
         """``(M + M*)/2`` of a square finite M, whatever its asymmetry: for
         results that are Hermitian up to rounding by construction, such as
         ``T A T* + X``, whose rounding is not bounded relative to the
-        result. ``asymmetry`` stays 0."""
+        result."""
         arr, _ = _check_square_finite(arr)
         return cls(mat=_freeze(symmetrize(arr)))
 

@@ -3,7 +3,8 @@
 An oracle maps Hermitian matrices to Hermitian matrices of the same
 dimension. Two transports are supported: an in-process callable and a
 subprocess speaking JSON lines (with raw bytes after a stack header, see
-below) on stdin/stdout:
+below) on stdin/stdout. An in-process ``OrderAutomorphism`` gets a handle
+of its own (``from_automorphism``) that answers probes in stacks.
 
     request:  {"id": k, "matrix": <matrix JSON>[, "accept": ["c128le"]]}
     response: {"id": k, "matrix": <matrix JSON>[, "accept": [...]]}
@@ -66,7 +67,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import OracleNotAutomorphicError, TransportFailureError, ValidationError
-from .hermitian import MAX_DIM, HermitianMatrix, _hermitian_stack, symmetrize
+from .hermitian import MAX_DIM, HermitianMatrix, _hermitian_stack, _leading, symmetrize
 from .io import (
     matrix_frame_from_dict,
     matrix_to_c128le,
@@ -155,8 +156,10 @@ class OracleHandle:
         return self._image(self._fn(a))
 
     def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """The answers to ``probes``, in order. Probes are drawn only as
-        answers are taken; here each is one ``query``."""
+        """The answers to ``probes``, in order. Here each probe is one
+        ``query``, drawn only as its answer is taken; the handles of
+        ``from_automorphism`` and ``SubprocessOracle`` draw and answer up to
+        ``frame_capacity(dim)`` probes at a time."""
         for a in probes:
             yield self.query(a)
 
@@ -171,10 +174,53 @@ class OracleHandle:
 
 
 def from_automorphism(phi) -> OracleHandle:
-    """In-process oracle evaluating an OrderAutomorphism."""
-    from .automorphism import apply
+    """In-process oracle evaluating an OrderAutomorphism, in stacks.
 
-    return OracleHandle(lambda a: apply(phi, a).mat, phi.dim)
+    ``query_many`` takes ``frame_capacity(dim)`` probes at a time, checks
+    them as one (n, d, d) array by ``HermitianMatrix.from_array``'s rule
+    (``hermitian._hermitian_stack``) and answers them with one stacked
+    symmetrize(T K(block) T* + X), bit for bit what ``apply`` returns per
+    matrix. The images are Hermitian by construction, so only their
+    finiteness is checked. From the first probe of a block that fails a
+    check (its shape, non-finite entries, asymmetry or a non-finite image)
+    on, each probe takes the per-matrix path of an ``OracleHandle`` over
+    ``apply``, which raises that probe's error, after the images ahead of
+    it, with the class and message of the per-matrix path. ``query`` is a
+    block of one, and ``calls`` counts probes.
+    """
+    return _AutomorphismOracle(phi)
+
+
+class _AutomorphismOracle(OracleHandle):
+    """The handle of ``from_automorphism``."""
+
+    def __init__(self, phi):
+        from .automorphism import apply
+
+        super().__init__(lambda a: apply(phi, a).mat, phi.dim)
+        self._phi = phi
+        self._t_star = phi.T.conj().T  # formed as apply forms it
+        self._per_block = frame_capacity(phi.dim)
+
+    def query(self, a: np.ndarray) -> np.ndarray:
+        return next(self.query_many([a]))
+
+    def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        probes = iter(probes)
+        shape = (self.dim, self.dim)
+        phi = self._phi
+        while block := [np.asarray(a, dtype=np.complex128)
+                        for a in itertools.islice(probes, self._per_block)]:
+            k = next((i for i, a in enumerate(block) if a.shape != shape), len(block))
+            if k:
+                good, k = _hermitian_stack(np.stack(block[:k]))
+                out = phi.T @ (good.conj() if phi.conjugate else good) @ self._t_star + phi.X.mat
+                # apply's check: a NaN or an overflow to inf fails isfinite
+                k = _leading(np.isfinite(np.abs(out).max(axis=(1, 2))))
+                self.calls += k
+                yield from symmetrize(out[:k])
+            for a in block[k:]:
+                yield OracleHandle.query(self, a)
 
 
 class SubprocessOracle(OracleHandle):

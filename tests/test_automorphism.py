@@ -922,6 +922,11 @@ class TestInProcessChecks:
         with pytest.raises(OracleNotAutomorphicError, match="non-finite"):
             handle.query(np.eye(2))
 
+    def test_non_hermitian_image_is_rejected(self):
+        handle = OracleHandle(lambda a: a + np.array([[0.0, 1e-6], [0.0, 0.0]]), 2)
+        with pytest.raises(OracleNotAutomorphicError, match="not Hermitian"):
+            list(handle.query_many([np.eye(2)]))
+
     def test_image_above_half_the_float_range(self):
         m = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.0]])
         handle = OracleHandle(lambda a: m, 2)
@@ -934,6 +939,76 @@ class TestInProcessChecks:
         assert seen == [] and handle.calls == 0
         next(images)
         assert len(seen) == 1 and handle.calls == 1
+
+
+def per_matrix_oracle(phi) -> OracleHandle:
+    """The in-process oracle over ``apply`` one matrix at a time, as a user
+    callable is answered: the reference for ``from_automorphism``."""
+    return OracleHandle(lambda a: apply(phi, a).mat, phi.dim)
+
+
+class TestStackedInProcessOracle:
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 8, 32, 64])
+    def test_reconstruction_bit_identical_to_per_matrix(self, d, conjugate):
+        phi = random_automorphism(np.random.default_rng([d, conjugate]), d, conjugate)
+        stacked, reference = from_automorphism(phi), per_matrix_oracle(phi)
+        got = reconstruct(stacked, seed=d)
+        want = reconstruct(reference, seed=d)
+        assert got.recovered.T.tobytes() == want.recovered.T.tobytes()
+        assert got.recovered.X.mat.tobytes() == want.recovered.X.mat.tobytes()
+        assert got.recovered.conjugate == want.recovered.conjugate
+        assert got.max_residual == want.max_residual
+        assert got.probes_used == want.probes_used
+        assert got.conjugate_degenerate == want.conjugate_degenerate
+        assert stacked.calls == reference.calls == got.probes_used
+
+    @pytest.mark.parametrize("d", [2, 32])
+    def test_images_bit_identical_to_apply(self, d, rng):
+        # d = 32 answers 4 probes per block
+        phi = random_automorphism(rng, d)
+        probes = [random_hermitian(rng, d) for _ in range(9)]
+        handle = from_automorphism(phi)
+        for a, image in zip(probes, handle.query_many(probes), strict=True):
+            assert image.tobytes() == apply(phi, a).mat.tobytes()
+        assert handle.query(probes[0]).tobytes() == apply(phi, probes[0]).mat.tobytes()
+        assert handle.calls == 10
+
+    # T entries near 1e200 send the image of a probe of unit norm past the
+    # float range; the zero probe's image is X
+    BAD_PROBES = {
+        "non_hermitian": (1.0, np.array([[1.0, 2.0], [0.0, 1.0]])),
+        "nan": (1.0, np.array([[np.nan, 0.0], [0.0, 1.0]])),
+        "wrong_shape": (1.0, np.eye(3)),
+        "overflow": (1e200, np.eye(2)),
+    }
+
+    @staticmethod
+    def _error(fn):
+        with pytest.raises(Exception) as exc:
+            fn()
+        return type(exc.value), str(exc.value)
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("slot", [0, 2])
+    @pytest.mark.parametrize("kind", sorted(BAD_PROBES))
+    def test_rejection_parity(self, kind, slot, rng):
+        scale, bad = self.BAD_PROBES[kind]
+        phi = OrderAutomorphism.create(scale * random_invertible(rng, 2), x=random_hermitian(rng, 2))
+        probes = [np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))]
+        probes[slot] = bad
+        reference = per_matrix_oracle(phi)
+        want = self._error(lambda: reference.query(bad))
+        assert self._error(lambda: from_automorphism(phi).query(bad)) == want
+
+        stacked = from_automorphism(phi)
+        images = stacked.query_many(probes)
+        for a in probes[:slot]:
+            assert next(images).tobytes() == reference.query(a).tobytes()
+        assert self._error(lambda: next(images)) == want
+        reference = per_matrix_oracle(phi)
+        self._error(lambda: list(reference.query_many(probes)))
+        assert stacked.calls == reference.calls
 
 
 class TestC128le:

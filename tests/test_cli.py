@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obsorder.cli import main
+from obsorder.cli import build_parser, main
 from obsorder.io import dumps, matrix_to_dict
+from obsorder.tolerances import DEFAULT_TOLERANCES
 
 GOLDEN = Path(__file__).parent / "golden"
 REGEN = os.environ.get("OBSORDER_REGEN_GOLDEN") == "1"
@@ -290,3 +291,44 @@ class TestVerify:
     def test_nothing_to_run(self, argv, capsys):
         code, out, err = run_cli(["verify", "thm1", *argv], capsys)
         assert code == 2 and "error:" in err and out == ""
+
+
+class TestRepeatedCalls:
+    """``main`` keeps one parser per process; every call must behave as a
+    call with a parser of its own."""
+
+    def _outcome(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit 2
+            code = exc.code
+        out = capsys.readouterr().out
+        if argv[0] == "verify" and code != 2:
+            payload = json.loads(out)
+            payload["elapsed_ms"] = 0
+            out = dumps(payload)
+        return code, out
+
+    def test_calls_match_calls_with_a_fresh_parser(self, files, capsys):
+        # with --tol-psd 0.5, diag(0.3, 0) and 0 are equal; by default they are not
+        (files / "small.json").write_text(dumps(matrix_to_dict(np.diag([0.3, 0.0]) + 0j)) + "\n")
+        calls = [
+            ["order", "--tol-psd", "0.5", str(files / "small.json"), str(files / "zero2.json")],
+            ["order", str(files / "small.json"), str(files / "zero2.json")],
+            ["verify", "cor4", "--dims", "2,3", "--trials", "2", "--seed", "4"],
+            ["verify", "thm1", "--out-dir", "x"],
+            ["verify", "nosuch"],
+            ["verify", "thm2", "--dims", "2,3", "--trials", "2", "--seed", "4"],
+        ]
+        parser = build_parser()
+        shared = [self._outcome(argv, capsys) for argv in calls]
+        assert build_parser() is parser
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(self._outcome(argv, capsys))
+        assert shared == fresh
+        assert [code for code, _ in shared] == [0, 0, 0, 2, 2, 0]
+        assert json.loads(shared[0][1])["relation"] == "EQUAL"
+        assert json.loads(shared[1][1])["relation"] == "GEQ"
+        assert build_parser().parse_args(calls[2]).tol_psd == DEFAULT_TOLERANCES.tol_psd
