@@ -2,19 +2,17 @@
 
 Each module is runnable as ``python -m obsorder.demo_oracles.<name> <dim>``
 and serves the request/response loop of ``obsorder.oracle`` until stdin
-closes. Replies use the exact c128le matrix form when the request matrix
-is c128le or the request lists "c128le" under "accept"; otherwise they use
-the decimal form. A reply to a request carrying "accept" lists
-``["c128le", "raw-stack"]`` under its own "accept": the child also takes
-stack frames, a JSON header line ``{"id": k, "matrix": {"dim": d,
-"count": n, "bytes": 16*n*d*d}}`` followed by that many raw bytes (see
-``obsorder.io``), and answers each with a stack frame of its n images, in
-order. A stack is checked once, as one (n, d, d) array, by the rule of
-``io.hermitian_from_dict`` (finite entries, relative asymmetry at most
-``hermitian.ASYMMETRY_LIMIT``); the first matrix that fails raises that
-reader's ``ValidationError``. ``fn`` is applied to one symmetrized matrix
-at a time, so it need not handle stacks. A stack whose payload ends early
-raises ``ValidationError``.
+closes. A single request gets a single reply in the decimal matrix form.
+A reply to a request carrying "accept" lists ``["raw-stack"]`` under its
+own "accept": the child also takes stack frames, a JSON header line
+``{"id": k, "matrix": {"dim": d, "count": n, "bytes": 16*n*d*d}}``
+followed by that many raw bytes (see ``obsorder.io``), and answers each
+with a stack frame of its n images, in order. A stack is checked once, as
+one (n, d, d) array, by the rule of ``io.hermitian_from_dict`` (finite
+entries, relative asymmetry at most ``hermitian.ASYMMETRY_LIMIT``); the
+first matrix that fails raises that reader's ``ValidationError``. ``fn``
+is applied to one symmetrized matrix at a time, so it need not handle
+stacks. A stack whose payload ends early raises ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import numpy as np
 from ..hermitian import HermitianMatrix, _hermitian_stack
 from ..io import (
     hermitian_from_dict,
-    matrix_to_c128le,
     matrix_to_dict,
     stack_frame,
     stack_from_bytes,
@@ -54,11 +51,9 @@ def serve(fn: Callable[[np.ndarray], np.ndarray]) -> None:
             checked = [*good, *(HermitianMatrix.from_array(a).mat for a in stack[k:])]
             out, payload = stack_frame([fn(a) for a in checked])
         else:
-            a = hermitian_from_dict(matrix).mat
-            binary = "c128le" in matrix or "c128le" in request.get("accept", [])
-            out = (matrix_to_c128le if binary else matrix_to_dict)(fn(a))
+            out = matrix_to_dict(fn(hermitian_from_dict(matrix).mat))
         response = {"id": request["id"], "matrix": out}
         if "accept" in request:
-            response["accept"] = ["c128le", RAW_STACK]
+            response["accept"] = [RAW_STACK]
         stdout.write((json.dumps(response) + "\n").encode("ascii") + payload)
         stdout.flush()

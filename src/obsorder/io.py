@@ -4,14 +4,8 @@ Matrix format (shared by every module and the CLI):
 
     {"dim": d, "entries": [[[re, im], ... d items], ... d rows]}
 
-or, as an exact binary alternative used on the oracle pipe,
-
-    {"dim": d, "c128le": "<base64 of the d*d entries, row-major>"}
-
-where each entry is a little-endian complex128 (real then imaginary
-float64), so the payload is exactly 16 * d * d bytes before base64. The
-decimal form stays the only one written to files, CLI output and golden
-files.
+This decimal form is the only single-matrix form: files, CLI output,
+golden files and single oracle frames all use it.
 
 The oracle pipe also carries stacks of n >= 1 matrices, as raw bytes after
 a JSON header line (see ``obsorder.oracle``). The header's matrix object is
@@ -19,27 +13,24 @@ a JSON header line (see ``obsorder.oracle``). The header's matrix object is
     {"dim": d, "count": n, "bytes": 16 * n * d * d}
 
 and exactly that many bytes follow the newline: the n*d*d entries as
-little-endian complex128, matrix after matrix, each row-major. A stack is
-not JSON, so files and CLI input cannot hold one; the single-matrix
-readers reject a dict carrying ``count``. ``stack_frame`` writes a header
-and its payload, ``stack_shape`` checks a header and ``stack_from_bytes``
-reads a payload.
+little-endian complex128 (real then imaginary float64), matrix after
+matrix, each row-major. A stack is not JSON, so files and CLI input cannot
+hold one; the single-matrix readers reject a dict carrying ``count``.
+``stack_frame`` writes a header and its payload, ``stack_shape`` checks a
+header and ``stack_from_bytes`` reads a payload.
 
 Vectors are a single list of ``[re, im]`` pairs. Automorphism files are
 ``{"T": <matrix>, "conjugate": bool, "X": <matrix>}`` where ``T`` may be an
 arbitrary (non-Hermitian) complex matrix.
 
 Writers emit the exact stored values (shortest round-trip decimal, full
-double precision, or the raw bits). Readers accept either matrix form and
-apply the same checks to both: they reject dimensions outside [1, MAX_DIM],
-malformed payloads, non-finite entries or, for Hermitian inputs, asymmetric
-data.
+double precision, or the raw bits). Readers reject dimensions outside
+[1, MAX_DIM], malformed grids or payloads, non-finite entries or, for
+Hermitian inputs, asymmetric data.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
 
@@ -50,7 +41,6 @@ from .hermitian import MAX_DIM, HermitianMatrix
 
 __all__ = [
     "matrix_to_dict",
-    "matrix_to_c128le",
     "matrix_frame_from_dict",
     "hermitian_from_dict",
     "complex_matrix_from_dict",
@@ -75,28 +65,6 @@ def matrix_to_dict(arr: np.ndarray) -> dict:
 
 # little-endian complex128, whatever the host byte order
 _C128LE = np.dtype("<c16")
-
-
-def matrix_to_c128le(arr: np.ndarray) -> dict:
-    """Exact binary matrix JSON: base64 of the row-major entries."""
-    arr = np.asarray(arr, dtype=_C128LE)
-    payload = base64.b64encode(arr.tobytes()).decode("ascii")
-    return {"dim": int(arr.shape[0]), "c128le": payload}
-
-
-def _c128le_decode(payload, d: int) -> np.ndarray:
-    """The d x d entries of a c128le payload; entries are not checked."""
-    if not isinstance(payload, str):
-        raise ValidationError("c128le payload must be a base64 string")
-    try:
-        raw = base64.b64decode(payload, validate=True)
-    except (binascii.Error, ValueError) as exc:
-        raise ValidationError(f"c128le payload is not valid base64: {exc}") from exc
-    if len(raw) != 16 * d * d:
-        raise ValidationError(
-            f"c128le payload has {len(raw)} bytes, expected {16 * d * d} for dim {d}"
-        )
-    return stack_from_bytes(raw, 1, d)[0]
 
 
 def _checked_dim(obj) -> int:
@@ -133,9 +101,9 @@ def stack_frame(stack) -> tuple[dict, bytes]:
 
 
 def stack_from_bytes(raw, n: int, d: int) -> np.ndarray:
-    """The (n, d, d) complex array of a payload of exactly 16*n*d*d bytes;
-    entries are not checked: each matrix goes through
-    ``HermitianMatrix.from_array`` on its own."""
+    """The (n, d, d) complex array of a payload of exactly 16*n*d*d bytes.
+    Entries are not checked here: the oracle pipe checks a whole frame at
+    once, by ``hermitian._hermitian_stack``."""
     if len(raw) != 16 * n * d * d:
         raise ValidationError(
             f"matrix stack payload has {len(raw)} bytes, expected {16 * n * d * d}"
@@ -144,17 +112,15 @@ def stack_from_bytes(raw, n: int, d: int) -> np.ndarray:
 
 
 def matrix_frame_from_dict(obj: dict) -> np.ndarray:
-    """The d x d complex array of one matrix in either form. Checks the
-    frame (dim, one form, no 'count', the grid or the exact c128le
-    payload), not the entries: the oracle pipe checks those per matrix, as
-    for a stack."""
-    if not isinstance(obj, dict) or "dim" not in obj or ("entries" in obj) == ("c128le" in obj):
-        raise ValidationError("matrix JSON must have 'dim' and one of 'entries' or 'c128le'")
+    """The d x d complex array of one decimal matrix. Checks the frame
+    (dim, no 'count', a d x d grid of number pairs), not the entries: the
+    readers below check those, and so does the oracle pipe, by the same
+    rule as for a stack."""
+    if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
+        raise ValidationError("matrix JSON must have 'dim' and 'entries'")
     if "count" in obj:
         raise ValidationError("a matrix stack ('count') is read only on the oracle pipe")
     d = _checked_dim(obj)
-    if "c128le" in obj:
-        return _c128le_decode(obj["c128le"], d)
     rows = obj["entries"]
     out = np.empty((d, d), dtype=np.complex128)
     try:

@@ -6,34 +6,28 @@ subprocess speaking JSON lines (with raw bytes after a stack header, see
 below) on stdin/stdout. An in-process ``OrderAutomorphism`` gets a handle
 of its own (``from_automorphism``) that answers probes in stacks.
 
-    request:  {"id": k, "matrix": <matrix JSON>[, "accept": ["c128le"]]}
+    request:  {"id": k, "matrix": <matrix JSON>, "accept": ["raw-stack"]}
     response: {"id": k, "matrix": <matrix JSON>[, "accept": [...]]}
 
 Responses must echo the request id; anything else is a protocol error. The
 child process is launched with the dimension as its first argument. A handle
 is strictly serial: one frame in flight at a time.
 
-Matrices are in either form of ``obsorder.io``: decimal ``entries`` or the
-exact binary ``c128le``. The parent sends decimal requests carrying
-``"accept": ["c128le"]`` until the first c128le response arrives, and c128le
-requests from then on. A child that replies in c128le when asked (as the
-demo oracles do) saves the decimal codec on both sides of the pipe; a child
-that only speaks decimal never sees a c128le request.
-
-A child whose reply to an ``accept`` request lists ``"raw-stack"`` under
-its own ``accept`` (the demo oracles list ``["c128le", "raw-stack"]``)
-gets stack frames from then on, for ``query`` and ``query_many`` alike. A
-stack frame is one JSON header line followed by raw bytes:
+A single frame carries one matrix in the decimal form of ``obsorder.io``.
+A child whose reply lists ``"raw-stack"`` under its own ``accept`` (as the
+demo oracles do) gets stack frames from then on, for ``query`` and
+``query_many`` alike; any other child, one that ignores ``accept`` or
+offers other tokens, keeps getting decimal single frames. A stack frame is
+one JSON header line followed by raw bytes:
 
     {"id": k, "matrix": {"dim": d, "count": n, "bytes": 16 * n * d * d}}
     <the n matrices as little-endian complex128, each row-major>
 
 The child answers with a stack frame of the n images, in order, in the
 same form. ``query_many`` puts as many probes in a frame as fit in
-``FRAME_BUDGET_BYTES`` of payload; ``query`` sends a stack of one. A child
-that does not offer ``"raw-stack"`` keeps getting single JSON frames.
+``FRAME_BUDGET_BYTES`` of payload; ``query`` sends a stack of one.
 
-A reply whose frame is at fault (no ``matrix``, a bad form or payload; an
+A reply whose frame is at fault (no ``matrix``, a bad grid or payload; an
 id, ``dim``, ``count`` or ``bytes`` other than the request's; the end of
 the stream inside a payload; a reply line longer than
 ``LINE_BYTES_PER_ENTRY`` * d * d + ``LINE_SLACK_BYTES``) is a
@@ -70,7 +64,6 @@ from .errors import OracleNotAutomorphicError, TransportFailureError, Validation
 from .hermitian import MAX_DIM, HermitianMatrix, _hermitian_stack, _leading, symmetrize
 from .io import (
     matrix_frame_from_dict,
-    matrix_to_c128le,
     matrix_to_dict,
     stack_frame,
     stack_from_bytes,
@@ -102,8 +95,7 @@ FRAME_BUDGET_BYTES = 64 * 1024
 # json.dumps writes an entry as "[re, im], ", at most 54 bytes since a
 # shortest round-trip float has at most 24 characters
 # (-2.2250738585072014e-308), plus 4 bytes of brackets per row and about 100
-# for the id and keys. A c128le frame takes ~21.4 bytes per entry, a stack
-# header under 100 in all.
+# for the id and keys. A stack header takes under 100 bytes in all.
 LINE_BYTES_PER_ENTRY = 64
 LINE_SLACK_BYTES = 4096
 
@@ -234,7 +226,6 @@ class SubprocessOracle(OracleHandle):
         except OSError as exc:
             raise TransportFailureError(f"failed to launch oracle: {exc}") from exc
         self._next_id = 0
-        self._binary = False  # set by the first c128le response
         self._raw = False  # set by a response whose accept lists RAW_STACK
         self._per_frame = frame_capacity(dim)
         self._line_cap = LINE_BYTES_PER_ENTRY * dim * dim + LINE_SLACK_BYTES
@@ -359,11 +350,7 @@ class SubprocessOracle(OracleHandle):
     def _roundtrip(self, a: np.ndarray) -> np.ndarray:
         if self._raw:
             return self._exchange_stack(a[None])[0]
-        if self._binary:
-            body = {"matrix": matrix_to_c128le(a)}
-        else:
-            body = {"matrix": matrix_to_dict(a), "accept": ["c128le"]}
-        obj, _ = self._exchange(body)
+        obj, _ = self._exchange({"matrix": matrix_to_dict(a), "accept": [RAW_STACK]})
         try:
             out = matrix_frame_from_dict(obj["matrix"])
         except (KeyError, ValidationError) as exc:
@@ -372,7 +359,6 @@ class SubprocessOracle(OracleHandle):
             raise self._fault(
                 f"oracle returned shape {out.shape}, expected ({self.dim}, {self.dim})"
             )
-        self._binary = self._binary or "c128le" in obj["matrix"]
         accept = obj.get("accept")
         self._raw = isinstance(accept, list) and RAW_STACK in accept
         return out

@@ -33,7 +33,7 @@ from obsorder.io import (
     complex_matrix_from_dict,
     hermitian_from_dict,
     matrix_frame_from_dict,
-    matrix_to_c128le,
+    matrix_to_dict,
     stack_frame,
     stack_from_bytes,
     stack_shape,
@@ -449,8 +449,7 @@ class TestSubprocessOracle:
                 handle.query(np.zeros((2, 2)))
 
     def test_decimal_only_child(self):
-        # plain-json child serving A -> 2A + I; a c128le request has no
-        # 'entries', so it would kill the child
+        # plain-json child serving A -> 2A + I that ignores 'accept'
         script = (
             "import sys, json\n"
             "for line in sys.stdin:\n"
@@ -467,7 +466,7 @@ class TestSubprocessOracle:
         np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(2), atol=1e-10)
         np.testing.assert_allclose(report.recovered.X.mat, np.eye(2), atol=1e-12)
 
-    def test_demo_child_switches_to_c128le(self, monkeypatch):
+    def test_demo_child_switches_to_raw_stacks(self, monkeypatch):
         sent = []
 
         def dumps(obj):
@@ -481,7 +480,7 @@ class TestSubprocessOracle:
             report = reconstruct(handle)
         np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
         first, rest = sent[0], sent[1:]
-        assert "entries" in first["matrix"] and first["accept"] == ["c128le"]
+        assert "entries" in first["matrix"] and first["accept"] == ["raw-stack"]
         # the demo child offers raw stacks, so every later frame is binary
         assert rest and all(f["matrix"].keys() == {"dim", "count", "bytes"} and "accept" not in f
                             for f in rest)
@@ -514,20 +513,17 @@ def record_frames(monkeypatch) -> list:
 
 AFFINE_CHILD = [sys.executable, "-m", "obsorder.demo_oracles.affine"]
 
-# A -> 2A + I in c128le, offering under "accept" what follows the program
-# name, up to the dimension: nothing, or a token other than "raw-stack"
-C128LE_ONLY_CHILD = (
+# A -> 2A + I in decimal, offering under "accept" what follows the program
+# name, up to the dimension: nothing, or tokens other than "raw-stack"
+DECIMAL_CHILD = (
     "import sys, json\n"
     "import numpy as np\n"
-    "from obsorder.io import hermitian_from_dict, matrix_to_c128le, matrix_to_dict\n"
+    "from obsorder.io import hermitian_from_dict, matrix_to_dict\n"
     "offer = sys.argv[1:-1]\n"
     "for line in sys.stdin:\n"
     "    req = json.loads(line)\n"
-    "    m = req['matrix']\n"
-    "    a = hermitian_from_dict(m).mat\n"
-    "    binary = 'c128le' in m or 'c128le' in req.get('accept', [])\n"
-    "    out = (matrix_to_c128le if binary else matrix_to_dict)(2 * a + np.eye(len(a)))\n"
-    "    resp = {'id': req['id'], 'matrix': out}\n"
+    "    a = hermitian_from_dict(req['matrix']).mat\n"
+    "    resp = {'id': req['id'], 'matrix': matrix_to_dict(2 * a + np.eye(len(a)))}\n"
     "    if offer and 'accept' in req:\n"
     "        resp['accept'] = offer\n"
     "    print(json.dumps(resp), flush=True)\n"
@@ -541,7 +537,7 @@ C128LE_ONLY_CHILD = (
 BAD_REPLY_CHILD = (
     "import sys, json\n"
     "import numpy as np\n"
-    "from obsorder.io import hermitian_from_dict, matrix_to_c128le, stack_frame,"
+    "from obsorder.io import hermitian_from_dict, matrix_to_dict, stack_frame,"
     " stack_from_bytes, stack_shape\n"
     "mode, raw = sys.argv[1], sys.argv[2] == 'stack'\n"
     "target = int(sys.argv[3]) if len(sys.argv) > 4 else 2\n"
@@ -570,7 +566,7 @@ BAD_REPLY_CHILD = (
     "    if 'count' in m:\n"
     "        out, payload = stack_frame(stack)\n"
     "    else:\n"
-    "        payload, out = b'', matrix_to_c128le(stack[0])\n"
+    "        payload, out = b'', matrix_to_dict(stack[0])\n"
     "    resp = {'id': k + (fault == 'id'), 'matrix': out}\n"
     "    if fault == 'count':  # a count that does not match the payload\n"
     "        out['count'] = len(stack) + 1\n"
@@ -578,28 +574,25 @@ BAD_REPLY_CHILD = (
     "        out['bytes'] = len(payload) + 16\n"
     "    if fault == 'short' and payload:\n"
     "        payload = payload[:-8]\n"
-    "    elif fault == 'short':\n"
-    "        out['c128le'] = out['c128le'][:-8]\n"
-    "    if fault == 'bad_base64':\n"
-    "        out['c128le'] = '*' + out['c128le'][1:]\n"
+    "    elif fault == 'short':  # a row short\n"
+    "        out['entries'] = out['entries'][:-1]\n"
     "    if fault == 'no_matrix':\n"
     "        del resp['matrix']\n"
     "    if k == 0 and raw:\n"
-    "        resp['accept'] = ['c128le', 'raw-stack']\n"
+    "        resp['accept'] = ['raw-stack']\n"
     "    stdout.write((json.dumps(resp) + '\\n').encode() + payload)\n"
     "    stdout.flush()\n"
     "    if fault == 'short' and payload:\n"
     "        break\n"
 )
 
-# every fault of a single JSON frame, and each of a stack frame: a stack has
-# no base64 to spoil, and only its header carries a byte count
+# every fault of a single JSON frame, and each of a stack frame: only a
+# stack's header carries a byte count
 BAD_REPLIES = [
     (mode, error, frames)
     for mode, error in [
         ("count", TransportFailureError),
         ("short", TransportFailureError),
-        ("bad_base64", TransportFailureError),
         ("no_matrix", TransportFailureError),
         ("id", TransportFailureError),
         ("bytes", TransportFailureError),
@@ -609,7 +602,7 @@ BAD_REPLIES = [
         ("non_finite", OracleNotAutomorphicError),
     ]
     for frames in ["single", "stack"]
-    if (mode, frames) not in {("bad_base64", "stack"), ("bytes", "single")}
+    if (mode, frames) != ("bytes", "single")
 ]
 
 
@@ -637,7 +630,7 @@ class TestStackFrames:
         np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
         assert len(sent) == 2
         first, stack = sent
-        assert "entries" in first["matrix"] and first["accept"] == ["c128le"]
+        assert "entries" in first["matrix"] and first["accept"] == ["raw-stack"]
         assert stack["matrix"] == {"dim": 3, "count": 24, "bytes": 24 * 16 * 9}
         assert "accept" not in stack
 
@@ -657,24 +650,28 @@ class TestStackFrames:
         np.testing.assert_allclose(images[5], 10.0 * np.eye(32) + np.eye(32))
         assert [f["matrix"].get("count", 1) for f in sent[1:]] == [4, 4, 1]
 
-    def test_child_without_batch_gets_single_frames(self, monkeypatch):
+    # "c128le" named a base64 single-frame form, which is gone
+    @pytest.mark.parametrize("offer", [[], ["c128le"]], ids=["nothing", "c128le"])
+    def test_child_without_batch_gets_single_frames(self, monkeypatch, offer):
         sent = record_frames(monkeypatch)
-        with SubprocessOracle([sys.executable, "-c", C128LE_ONLY_CHILD], 3) as handle:
+        with SubprocessOracle([sys.executable, "-c", DECIMAL_CHILD, *offer], 3) as handle:
             report = reconstruct(handle)
         np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
         np.testing.assert_allclose(report.recovered.X.mat, np.eye(3), atol=1e-12)
         assert len(sent) == report.probes_used == 25
-        assert all("c128le" in f["matrix"] and "count" not in f["matrix"] for f in sent[1:])
+        assert all(f["matrix"].keys() == {"dim", "entries"} and f["accept"] == ["raw-stack"]
+                   for f in sent)
 
     def test_child_offering_only_batch_gets_single_frames(self, monkeypatch):
         # "batch" named the base64 stack form, which is gone
         sent = record_frames(monkeypatch)
-        with SubprocessOracle([sys.executable, "-c", C128LE_ONLY_CHILD, "c128le", "batch"],
+        with SubprocessOracle([sys.executable, "-c", DECIMAL_CHILD, "c128le", "batch"],
                               3) as handle:
             report = reconstruct(handle)
         np.testing.assert_allclose(report.recovered.T, np.sqrt(2.0) * np.eye(3), atol=1e-10)
         assert len(sent) == report.probes_used == 25
-        assert all("c128le" in f["matrix"] and "count" not in f["matrix"] for f in sent[1:])
+        assert all(f["matrix"].keys() == {"dim", "entries"} and f["accept"] == ["raw-stack"]
+                   for f in sent)
 
     @pytest.mark.parametrize("mode, error, frames", BAD_REPLIES)
     def test_bad_reply(self, mode, error, frames):
@@ -758,11 +755,12 @@ class TestStackFrames:
             return (m + m.conj().T) / 2.0
 
         probes = np.stack([random_hermitian(rng, 3) for _ in range(4)])
-        first = {"id": 0, "matrix": matrix_to_c128le(probes[0]), "accept": ["c128le"]}
+        first = {"id": 0, "matrix": matrix_to_dict(probes[0]), "accept": ["raw-stack"]}
         out = serve_bytes(monkeypatch, fn, (json.dumps(first) + "\n").encode()
                           + stack_request(1, probes))
         first, second = json.loads(out.readline()), json.loads(out.readline())
-        assert first["accept"] == ["c128le", "raw-stack"] and "accept" not in second
+        assert first["accept"] == ["raw-stack"] and "accept" not in second
+        np.testing.assert_array_equal(complex_matrix_from_dict(first["matrix"]), fn(probes[0]))
         assert second == {"id": 1, "matrix": {"dim": 3, "count": 4, "bytes": 4 * 16 * 9}}
         images = stack_from_bytes(out.read(), 4, 3)
         for a, image in zip(probes, images):
@@ -872,7 +870,7 @@ class TestReplyLineCap:
 # sys.argv[1] == "stall" it sleeps 60 s after the header instead
 SLOW_PAYLOAD_CHILD = (
     "import sys, json, time\n"
-    "from obsorder.io import hermitian_from_dict, matrix_to_c128le\n"
+    "from obsorder.io import hermitian_from_dict, matrix_to_dict\n"
     "pause = 60 if sys.argv[1] == 'stall' else 0.3\n"
     "stdin, stdout = sys.stdin.buffer, sys.stdout.buffer\n"
     "def send(data, wait):\n"
@@ -880,8 +878,8 @@ SLOW_PAYLOAD_CHILD = (
     "    stdout.flush()\n"
     "    time.sleep(wait)\n"
     "req = json.loads(stdin.readline())\n"
-    "out = matrix_to_c128le(hermitian_from_dict(req['matrix']).mat)\n"
-    "resp = {'id': req['id'], 'matrix': out, 'accept': ['c128le', 'raw-stack']}\n"
+    "out = matrix_to_dict(hermitian_from_dict(req['matrix']).mat)\n"
+    "resp = {'id': req['id'], 'matrix': out, 'accept': ['raw-stack']}\n"
     "send((json.dumps(resp) + '\\n').encode(), 0)\n"
     "for line in stdin:\n"
     "    req = json.loads(line)\n"
@@ -1011,51 +1009,40 @@ class TestStackedInProcessOracle:
         assert stacked.calls == reference.calls
 
 
-class TestC128le:
+class TestWireForms:
     def test_round_trip_bit_exact(self, rng):
         special = np.array([[-0.0 + 5e-324j, 1e300 - 1e300j],
                             [-1e300 + 0.0j, -5e-324 - 0.0j]])
         for m in [special, rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))]:
-            back = complex_matrix_from_dict(matrix_to_c128le(m))
+            back = complex_matrix_from_dict(json.loads(json.dumps(matrix_to_dict(m))))
             assert back.tobytes() == m.tobytes()
-
-    def test_payload_size(self):
-        obj = matrix_to_c128le(np.eye(64))
-        assert obj["dim"] == 64 and len(base64.b64decode(obj["c128le"])) == 16 * 64 * 64
 
     def test_hermitian_round_trip(self, rng):
         h = random_hermitian(rng, 4)
-        np.testing.assert_array_equal(hermitian_from_dict(matrix_to_c128le(h)).mat, h)
-
-    @staticmethod
-    def _payload(values) -> str:
-        return base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode()
+        np.testing.assert_array_equal(hermitian_from_dict(matrix_to_dict(h)).mat, h)
 
     @pytest.mark.parametrize("case", [
-        "bad_base64", "bad_padding", "short", "long", "dim_zero", "dim_65", "nan", "inf",
-        "asymmetric", "not_a_string", "both_forms",
+        "short", "long", "dim_zero", "dim_65", "nan", "inf", "asymmetric", "c128le",
     ])
     def test_rejected(self, case):
-        eye = self._payload(np.eye(2))
-        nan = np.eye(2, dtype=np.complex128)
-        nan.view(np.uint64)[0, 0] = 0x7FF8000000000001  # a NaN bit pattern in A[0, 0].real
+        eye = matrix_to_dict(np.eye(2))["entries"]
         obj = {
-            "bad_base64": {"dim": 2, "c128le": eye[:8] + "*" + eye[8:]},
-            "bad_padding": {"dim": 2, "c128le": eye.rstrip("=") + "="},
-            "short": {"dim": 2, "c128le": self._payload(np.ones(3))},
-            "long": {"dim": 2, "c128le": self._payload(np.ones(5))},
-            "dim_zero": {"dim": 0, "c128le": ""},
-            "dim_65": {"dim": 65, "c128le": self._payload(np.eye(65))},
-            "nan": {"dim": 2, "c128le": self._payload(nan)},
-            "inf": {"dim": 2, "c128le": self._payload([[np.inf, 0], [0, 1]])},
-            "asymmetric": {"dim": 2, "c128le": self._payload([[1, 1], [0, 1]])},
-            "not_a_string": {"dim": 2, "c128le": [1, 2]},
-            "both_forms": {"dim": 2, "c128le": eye, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+            "short": {"dim": 2, "entries": [eye[0], eye[1][:1]]},
+            "long": {"dim": 2, "entries": [*eye, eye[1]]},
+            "dim_zero": {"dim": 0, "entries": []},
+            "dim_65": matrix_to_dict(np.eye(65)),
+            "nan": matrix_to_dict([[np.nan, 0], [0, 1]]),
+            "inf": matrix_to_dict([[np.inf, 0], [0, 1]]),
+            "asymmetric": matrix_to_dict([[1, 1], [0, 1]]),
+            # the base64 binary form, which neither reader takes
+            "c128le": {"dim": 2, "c128le": base64.b64encode(
+                np.eye(2, dtype="<c16").tobytes()).decode()},
         }[case]
-        with pytest.raises(ValidationError):
+        match = "'entries'" if case == "c128le" else None
+        with pytest.raises(ValidationError, match=match):
             hermitian_from_dict(obj)
         if case != "asymmetric":
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=match):
                 complex_matrix_from_dict(obj)
 
     def test_stack_round_trip_bit_exact(self, rng):
@@ -1100,7 +1087,7 @@ class TestC128le:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_single_readers_reject_stacks(self, count):
-        obj = {**matrix_to_c128le(np.eye(2)), "count": count}
+        obj = {**matrix_to_dict(np.eye(2)), "count": count}
         with pytest.raises(ValidationError, match="count"):
             hermitian_from_dict(obj)
         with pytest.raises(ValidationError, match="count"):

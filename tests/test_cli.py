@@ -6,6 +6,7 @@ The verify subcommand reports wall time; that field is normalised to 0
 before comparison.
 """
 
+import base64
 import json
 import os
 import shlex
@@ -127,6 +128,16 @@ class TestOrder:
         code, _, err = run_cli(["order", str(files / "nope.json"), str(files / "eye2.json")], capsys)
         assert code == 2
         assert "error:" in err
+
+    def test_c128le_matrix_file_rejected(self, files, capsys):
+        # matrix files are read in the decimal form only
+        payload = base64.b64encode(np.eye(2, dtype="<c16").tobytes()).decode()
+        (files / "eye2_c128le.json").write_text(dumps({"dim": 2, "c128le": payload}) + "\n")
+        code, out, err = run_cli(
+            ["order", str(files / "eye2_c128le.json"), str(files / "eye2.json")], capsys
+        )
+        assert code == 2 and out == ""
+        assert "error:" in err and "'entries'" in err
 
 
 class TestLambdaMax:

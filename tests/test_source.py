@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,18 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, "assert statements in the package: " + ", ".join(found)
+
+
+def test_all_names_resolve():
+    # a stale __all__ entry breaks `from module import *` and nothing else
+    paths = sorted(SRC.rglob("*.py"))
+    missing = []
+    for path in paths:
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, "names in __all__ that do not resolve: " + ", ".join(missing)
 
 
 def test_benchmark_selfcheck_passes():
