@@ -576,6 +576,8 @@ BAD_REPLY_CHILD = (
     "        payload = payload[:-8]\n"
     "    elif fault == 'short':  # a row short\n"
     "        out['entries'] = out['entries'][:-1]\n"
+    "    if fault == 'grid':  # an entry that is not a number pair\n"
+    "        out['entries'][0][0] = ['x', 0]\n"
     "    if fault == 'no_matrix':\n"
     "        del resp['matrix']\n"
     "    if k == 0 and raw:\n"
@@ -587,7 +589,7 @@ BAD_REPLY_CHILD = (
 )
 
 # every fault of a single JSON frame, and each of a stack frame: only a
-# stack's header carries a byte count
+# stack's header carries a byte count, and only a single frame a grid
 BAD_REPLIES = [
     (mode, error, frames)
     for mode, error in [
@@ -597,12 +599,13 @@ BAD_REPLIES = [
         ("id", TransportFailureError),
         ("bytes", TransportFailureError),
         ("dim", TransportFailureError),
+        ("grid", TransportFailureError),
         ("non_hermitian", OracleNotAutomorphicError),
         ("slightly_asymmetric", OracleNotAutomorphicError),
         ("non_finite", OracleNotAutomorphicError),
     ]
     for frames in ["single", "stack"]
-    if (mode, frames) != ("bytes", "single")
+    if (mode, frames) not in {("bytes", "single"), ("grid", "stack")}
 ]
 
 
@@ -1022,7 +1025,8 @@ class TestWireForms:
         np.testing.assert_array_equal(hermitian_from_dict(matrix_to_dict(h)).mat, h)
 
     @pytest.mark.parametrize("case", [
-        "short", "long", "dim_zero", "dim_65", "nan", "inf", "asymmetric", "c128le",
+        "short", "long", "dim_zero", "dim_65", "dim_str", "no_dim", "string_entries",
+        "nan", "inf", "asymmetric", "c128le",
     ])
     def test_rejected(self, case):
         eye = matrix_to_dict(np.eye(2))["entries"]
@@ -1031,6 +1035,9 @@ class TestWireForms:
             "long": {"dim": 2, "entries": [*eye, eye[1]]},
             "dim_zero": {"dim": 0, "entries": []},
             "dim_65": matrix_to_dict(np.eye(65)),
+            "dim_str": {"dim": "2", "entries": eye},
+            "no_dim": {"entries": eye},
+            "string_entries": {"dim": 2, "entries": "ab"},
             "nan": matrix_to_dict([[np.nan, 0], [0, 1]]),
             "inf": matrix_to_dict([[np.inf, 0], [0, 1]]),
             "asymmetric": matrix_to_dict([[1, 1], [0, 1]]),
