@@ -24,6 +24,7 @@ from .generators import random_hermitian, random_hermitians, random_uniform
 from .hermitian import (
     HermitianMatrix,
     _check_square_finite,
+    _freeze,
     as_hermitian,
     herm_array,
     rank_one,
@@ -80,15 +81,25 @@ class OrderAutomorphism:
         return self.T.shape[0]
 
 
+def _images(phi: OrderAutomorphism, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """symmetrize(T K(a) T* + X) of a checked Hermitian a or (n, d, d) stack,
+    and whether each T K(a) T* + X is finite: the one place the map is
+    formed. Matmul runs one product per matrix, so a stack's images are bit
+    for bit those of its matrices alone."""
+    out = phi.T @ (a.conj() if phi.conjugate else a) @ phi.T.conj().T + phi.X.mat
+    return symmetrize(out), np.isfinite(np.abs(out).max(axis=(-2, -1)))
+
+
 def apply(phi: OrderAutomorphism, a) -> HermitianMatrix:
-    """T A T* + X (conjugating A entrywise first when the flag is set)."""
+    """T A T* + X (conjugating A entrywise first when the flag is set), by
+    ``_images``: A is checked once, the product only for finiteness."""
     arr = herm_array(a)
     if arr.shape[0] != phi.dim:
         raise DimensionMismatchError(f"dimension mismatch: {arr.shape[0]} vs {phi.dim}")
-    if phi.conjugate:
-        arr = arr.conj()
-    out = phi.T @ arr @ phi.T.conj().T + phi.X.mat
-    return HermitianMatrix.hermitian_part(out)
+    out, finite = _images(phi, arr)
+    if not finite:
+        raise ValidationError("matrix entries must be finite")
+    return HermitianMatrix(mat=_freeze(out))
 
 
 def compose(f: OrderAutomorphism, g: OrderAutomorphism) -> OrderAutomorphism:
@@ -189,7 +200,7 @@ def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: 
     from T's columns up to phase and the next images: all-ones, conjugation,
     then one per validation probe. ``checks`` holds the validation probes as
     (n, d, d) blocks; each block's images are compared with
-    symmetrize(T K(block) T* + X) at once, and its per-matrix relative
+    ``_images(recovered, block)`` at once, and its per-matrix relative
     max-abs residuals taken in one pass."""
     d = len(x)
 
@@ -228,12 +239,11 @@ def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: 
 
     # validation on random Hermitian probes, negative parts included; each
     # probe is exactly Hermitian, so this is apply(recovered, a) bit for bit
-    # without re-wrapping it (matmul runs one product per matrix of a block)
-    t_star = t.conj().T
+    # without re-wrapping it
     residuals = []
     for block in checks:
         got = np.stack([next(images) for _ in block])
-        want = symmetrize(t @ (block.conj() if conjugate else block) @ t_star + x)
+        want, _ = _images(recovered, block)
         peak = np.abs(got).max(axis=(1, 2))
         residuals.append(np.abs(got - want).max(axis=(1, 2)) / np.maximum(peak, 1.0))
     # NaN, from an overflowing T, propagates

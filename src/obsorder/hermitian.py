@@ -2,7 +2,8 @@
 deterministic eigenvector gauge, rank and range utilities.
 
 All public entry points accept either the wrapper types defined here or bare
-``numpy`` arrays; arrays are validated on the way in. Internally everything is
+``numpy`` arrays. A raw array is checked once, where it enters a public entry
+point; a wrapper passes through unchecked. Internally everything is
 ``complex128``.
 """
 
@@ -107,15 +108,6 @@ class HermitianMatrix:
             raise ValidationError(
                 f"matrix is not Hermitian: relative asymmetry {rel:.3e}"
             )
-        return cls(mat=_freeze(symmetrize(arr)))
-
-    @classmethod
-    def hermitian_part(cls, arr) -> "HermitianMatrix":
-        """``(M + M*)/2`` of a square finite M, whatever its asymmetry: for
-        results that are Hermitian up to rounding by construction, such as
-        ``T A T* + X``, whose rounding is not bounded relative to the
-        result."""
-        arr, _ = _check_square_finite(arr)
         return cls(mat=_freeze(symmetrize(arr)))
 
     @property
@@ -235,25 +227,25 @@ def _freeze_real(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _rank_of(evals: np.ndarray, tol: Tolerances) -> int:
-    norm = float(np.max(np.abs(evals)))
-    thr = scaled(tol.tol_rank, norm)
-    return int(np.count_nonzero(np.abs(evals) > thr))
-
-
 def rank_numeric(m, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Count of eigenvalues above the rank threshold; 0 for the zero matrix."""
-    return _rank_of(np.linalg.eigvalsh(as_hermitian(m).mat), tol)
+    """Count of eigenvalues above the rank threshold in modulus; 0 for the
+    zero matrix."""
+    evals = np.abs(np.linalg.eigvalsh(as_hermitian(m).mat))
+    return int(np.count_nonzero(evals > scaled(tol.tol_rank, float(np.max(evals)))))
 
 
 def psd_rank(m, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[PsdMatrix, int]:
-    """``as_psd(m)`` and ``rank_numeric(m)`` from one ``eigvalsh``: a raw
-    operand's rank is read off the spectrum that certifies it PSD."""
+    """``as_psd(m)`` and its rank from one ``eigvalsh``: a raw operand's rank
+    is read off the spectrum that certifies it PSD. The rank counts the
+    eigenvalues above ``tol_rank * max(norm, 1)``, not their moduli: a
+    negative eigenvalue the certificate admits (when tol_psd > tol_rank) has
+    no positive spectral term. Otherwise this is ``rank_numeric(m)``."""
     h = as_hermitian(m)
     evals = np.linalg.eigvalsh(h.mat)
     if not isinstance(m, PsdMatrix):
         m = PsdMatrix(base=h, min_eig=_certified_min_eig(evals, tol))
-    return m, _rank_of(evals, tol)
+    cut = scaled(tol.tol_rank, float(np.max(np.abs(evals))))
+    return m, int(np.count_nonzero(evals > cut))
 
 
 def range_basis(m, tol: Tolerances = DEFAULT_TOLERANCES) -> list[np.ndarray]:

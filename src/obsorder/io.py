@@ -25,8 +25,9 @@ arbitrary (non-Hermitian) complex matrix.
 
 Writers emit the exact stored values (shortest round-trip decimal, full
 double precision, or the raw bits). Readers reject dimensions outside
-[1, MAX_DIM], malformed grids or payloads, non-finite entries or, for
-Hermitian inputs, asymmetric data.
+[1, MAX_DIM], malformed grids or payloads, decimal entries other than JSON
+numbers (a bool, string or null), non-finite entries or, for Hermitian
+inputs, asymmetric data.
 """
 
 from __future__ import annotations
@@ -69,9 +70,19 @@ _C128LE = np.dtype("<c16")
 
 def _checked_dim(obj) -> int:
     d = obj["dim"]
-    if not isinstance(d, int) or d < 1 or d > MAX_DIM:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1 or d > MAX_DIM:
         raise ValidationError(f"matrix dim must be an integer in [1, {MAX_DIM}]")
     return d
+
+
+def _number(x) -> float:
+    """A decimal entry: a JSON number (int or float, not bool), as a float."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ValidationError(f"entries must be JSON numbers, not {type(x).__name__}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValidationError("entries must be finite: an integer past the float range") from None
 
 
 def stack_shape(obj: dict) -> tuple[int, int]:
@@ -130,7 +141,7 @@ def matrix_frame_from_dict(obj: dict) -> np.ndarray:
             for j, cell in enumerate(row):
                 if len(cell) != 2:
                     raise ValidationError("each entry must be an [re, im] pair")
-                out[i, j] = complex(float(cell[0]), float(cell[1]))
+                out[i, j] = complex(_number(cell[0]), _number(cell[1]))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"matrix entries must be [re, im] number pairs: {exc}") from exc
     return out
@@ -164,7 +175,7 @@ def vector_from_list(obj) -> np.ndarray:
     for i, cell in enumerate(obj):
         if not isinstance(cell, list) or len(cell) != 2:
             raise ValidationError("each vector entry must be an [re, im] pair")
-        re, im = float(cell[0]), float(cell[1])
+        re, im = _number(cell[0]), _number(cell[1])
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValidationError("vector entries must be finite")
         out[i] = complex(re, im)

@@ -170,15 +170,14 @@ def from_automorphism(phi) -> OracleHandle:
 
     ``query_many`` takes ``frame_capacity(dim)`` probes at a time, checks
     them as one (n, d, d) array by ``HermitianMatrix.from_array``'s rule
-    (``hermitian._hermitian_stack``) and answers them with one stacked
-    symmetrize(T K(block) T* + X), bit for bit what ``apply`` returns per
-    matrix. The images are Hermitian by construction, so only their
-    finiteness is checked. From the first probe of a block that fails a
-    check (its shape, non-finite entries, asymmetry or a non-finite image)
-    on, each probe takes the per-matrix path of an ``OracleHandle`` over
-    ``apply``, which raises that probe's error, after the images ahead of
-    it, with the class and message of the per-matrix path. ``query`` is a
-    block of one, and ``calls`` counts probes.
+    (``hermitian._hermitian_stack``) and answers them with one call of
+    ``apply``'s image function, ``automorphism._images``, whose finiteness
+    flags it checks as ``apply`` does. From the first probe of a block that
+    fails a check (its shape, non-finite entries, asymmetry or a non-finite
+    image) on, each probe takes the per-matrix path of an ``OracleHandle``
+    over ``apply``, which raises that probe's error, after the images ahead
+    of it, with the class and message of the per-matrix path. ``query`` is
+    a block of one, and ``calls`` counts probes.
     """
     return _AutomorphismOracle(phi)
 
@@ -187,11 +186,10 @@ class _AutomorphismOracle(OracleHandle):
     """The handle of ``from_automorphism``."""
 
     def __init__(self, phi):
-        from .automorphism import apply
+        from .automorphism import _images, apply
 
         super().__init__(lambda a: apply(phi, a).mat, phi.dim)
-        self._phi = phi
-        self._t_star = phi.T.conj().T  # formed as apply forms it
+        self._map = lambda block: _images(phi, block)
         self._per_block = frame_capacity(phi.dim)
 
     def query(self, a: np.ndarray) -> np.ndarray:
@@ -200,17 +198,15 @@ class _AutomorphismOracle(OracleHandle):
     def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         probes = iter(probes)
         shape = (self.dim, self.dim)
-        phi = self._phi
         while block := [np.asarray(a, dtype=np.complex128)
                         for a in itertools.islice(probes, self._per_block)]:
             k = next((i for i, a in enumerate(block) if a.shape != shape), len(block))
             if k:
                 good, k = _hermitian_stack(np.stack(block[:k]))
-                out = phi.T @ (good.conj() if phi.conjugate else good) @ self._t_star + phi.X.mat
-                # apply's check: a NaN or an overflow to inf fails isfinite
-                k = _leading(np.isfinite(np.abs(out).max(axis=(1, 2))))
+                out, finite = self._map(good)
+                k = _leading(finite)
                 self.calls += k
-                yield from symmetrize(out[:k])
+                yield from out[:k]
             for a in block[k:]:
                 yield OracleHandle.query(self, a)
 

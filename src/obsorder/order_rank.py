@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InternalInconsistencyError, ValidationError
 from .hermitian import (
-    HermitianMatrix,
     PsdMatrix,
     as_psd,
     eig,
@@ -64,8 +63,8 @@ def rank_two_counterexample(
     if len(terms) < 2:
         raise ValidationError("A must have rank >= 2")
     (l1, v1), (l2, v2) = terms[0], terms[1]
-    e = as_psd(HermitianMatrix.from_array(l1 * rank_one(v1, v1)), tol)
-    f = as_psd(HermitianMatrix.from_array(l2 * rank_one(v2, v2)), tol)
+    e = as_psd(l1 * rank_one(v1, v1), tol)
+    f = as_psd(l2 * rank_one(v2, v2), tol)
     return e, f
 
 
@@ -112,8 +111,8 @@ def rank_gt_np1_witness(
         else:
             f += lam * rank_one(v, v)
     return RankWitness(
-        E=as_psd(HermitianMatrix.from_array(e), tol),
-        F=as_psd(HermitianMatrix.from_array(f), tol),
+        E=as_psd(e, tol),
+        F=as_psd(f, tol),
         n=n,
     )
 

@@ -20,7 +20,7 @@ import numpy as np
 from .automorphism import OrderAutomorphism, apply, invert
 from .errors import DimensionMismatchError, SearchExhaustedError
 from .generators import random_hermitian, random_uniform
-from .hermitian import as_psd, eig, herm_array, rank_one
+from .hermitian import as_hermitian, as_psd, eig, herm_array, rank_one
 from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
 # Relative tolerance for the analytic scalar tests (T*T = lambda I, X = mu I).
@@ -117,7 +117,7 @@ def orthogonal(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     return _small_against_norm_product(a @ b, a, b, tol)
 
 
-def _eigen_clusters(m: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
+def _eigen_clusters(m, tol: Tolerances) -> list[np.ndarray]:
     """Single-linkage clustering of the spectrum at gap tol_rank * scale;
     returns one orthonormal column block per eigenvalue cluster."""
     dec = eig(m)
@@ -141,11 +141,11 @@ def complementary(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     subsets of eigenvalue clusters. Scalars have no nontrivial projections,
     so they are complementary to everything.
     """
-    a = herm_array(a)
-    b = herm_array(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = a.shape[0]
+    a = as_hermitian(a)  # wrapped, so that eig takes it unchecked
+    b = as_hermitian(b)
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    d = a.dim
     ca = _eigen_clusters(a, tol)
     cb = _eigen_clusters(b, tol)
     if len(ca) == 1 or len(cb) == 1:
@@ -281,7 +281,7 @@ def preserves_relation(
     rng = np.random.default_rng(seed)
     for a, b in itertools.islice(_counterexample_candidates(phi, kind, rng), trials):
         before = relation(a, b)
-        after = relation(apply(phi, a).mat, apply(phi, b).mat)
+        after = relation(apply(phi, a), apply(phi, b))
         if before != after:
             return PreserverClassification(
                 preserves=False,

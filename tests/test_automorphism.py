@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from obsorder import (
+    HermitianMatrix,
     OracleHandle,
     OracleNotAutomorphicError,
     OrderAutomorphism,
@@ -37,6 +38,7 @@ from obsorder.io import (
     stack_frame,
     stack_from_bytes,
     stack_shape,
+    vector_from_list,
 )
 from obsorder.tolerances import DEFAULT_TOLERANCES
 
@@ -110,6 +112,38 @@ class TestApply:
             got = apply(phi, a).mat
             np.testing.assert_array_equal(got, once)
             np.testing.assert_array_equal(got, twice)
+
+    def test_entries_above_half_the_float_range(self):
+        # T A T* + X overflows nowhere, and neither does its (M + M*)/2
+        m = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.0]])
+        np.testing.assert_array_equal(apply(OrderAutomorphism.create(np.eye(2)), m).mat, m)
+
+    def test_product_asymmetric_from_rounding(self, rng):
+        # X cancels T A T* up to its rounding, which from_array would reject
+        # as asymmetry; apply takes the Hermitian part of the product
+        t, a = 1e4 * random_invertible(rng, 3), random_hermitian(rng, 3)
+        phi = OrderAutomorphism.create(t, x=-symmetrize(t @ a @ t.conj().T))
+        product = phi.T @ a @ phi.T.conj().T + phi.X.mat
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            HermitianMatrix.from_array(product)
+        np.testing.assert_array_equal(apply(phi, a).mat, symmetrize(product))
+
+    def test_overflowing_product_rejected(self):
+        phi = OrderAutomorphism.create(1e200 * np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValidationError, match="finite"
+        ):
+            apply(phi, np.eye(2))
+
+    def test_wraps_a_raw_operand_once(self, rng, from_array_args):
+        phi = random_automorphism(rng, 3)
+        a = random_hermitian(rng, 3)
+        from_array_args.clear()
+        image = apply(phi, a)
+        assert len(from_array_args) == 1 and from_array_args[0] is a
+        from_array_args.clear()
+        apply(phi, image)
+        assert from_array_args == []
 
 
 class TestComposeInvert:
@@ -578,6 +612,12 @@ BAD_REPLY_CHILD = (
     "        out['entries'] = out['entries'][:-1]\n"
     "    if fault == 'grid':  # an entry that is not a number pair\n"
     "        out['entries'][0][0] = ['x', 0]\n"
+    "    if fault == 'digit_string':  # [re, im] as a string of two digits\n"
+    "        out['entries'][0][0] = '20'\n"
+    "    if fault == 'int_past_float_range':\n"
+    "        out['entries'][0][0] = [10 ** 400, 0]\n"
+    "    if fault == 'dim_bool':\n"
+    "        out['dim'] = True\n"
     "    if fault == 'no_matrix':\n"
     "        del resp['matrix']\n"
     "    if k == 0 and raw:\n"
@@ -600,12 +640,16 @@ BAD_REPLIES = [
         ("bytes", TransportFailureError),
         ("dim", TransportFailureError),
         ("grid", TransportFailureError),
+        ("digit_string", TransportFailureError),
+        ("int_past_float_range", TransportFailureError),
+        ("dim_bool", TransportFailureError),
         ("non_hermitian", OracleNotAutomorphicError),
         ("slightly_asymmetric", OracleNotAutomorphicError),
         ("non_finite", OracleNotAutomorphicError),
     ]
     for frames in ["single", "stack"]
-    if (mode, frames) not in {("bytes", "single"), ("grid", "stack")}
+    if (mode, frames) not in {("bytes", "single"), ("grid", "stack"), ("digit_string", "stack"),
+                              ("int_past_float_range", "stack")}
 ]
 
 
@@ -1026,7 +1070,8 @@ class TestWireForms:
 
     @pytest.mark.parametrize("case", [
         "short", "long", "dim_zero", "dim_65", "dim_str", "no_dim", "string_entries",
-        "nan", "inf", "asymmetric", "c128le",
+        "nan", "inf", "asymmetric", "c128le", "dim_bool", "digit_string", "string_entry",
+        "bool_entry", "null_entry", "int_past_float_range",
     ])
     def test_rejected(self, case):
         eye = matrix_to_dict(np.eye(2))["entries"]
@@ -1044,6 +1089,13 @@ class TestWireForms:
             # the base64 binary form, which neither reader takes
             "c128le": {"dim": 2, "c128le": base64.b64encode(
                 np.eye(2, dtype="<c16").tobytes()).decode()},
+            "dim_bool": {"dim": True, "entries": [[[1.0, 0.0]]]},
+            # a two-character string is a pair, and float() reads each
+            "digit_string": {"dim": 1, "entries": [["50"]]},
+            "string_entry": {"dim": 1, "entries": [[["3", 0.0]]]},
+            "bool_entry": {"dim": 1, "entries": [[[3.0, False]]]},
+            "null_entry": {"dim": 1, "entries": [[[3.0, None]]]},
+            "int_past_float_range": {"dim": 1, "entries": [[[10**400, 0]]]},
         }[case]
         match = "'entries'" if case == "c128le" else None
         with pytest.raises(ValidationError, match=match):
@@ -1091,6 +1143,12 @@ class TestWireForms:
         for read in (matrix_frame_from_dict, hermitian_from_dict):
             with pytest.raises(ValidationError):
                 read(obj)
+
+    @pytest.mark.parametrize("cell", [["1", 0], [True, 0], [0, None], [10**400, 0]])
+    def test_vector_entries_must_be_numbers(self, cell):
+        assert vector_from_list([[1, 0], [0.5, -2]]).tolist() == [1, 0.5 - 2j]
+        with pytest.raises(ValidationError):
+            vector_from_list([[1, 0], cell])
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_single_readers_reject_stacks(self, count):

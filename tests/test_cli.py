@@ -140,6 +140,29 @@ class TestOrder:
         assert "error:" in err and "'entries'" in err
 
 
+class TestDecimalNumbers:
+    """Matrix files and inline vectors take JSON numbers only."""
+
+    @pytest.mark.parametrize("obj", [
+        {"dim": True, "entries": [[[1.0, 0.0]]]},
+        {"dim": 1, "entries": [["50"]]},
+        {"dim": 1, "entries": [[["3", False]]]},
+        {"dim": 1, "entries": [[[10**400, 0]]]},
+    ], ids=["dim_bool", "digit_string", "string_and_bool", "int_past_float_range"])
+    def test_matrix_file(self, files, capsys, obj):
+        (files / "bad.json").write_text(json.dumps(obj) + "\n")
+        bad = str(files / "bad.json")
+        code, out, err = run_cli(["order", bad, bad], capsys)
+        assert code == 2 and out == "" and "error:" in err
+
+    @pytest.mark.parametrize("x", ['[["1", 0], [0, 0]]', "[[true, 0], [0, 0]]",
+                                   "[[null, 0], [0, 0]]", f"[[{10**400}, 0], [0, 0]]"],
+                             ids=["digit_string", "bool", "null", "int_past_float_range"])
+    def test_inline_vector(self, files, capsys, x):
+        code, out, err = run_cli(["lambda-max", str(files / "diag41.json"), x], capsys)
+        assert code == 2 and out == "" and "error:" in err
+
+
 class TestLambdaMax:
     def test_feasible(self, files, capsys):
         code, out, _ = run_cli(["lambda-max", str(files / "diag41.json"), "[[1,0],[0,0]]"], capsys)
@@ -189,6 +212,16 @@ class TestRankOrder:
     def test_rejects_indefinite(self, files, capsys):
         code, _, err = run_cli(["rank-order", str(files / "indef.json"), "--n", "1"], capsys)
         assert code == 2 and "error:" in err
+
+    def test_loose_psd_tolerance(self, files, capsys):
+        # a certified eigenvalue of -5e-7 adds no rank the witness can use
+        write_matrix(files / "neg.json", np.diag([1.0, 1.0, 1.0, -5e-7]))
+        argv = ["rank-order", str(files / "neg.json"), "--tol-psd", "1e-6",
+                "--out-dir", str(files / "out")]
+        code, out, _ = run_cli([*argv, "--n", "2"], capsys)
+        assert code == 0 and json.loads(out) == {"rank_gt_np1": False}
+        code, out, _ = run_cli([*argv, "--n", "1"], capsys)
+        assert code == 0 and json.loads(out)["witness"]["rank_F"] == 2
 
 
 class TestReconstruct:

@@ -14,6 +14,7 @@ from obsorder import (
 from obsorder.generators import random_psd, random_unit
 from obsorder.hermitian import as_psd, psd_rank
 from obsorder.order_rank import check_rank_witness, rank_two_counterexample
+from obsorder.tolerances import Tolerances
 
 
 def psd(m):
@@ -94,6 +95,24 @@ class TestRankFromTheCertificate:
             eigvalsh_calls.clear()
             assert rank_gt_np1_witness(m, 2) is None
             assert len(eigvalsh_calls) == 1
+
+
+class TestRankUnderALooseCertificate:
+    """With tol_psd above tol_rank a certified A may keep a small negative
+    eigenvalue; its rank counts only the eigenvalues of its spectral terms."""
+
+    TOL = Tolerances(tol_psd=1e-6)
+
+    def test_rank_one_by_order(self):
+        assert is_rank_one_by_order(np.diag([1.0, -5e-7]), self.TOL)
+
+    def test_witness_needs_positive_rank(self):
+        a = np.diag([1.0, 1.0, 1.0, -5e-7])
+        assert psd_rank(a, self.TOL)[1] == 3
+        assert rank_gt_np1_witness(a, 2, self.TOL) is None
+        w = rank_gt_np1_witness(a, 1, self.TOL)
+        assert check_rank_witness(a, w, self.TOL)
+        assert rank_numeric(w.F, self.TOL) == 2
 
 
 class TestRankGtNp1:

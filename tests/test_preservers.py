@@ -388,6 +388,21 @@ class TestPreservesRelation:
         assert commute(apply(phi, ce.a).mat, apply(phi, ce.b).mat) == ce.holds_after
         assert ce.holds_before != ce.holds_after
 
+    @pytest.mark.parametrize("kind", list(RelationKind))
+    def test_candidate_images_are_not_rewrapped(self, monkeypatch, from_array_args, kind):
+        # the relation takes apply's checked images of a candidate pair as
+        # they are; the last two images are those of the shipped pair
+        images = []
+
+        def recording(phi, a):
+            images.append(apply(phi, a))
+            return images[-1]
+
+        monkeypatch.setattr(preservers, "apply", recording)
+        cls = preserves_relation(OrderAutomorphism.create(np.diag([1.0, 2.0])), kind)
+        assert not cls.preserves and images
+        assert not any(arg is image.mat for arg in from_array_args for image in images[-2:])
+
     @pytest.mark.parametrize("d", [2, 3, 4, 16])
     def test_complementarity_counterexamples(self, rng, d):
         for _ in range(10):
