@@ -263,34 +263,25 @@ def reconstruct(
     """Recover (T, conjugate flag, X) from a black-box order-automorphism.
 
     The zero matrix fixes X. T's columns up to phase come from the pencil
-    read at d >= 3: psi(I) = TT* and psi(D) = TDT*, D = diag(1, ..., d)
-    (psi = image - X); or from the basis read: the images t_j t_j* of the d
-    basis projections. The all-ones projection gives Tv up to one global
-    phase, and solving cols . c = Tv sqrt(d) fixes every column phase at once
-    (each c_j must have modulus 1); one complex superposition decides the
-    conjugation flag; ``VALIDATION_PROBES`` random Hermitian matrices (not
-    only PSD) populate the residual, which must not exceed ``RECON_TOL``.
-    They are drawn and checked in blocks of at most
-    ``oracle.FRAME_BUDGET_BYTES`` of matrix bytes, the size of a stack
-    frame: one block of 20 at d <= 8, blocks of 4 at d = 32, one probe per
-    block at d = 64.
+    read: psi(I) = TT* and psi(D) = TDT*, D = diag(1, ..., d) (psi = image -
+    X). The all-ones projection gives Tv up to one global phase, and solving
+    cols . c = Tv sqrt(d) fixes every column phase at once (each c_j must
+    have modulus 1); one complex superposition decides the conjugation flag;
+    ``VALIDATION_PROBES`` random Hermitian matrices (not only PSD) populate
+    the residual, which must not exceed ``RECON_TOL``. They are drawn and
+    checked in blocks of at most ``oracle.FRAME_BUDGET_BYTES`` of matrix
+    bytes, the size of a stack frame: one block of 20 at d <= 8, blocks of 4
+    at d = 32, one probe per block at d = 64.
 
-    At d >= 3 the plan is zero, I, D, the all-ones and conjugation probes
-    and the validation probes: 25 calls. If any pencil
-    check fails (cond(psi(I)) above ``PENCIL_COND_CAP``, the Cholesky
-    factor, psi(D)'s eigenvalues 1, ..., d, the column weights, the
-    conjugation fit or the validation residual), the basis projections go
-    out as a second stream and the basis read reuses the other images:
-    d + 25 calls. At d = 2, where the pencil saves no probe, the plan is the
-    basis read's: d + 23 calls.
-
-    No probe of the first stream depends on an earlier answer, so it goes to
-    the oracle as one stream (``OracleHandle.query_many``). At d >= 3 all of
-    it is answered before any check; at d = 2 the basis and all-ones checks
-    each read the next image and the validation reads a block of images at
-    a time. An oracle that answers in stacks (a ``SubprocessOracle`` or the
-    handle of ``oracle.from_automorphism``) may therefore have been sent up
-    to one block of ``frame_capacity(d)`` probes beyond a failing check.
+    At every d >= 2 the plan is zero, I, D, the all-ones and conjugation
+    probes and the validation probes: 25 calls. No probe of it depends on an
+    earlier answer, so it goes to the oracle as one stream
+    (``OracleHandle.query_many``) and is answered whole before any check. If
+    any pencil check fails (cond(psi(I)) above ``PENCIL_COND_CAP``, the
+    Cholesky factor, psi(D)'s eigenvalues 1, ..., d, the column weights, the
+    conjugation fit or the validation residual), the d basis projections go
+    out as a second stream, and the basis read takes T's columns from their
+    images t_j t_j* and reuses the other images: 25 + d calls.
     """
     d = oracle.dim
     if d < 2:
@@ -301,19 +292,15 @@ def reconstruct(
     checks = [random_hermitians(rng, min(size, VALIDATION_PROBES - k), d)
               for k in range(0, VALIDATION_PROBES, size)]
     v = np.ones(d, dtype=np.complex128) / np.sqrt(d)
-    tail = [rank_one(v, v), _conjugation_probe(d), *itertools.chain.from_iterable(checks)]
     zero = np.zeros((d, d), dtype=np.complex128)
-    basis = (rank_one(e, e) for e in np.eye(d))
-    if d == 2:
-        images = oracle.query_many(itertools.chain([zero], basis, tail))
-        x = next(images)
-        fit = _fit(_basis_columns(images, x), x, images, checks, tol)
-    else:
-        x, p, q, *held = oracle.query_many([zero, np.eye(d), np.diag(np.arange(1.0, d + 1)), *tail])
-        try:
-            fit = _fit(_pencil_columns(p - x, q - x), x, iter(held), checks, tol)
-        except (OracleNotAutomorphicError, np.linalg.LinAlgError):
-            fit = _fit(_basis_columns(oracle.query_many(basis), x), x, iter(held), checks, tol)
+    x, p, q, *held = oracle.query_many([zero, np.eye(d), np.diag(np.arange(1.0, d + 1)),
+                                        rank_one(v, v), _conjugation_probe(d),
+                                        *itertools.chain.from_iterable(checks)])
+    try:
+        fit = _fit(_pencil_columns(p - x, q - x), x, iter(held), checks, tol)
+    except (OracleNotAutomorphicError, np.linalg.LinAlgError):
+        basis = (rank_one(e, e) for e in np.eye(d))
+        fit = _fit(_basis_columns(oracle.query_many(basis), x), x, iter(held), checks, tol)
     recovered, max_residual, degenerate = fit
 
     return ReconstructionReport(

@@ -234,16 +234,23 @@ def rank_numeric(m, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     return int(np.count_nonzero(evals > scaled(tol.tol_rank, float(np.max(evals)))))
 
 
-def psd_rank(m, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[PsdMatrix, int]:
-    """``as_psd(m)`` and its rank from one ``eigvalsh``: a raw operand's rank
-    is read off the spectrum that certifies it PSD. The rank counts the
-    eigenvalues above ``tol_rank * max(norm, 1)``, not their moduli: a
-    negative eigenvalue the certificate admits (when tol_psd > tol_rank) has
-    no positive spectral term. Otherwise this is ``rank_numeric(m)``."""
+def psd_eigvalsh(m, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[PsdMatrix, np.ndarray]:
+    """``as_psd(m)`` and its eigenvalues (ascending) from one ``eigvalsh``: a
+    raw operand's PSD certificate is read off the same eigenvalues."""
     h = as_hermitian(m)
     evals = np.linalg.eigvalsh(h.mat)
     if not isinstance(m, PsdMatrix):
         m = PsdMatrix(base=h, min_eig=_certified_min_eig(evals, tol))
+    return m, evals
+
+
+def psd_rank(m, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[PsdMatrix, int]:
+    """``as_psd(m)`` and its rank from one ``eigvalsh`` (``psd_eigvalsh``).
+    The rank counts the eigenvalues above ``tol_rank * max(norm, 1)``, not
+    their moduli: a negative eigenvalue the certificate admits (when tol_psd
+    > tol_rank) has no positive spectral term. Otherwise this is
+    ``rank_numeric(m)``."""
+    m, evals = psd_eigvalsh(m, tol)
     cut = scaled(tol.tol_rank, float(np.max(np.abs(evals))))
     return m, int(np.count_nonzero(evals > cut))
 

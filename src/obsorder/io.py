@@ -147,20 +147,16 @@ def matrix_frame_from_dict(obj: dict) -> np.ndarray:
     return out
 
 
-def _dict_to_array(obj: dict) -> np.ndarray:
+def complex_matrix_from_dict(obj: dict) -> np.ndarray:
+    """General complex square matrix (no Hermitian requirement)."""
     out = matrix_frame_from_dict(obj)
     if not np.all(np.isfinite(out)):
         raise ValidationError("matrix entries must be finite")
     return out
 
 
-def complex_matrix_from_dict(obj: dict) -> np.ndarray:
-    """General complex square matrix (no Hermitian requirement)."""
-    return _dict_to_array(obj)
-
-
 def hermitian_from_dict(obj: dict) -> HermitianMatrix:
-    return HermitianMatrix.from_array(_dict_to_array(obj))
+    return HermitianMatrix.from_array(matrix_frame_from_dict(obj))
 
 
 def vector_to_list(x: np.ndarray) -> list:

@@ -20,7 +20,7 @@ import numpy as np
 from .automorphism import OrderAutomorphism, apply, invert
 from .errors import DimensionMismatchError, SearchExhaustedError
 from .generators import random_hermitian, random_uniform
-from .hermitian import as_hermitian, as_psd, eig, herm_array, rank_one
+from .hermitian import as_hermitian, eig, herm_array, psd_eigvalsh, rank_one
 from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
 # Relative tolerance for the analytic scalar tests (T*T = lambda I, X = mu I).
@@ -174,8 +174,7 @@ def complementary(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 def local_linear_dependence_scalar(m) -> float | None:
     """lambda when the PSD matrix equals lambda I (eigenvalue spread within
     tolerance), else None."""
-    m = as_psd(m)
-    evals = np.linalg.eigvalsh(m.mat)
+    _, evals = psd_eigvalsh(m)
     spread = float(evals[-1] - evals[0])
     if spread <= SCALAR_TOL * max(1.0, float(np.abs(evals).max())):
         return float(np.mean(evals))
@@ -280,8 +279,9 @@ def preserves_relation(
     relation = _relation_predicate(kind, tol)
     rng = np.random.default_rng(seed)
     for a, b in itertools.islice(_counterexample_candidates(phi, kind, rng), trials):
-        before = relation(a, b)
-        after = relation(apply(phi, a), apply(phi, b))
+        ha, hb = as_hermitian(a), as_hermitian(b)
+        before = relation(ha, hb)
+        after = relation(apply(phi, ha), apply(phi, hb))
         if before != after:
             return PreserverClassification(
                 preserves=False,

@@ -232,12 +232,18 @@ class TestReconstruct:
         assert r1.recovered.conjugate == r2.recovered.conjugate
 
     def test_probe_economy(self, rng):
-        # the basis read at d = 2, the pencil read at every d >= 3
-        for d, plan in ((2, 2 + 3 + 20), (3, 25), (5, 25), (64, 25)):
+        # the pencil read at every d >= 2
+        for d in (2, 3, 5, 64):
             phi = random_automorphism(rng, d)
             handle = from_automorphism(phi)
             report = reconstruct(handle)
-            assert report.probes_used == handle.calls == plan
+            assert report.probes_used == handle.calls == 25
+
+    def test_first_probes_are_zero_identity_and_d(self, rng):
+        handle = RecordingOracle(random_automorphism(rng, 2))
+        reconstruct(handle)
+        assert [a.tolist() for a in handle.probes[:3]] == [
+            np.zeros((2, 2)).tolist(), np.eye(2).tolist(), np.diag([1.0, 2.0]).tolist()]
 
     @pytest.mark.parametrize("conjugate", [False, True])
     @pytest.mark.parametrize("d", [2, 3, 8, 32, 64])
@@ -250,7 +256,7 @@ class TestReconstruct:
         assert report.recovered.conjugate == conjugate
         draws = np.random.default_rng(9)
         checks = [random_hermitian(draws, d) for _ in range(VALIDATION_PROBES)]
-        # zero, then I and D or the two basis projectors, all-ones, conjugation
+        # zero, I, D, all-ones, conjugation
         sent = handle.probes[5:5 + VALIDATION_PROBES]
         assert [a.tobytes() for a in sent] == [a.tobytes() for a in checks]
         t, x = report.recovered.T, handle.images[0]
@@ -277,16 +283,16 @@ class TestReconstruct:
         handle = OracleHandle(fn, d)
         with pytest.raises(OracleNotAutomorphicError, match="validation residual .* exceeds"):
             reconstruct(handle)
-        # the whole first stream, and at d >= 3 the basis projectors after it
-        assert handle.calls == (d + 23 if d == 2 else 25 + d)
+        # the whole first stream, then the basis projectors
+        assert handle.calls == 25 + d
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_non_finite_validation_residual_is_rejected(self, d):
         # T K(A) T* overflows on the second block's probe, while every image
         # is finite: the NaN or inf residual fails the fit, as an
-        # OracleNotAutomorphicError, which is what sends d >= 3 to the basis
-        # read. No oracle reaches this: images of probes with entries at most
-        # 1 are as large as psi(I), which must be finite.
+        # OracleNotAutomorphicError, which is what sends reconstruct to the
+        # basis read. No oracle reaches this: images of probes with entries
+        # at most 1 are as large as psi(I), which must be finite.
         t = 100.0 * np.eye(d, dtype=np.complex128)
         x = np.zeros((d, d), dtype=np.complex128)
         v = np.ones(d) / np.sqrt(d)
@@ -299,9 +305,9 @@ class TestReconstruct:
         ):
             _fit(t, x, images, [good, huge], DEFAULT_TOLERANCES)
 
-    def test_ill_conditioned_map_falls_back_to_the_basis_read(self, rng):
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_ill_conditioned_map_falls_back_to_the_basis_read(self, rng, d):
         # cond(psi(I)) = cond(T)^2 = 1e10 is above the pencil's cap
-        d = 8
         t = (random_unitary(rng, d) * np.geomspace(1.0, 1e-5, d)) @ random_unitary(rng, d)
         phi = OrderAutomorphism.create(t, x=random_hermitian(rng, d))
         report = reconstruct(from_automorphism(phi))
@@ -345,29 +351,14 @@ class TestReconstruct:
         assert gauge_distance(report.recovered.T, phi.T) <= 1e-6
         assert report.max_residual <= 1e-6
 
-    def test_rejects_all_ones_image_of_wrong_weights(self):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rejects_all_ones_image_of_wrong_weights(self, d):
         # the identity, except that the all-ones probe comes back as ww* with
-        # |w_j| not all equal: no phase fix can make the columns sum to w
-        # (d = 2 keeps this on the basis read, which is the plan there)
-        d = 2
+        # |w_j| not all equal: no phase fix can make the columns sum to w, so
+        # the pencil's column weights fail, and so do the fallback's
         v = np.ones(d) / np.sqrt(d)
-        w = np.array([1.0, 2.0]) / np.sqrt(d)
-
-        def fn(a):
-            return np.outer(w, w) if np.array_equal(a, np.outer(v, v)) else a
-
-        handle = OracleHandle(fn, d)
-        with pytest.raises(OracleNotAutomorphicError, match="all-ones probe"):
-            reconstruct(handle)
-        # zero, d basis and all-ones probes: no validation probe was asked
-        assert handle.calls == d + 2
-
-    def test_pencil_rejects_all_ones_image_of_wrong_weights(self):
-        # the same fault at d = 3: the pencil's column weights fail, and so
-        # do the fallback's
-        d = 3
-        v = np.ones(d) / np.sqrt(d)
-        w = np.array([1.0, 2.0, 1.0]) / np.sqrt(d)
+        w = np.ones(d) / np.sqrt(d)
+        w[1] *= 2.0
 
         def fn(a):
             return np.outer(w, w) if np.array_equal(a, np.outer(v, v)) else a
@@ -378,22 +369,16 @@ class TestReconstruct:
         # the whole first stream, then the d basis projectors
         assert handle.calls == 25 + d
 
-    def test_rejects_dependent_basis_images(self):
-        # every basis projector maps to e1 e1*, so the columns are singular
-        # (d = 2 keeps this on the basis read, which is the plan there)
-        e1 = np.diag([1.0, 0.0])
-        handle = OracleHandle(lambda a: np.trace(a).real * e1, 2)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rejects_dependent_basis_images(self, d):
+        # every basis projector maps to e1 e1*, so psi(I) = d e1 e1* is
+        # singular: the pencil falls back, and the basis read finds the
+        # dependent columns
+        e1 = np.diag(np.eye(d)[0])
+        handle = OracleHandle(lambda a: np.trace(a).real * e1, d)
         with pytest.raises(OracleNotAutomorphicError, match="linearly dependent"):
             reconstruct(handle)
-
-    def test_pencil_rejects_dependent_basis_images(self):
-        # at d = 3 psi(I) = 3 e1 e1* is singular: the pencil falls back, and
-        # the basis read finds the dependent columns
-        e1 = np.diag([1.0, 0.0, 0.0])
-        handle = OracleHandle(lambda a: np.trace(a).real * e1, 3)
-        with pytest.raises(OracleNotAutomorphicError, match="linearly dependent"):
-            reconstruct(handle)
-        assert handle.calls == 25 + 3
+        assert handle.calls == 25 + d
 
     def test_verify_thm2_at_large_dims(self, capsys):
         # the pencil read against thm2's 1e-6 gauge bound at d = 32 and 64

@@ -182,7 +182,7 @@ class TestLambdaMax:
 
     def test_rejects_non_unit(self, files, capsys):
         code, _, err = run_cli(["lambda-max", str(files / "eye2.json"), "[[2,0],[0,0]]"], capsys)
-        assert code == 2 and "error:" in err
+        assert code == 2 and "error: x must be a unit vector, got norm 2.0" in err
 
 
 class TestRankOrder:

@@ -341,6 +341,19 @@ class TestLocalLinearDependence:
         lam = local_linear_dependence_scalar(PsdMatrix.from_hermitian((s + s.conj().T) / 2))
         assert lam == pytest.approx(1.69, rel=1e-9)
 
+    def test_raw_operand_takes_one_eigvalsh(self, monkeypatch):
+        # the spectrum that certifies the raw operand PSD also gives lambda
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert local_linear_dependence_scalar(2.0 * np.eye(3)) == 2.0
+        assert len(calls) == 1
+
 
 class TestPreservesRelation:
     @pytest.mark.parametrize("kind", [RelationKind.COMMUTATIVITY, RelationKind.COMPLEMENTARITY])
@@ -402,6 +415,22 @@ class TestPreservesRelation:
         cls = preserves_relation(OrderAutomorphism.create(np.diag([1.0, 2.0])), kind)
         assert not cls.preserves and images
         assert not any(arg is image.mat for arg in from_array_args for image in images[-2:])
+
+    @pytest.mark.parametrize("kind, wraps", [(RelationKind.COMPLEMENTARITY, 6),
+                                             (RelationKind.COMMUTATIVITY, 3),
+                                             (RelationKind.ORTHOGONALITY, 3)])
+    def test_each_candidate_is_wrapped_once(self, from_array_args, kind, wraps):
+        # the first pair is the counterexample, and a and b are checked once,
+        # ahead of the relation and apply: one wrap each, after T*T's (and,
+        # for complementarity, the inverse's X and the two probes that the
+        # candidates are made from). The counterexample reports raw arrays.
+        phi = OrderAutomorphism.create(np.eye(2), x=np.diag([1.0, 2.0]))
+        from_array_args.clear()
+        cls = preserves_relation(phi, kind)
+        ce = cls.counterexample
+        assert not cls.preserves and type(ce.a) is type(ce.b) is np.ndarray
+        assert len(from_array_args) == wraps
+        assert [arg is ce.b for arg in from_array_args].count(True) == 1
 
     @pytest.mark.parametrize("d", [2, 3, 4, 16])
     def test_complementarity_counterexamples(self, rng, d):
