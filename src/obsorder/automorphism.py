@@ -9,7 +9,6 @@ output deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -61,7 +60,7 @@ class OrderAutomorphism:
     def create(
         cls, t, conjugate: bool = False, x=None, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> "OrderAutomorphism":
-        t, _ = _check_square_finite(t)
+        t = _check_square_finite(t)
         t = np.array(t, order="C")  # a copy: the caller's array stays writable
         s = np.linalg.svd(t, compute_uv=False)
         if not float(s[-1]) > tol.tol_rank * float(s[0]):  # a NaN fails this too
@@ -268,10 +267,10 @@ def reconstruct(
     cols . c = Tv sqrt(d) fixes every column phase at once (each c_j must
     have modulus 1); one complex superposition decides the conjugation flag;
     ``VALIDATION_PROBES`` random Hermitian matrices (not only PSD) populate
-    the residual, which must not exceed ``RECON_TOL``. They are drawn and
-    checked in blocks of at most ``oracle.FRAME_BUDGET_BYTES`` of matrix
-    bytes, the size of a stack frame: one block of 20 at d <= 8, blocks of 4
-    at d = 32, one probe per block at d = 64.
+    the residual, which must not exceed ``RECON_TOL``. They are drawn in one
+    call and checked in blocks of at most ``oracle.FRAME_BUDGET_BYTES`` of
+    matrix bytes, the size of a stack frame: one block of 20 at d <= 8,
+    blocks of 4 at d = 32, one probe per block at d = 64.
 
     At every d >= 2 the plan is zero, I, D, the all-ones and conjugation
     probes and the validation probes: 25 calls. No probe of it depends on an
@@ -288,14 +287,13 @@ def reconstruct(
         raise ValidationError("reconstruction requires dimension >= 2")
     start_calls = oracle.calls
     rng = np.random.default_rng(seed)
+    probes = random_hermitians(rng, VALIDATION_PROBES, d)
     size = frame_capacity(d)
-    checks = [random_hermitians(rng, min(size, VALIDATION_PROBES - k), d)
-              for k in range(0, VALIDATION_PROBES, size)]
+    checks = [probes[k:k + size] for k in range(0, VALIDATION_PROBES, size)]
     v = np.ones(d, dtype=np.complex128) / np.sqrt(d)
     zero = np.zeros((d, d), dtype=np.complex128)
     x, p, q, *held = oracle.query_many([zero, np.eye(d), np.diag(np.arange(1.0, d + 1)),
-                                        rank_one(v, v), _conjugation_probe(d),
-                                        *itertools.chain.from_iterable(checks)])
+                                        rank_one(v, v), _conjugation_probe(d), *probes])
     try:
         fit = _fit(_pencil_columns(p - x, q - x), x, iter(held), checks, tol)
     except (OracleNotAutomorphicError, np.linalg.LinAlgError):

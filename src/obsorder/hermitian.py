@@ -9,6 +9,7 @@ point; a wrapper passes through unchecked. Internally everything is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,20 +30,32 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_square_finite(arr: np.ndarray) -> tuple[np.ndarray, float]:
-    """The validated complex128 array and its largest entry modulus."""
+def _check_square(arr) -> np.ndarray:
+    """The complex128 array, checked square of dimension 1 to ``MAX_DIM``."""
     arr = np.asarray(arr, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
     d = arr.shape[0]
     if d < 1 or d > MAX_DIM:
         raise ValidationError(f"dimension must be in [1, {MAX_DIM}], got {d}")
+    return arr
+
+
+def _finite_peak(arr: np.ndarray) -> float:
+    """The largest entry modulus; ValidationError when it is not finite."""
     # NaN propagates through max, so one test covers every entry (a modulus
     # beyond the float range counts as non-finite too)
     peak = float(np.max(np.abs(arr)))
     if not np.isfinite(peak):
         raise ValidationError("matrix entries must be finite")
-    return arr, peak
+    return peak
+
+
+def _check_square_finite(arr) -> np.ndarray:
+    """The validated complex128 array, square with finite entries."""
+    arr = _check_square(arr)
+    _finite_peak(arr)
+    return arr
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -50,6 +63,22 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     finite entries above half the float range cannot overflow it."""
     h = 0.5 * m
     return h + h.conj().swapaxes(-1, -2)
+
+
+# Largest ||M||_F^2 at which the Hermitian check works on M itself. Below it
+# every entry is at most 2^500 in modulus, so no square of an entry or of a
+# difference of two entries overflows; above it, or when the sum is inf or
+# NaN, the check measures M / max(peak, 1) instead.
+_NORM2_GUARD = 2.0**1000
+
+
+def _scaled_asymmetry(arr: np.ndarray) -> float:
+    """||M - M*||_F / max(||M||_F, 1) measured on M / s, s = max(peak, 1),
+    whose squares cannot overflow; ValidationError on a non-finite entry."""
+    s = max(_finite_peak(arr), 1.0)
+    unit = arr * (1.0 / s) if s > 1.0 else arr
+    asym = float(np.linalg.norm(unit - unit.conj().T))
+    return asym / max(float(np.linalg.norm(unit)), 1.0 / s)
 
 
 def _leading(ok: np.ndarray) -> int:
@@ -65,22 +94,36 @@ def _sum_squares(m: np.ndarray) -> np.ndarray:
 
 def _hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, int]:
     """``HermitianMatrix.from_array``'s rule applied to every matrix of a
-    complex128 (n, d, d) stack in a fixed number of numpy calls: a finite
-    peak, then relative asymmetry at most ``ASYMMETRY_LIMIT`` on M / s with
-    s = max(peak, 1). Returns the symmetrized matrices ahead of the first
-    that fails, read-only, and their count. The norms are summed in another
-    order than ``from_array``'s, so within rounding of the limit the two
-    may decide differently."""
-    peak = np.abs(stack).max(axis=(1, 2))
-    k = _leading(np.isfinite(peak))
-    stack = stack[:k]
-    s = np.maximum(peak[:k], 1.0)
-    unit = stack * (1.0 / s)[:, None, None]
-    asym2 = _sum_squares(unit - unit.conj().swapaxes(1, 2))
-    # squares of rel = asym / max(||unit||, 1/s); both norms are of entries
-    # at most 1 in modulus, so nothing overflows
-    k = _leading(asym2 <= ASYMMETRY_LIMIT**2 * np.maximum(_sum_squares(unit), s**-2))
-    out = symmetrize(stack[:k])
+    complex128 (n, d, d) stack in a fixed number of numpy calls: finite
+    entries, and ||M - M*||_F <= ``ASYMMETRY_LIMIT`` * max(||M||_F, 1).
+    Returns the symmetrized matrices ahead of the first that fails,
+    read-only, and their count.
+
+    When every ||M||_F^2 is at most ``_NORM2_GUARD`` (a NaN or inf sum, from
+    a non-finite entry, is not), the asymmetry is measured on the halves
+    h = M/2 that the output h + h* is formed from. Otherwise the whole stack
+    takes the scaled path: a finite peak per matrix, then the rule on
+    M / max(peak, 1). The norms are summed in another order than
+    ``from_array``'s, so within rounding of the limit the two may decide
+    differently."""
+    norm2 = _sum_squares(stack)
+    if norm2.max(initial=0.0) <= _NORM2_GUARD:
+        h = 0.5 * stack
+        hc = h.conj().swapaxes(1, 2)
+        # ||M - M*|| = 2 ||h - h*||, squared
+        asym2 = _sum_squares(h - hc)
+        k = _leading(asym2 <= (ASYMMETRY_LIMIT / 2) ** 2 * np.maximum(norm2, 1.0))
+        out = h[:k] + hc[:k]
+    else:
+        peak = np.abs(stack).max(axis=(1, 2))
+        k = _leading(np.isfinite(peak))
+        s = np.maximum(peak[:k], 1.0)
+        unit = stack[:k] * (1.0 / s)[:, None, None]
+        asym2 = _sum_squares(unit - unit.conj().swapaxes(1, 2))
+        # squares of rel = asym / max(||unit||, 1/s); both norms are of
+        # entries at most 1 in modulus, so nothing overflows
+        k = _leading(asym2 <= ASYMMETRY_LIMIT**2 * np.maximum(_sum_squares(unit), s**-2))
+        out = symmetrize(stack[:k])
     out.flags.writeable = False
     return out, k
 
@@ -97,18 +140,37 @@ class HermitianMatrix:
 
     @classmethod
     def from_array(cls, arr) -> "HermitianMatrix":
-        arr, peak = _check_square_finite(arr)
-        # ||M - M*|| / max(||M||, 1), measured on M / s with s = max(peak, 1):
-        # the squares inside the norms of M itself overflow near 1e300
-        s = max(peak, 1.0)
-        unit = arr * (1.0 / s) if s > 1.0 else arr
-        asym = float(np.linalg.norm(unit - unit.conj().T))
-        rel = asym / max(float(np.linalg.norm(unit)), 1.0 / s)
+        """The wrapper of (M + M*)/2, read-only, for a square M of dimension
+        1 to ``MAX_DIM`` with finite entries and
+        ||M - M*||_F <= ``ASYMMETRY_LIMIT`` * max(||M||_F, 1); otherwise
+        ValidationError. Every raw array is checked by this rule where it
+        enters a public entry point, and every matrix on the oracle pipe by
+        ``_hermitian_stack``.
+
+        ||M||_F^2 comes from one ``vdot``, which is NaN or inf when an entry
+        is non-finite. When it is at most ``_NORM2_GUARD``, the asymmetry is
+        measured on the halves h = M/2 that the output h + h* is formed
+        from (||M - M*|| = 2 ||h - h*||). Otherwise the peak decides
+        finiteness and the rule is measured on M / max(peak, 1), whose
+        squares cannot overflow (entries near 1e300 or above half the float
+        range). ``_hermitian_stack`` sums the norms in another order, so
+        within rounding of the limit the two may decide differently."""
+        arr = _check_square(arr)
+        norm2 = float(np.vdot(arr, arr).real)
+        if norm2 <= _NORM2_GUARD:  # False for NaN
+            h = 0.5 * arr
+            hc = h.conj().T
+            diff = h - hc
+            rel = 2.0 * math.sqrt(float(np.vdot(diff, diff).real) / max(norm2, 1.0))
+            out = h + hc
+        else:
+            rel = _scaled_asymmetry(arr)
+            out = symmetrize(arr)
         if rel > ASYMMETRY_LIMIT:
             raise ValidationError(
                 f"matrix is not Hermitian: relative asymmetry {rel:.3e}"
             )
-        return cls(mat=_freeze(symmetrize(arr)))
+        return cls(mat=_freeze(out))
 
     @property
     def dim(self) -> int:
@@ -151,11 +213,17 @@ def as_hermitian(m) -> HermitianMatrix:
     return HermitianMatrix.from_array(m)
 
 
+def _spectral_norm(evals: np.ndarray) -> float:
+    """The largest modulus of the ascending ``evals``, read off its two
+    ends: ``np.max(np.abs(evals))`` bit for bit."""
+    return max(abs(float(evals[0])), abs(float(evals[-1])))
+
+
 def _certified_min_eig(evals: np.ndarray, tol: Tolerances) -> float:
     """Smallest of the ascending ``evals``; ValidationError when it falls
     below ``-tol_psd * max(norm, 1)``."""
     lo = float(evals[0])
-    norm = float(np.max(np.abs(evals)))
+    norm = _spectral_norm(evals)
     if lo < -scaled(tol.tol_psd, norm):
         raise ValidationError(
             f"matrix is not PSD: smallest eigenvalue {lo:.3e} (norm {norm:.3e})"
@@ -251,7 +319,7 @@ def psd_rank(m, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[PsdMatrix, int]:
     > tol_rank) has no positive spectral term. Otherwise this is
     ``rank_numeric(m)``."""
     m, evals = psd_eigvalsh(m, tol)
-    cut = scaled(tol.tol_rank, float(np.max(np.abs(evals))))
+    cut = scaled(tol.tol_rank, _spectral_norm(evals))
     return m, int(np.count_nonzero(evals > cut))
 
 

@@ -30,7 +30,7 @@ from .errors import (
     InternalInconsistencyError,
     ValidationError,
 )
-from .hermitian import PsdMatrix, herm_array, psd_eigh, rank_one
+from .hermitian import PsdMatrix, _spectral_norm, herm_array, psd_eigh, rank_one
 from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
 # Noise floor used where a strict sign test is needed (see max_lambda).
@@ -61,8 +61,8 @@ class OrderResult:
 
 def _max_norm_scale(a: np.ndarray, b: np.ndarray) -> float:
     """max(||A||, ||B||, 1): the scale of the PSD threshold for a pair."""
-    na = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    nb = float(np.max(np.abs(np.linalg.eigvalsh(b))))
+    na = _spectral_norm(np.linalg.eigvalsh(a))
+    nb = _spectral_norm(np.linalg.eigvalsh(b))
     return max(na, nb, 1.0)
 
 
@@ -174,7 +174,7 @@ def _range_weight(
     Returns the norm of c off that range (the range residual) and
     sum |c_i|^2 / mu_i over it, the squared norm of B^(-1/2) x on the range.
     """
-    norm = float(np.max(np.abs(evals)))
+    norm = _spectral_norm(evals)
     root = np.sqrt(np.where(evals >= tol.tol_psd * norm, evals, 0.0))
     keep = root > tol.tol_rank * max(np.sqrt(norm), 1.0)
     c = evecs.conj().T @ x
@@ -197,7 +197,7 @@ def _certified_max_lambda(
     lam = 1.0 / weight
 
     p = rank_one(x, x)
-    scale = max(float(np.max(np.abs(evals))), lam, 1.0)
+    scale = max(_spectral_norm(evals), lam, 1.0)
     if not leq(lam * p, b, tol):
         raise InternalInconsistencyError(
             "closed-form lambda is infeasible under the order predicate"

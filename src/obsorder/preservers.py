@@ -203,7 +203,9 @@ def _relation_predicate(kind: RelationKind, tol: Tolerances):
 def _counterexample_candidates(
     phi: OrderAutomorphism, kind: RelationKind, rng: np.random.Generator
 ):
-    """Candidate pairs, cheapest and most promising first, then random."""
+    """Candidate pairs, cheapest and most promising first, then random.
+    A candidate is a raw array or, where it is already checked, a
+    ``HermitianMatrix``."""
     d = phi.dim
     zero = np.zeros((d, d), dtype=np.complex128)
 
@@ -222,19 +224,20 @@ def _counterexample_candidates(
             yield zero, random_hermitian(rng, d)
     else:
         # scalars are complementary to everything; map a shared-eigenvector
-        # partner back through the inverse
+        # partner back through the inverse. The scalars and the images are
+        # yielded wrapped, so that each is checked once.
         inv = invert(phi)
         for scalar in (zero, np.eye(d, dtype=np.complex128)):
-            img = apply(phi, scalar).mat
-            img_evals, img_evecs = np.linalg.eigh(img)
+            scalar = as_hermitian(scalar)
+            img_evals, img_evecs = np.linalg.eigh(apply(phi, scalar).mat)
             for j in (0, d - 1):
                 v = img_evecs[:, j]
-                yield scalar, apply(inv, rank_one(v, v)).mat
-        # preimage of a scalar: complementary to everything after the map but
-        # (for non-scalar T*T) to almost nothing before it
+                yield scalar, apply(inv, rank_one(v, v))
+        # preimage of a scalar (the last one, I): complementary to everything
+        # after the map but (for non-scalar T*T) to almost nothing before it
         e1 = np.zeros(d, dtype=np.complex128)
         e1[0] = 1.0
-        yield rank_one(e1, e1), apply(inv, np.eye(d, dtype=np.complex128)).mat
+        yield rank_one(e1, e1), apply(inv, scalar)
 
     while True:
         if kind is RelationKind.COMMUTATIVITY:
@@ -283,10 +286,14 @@ def preserves_relation(
         before = relation(ha, hb)
         after = relation(apply(phi, ha), apply(phi, hb))
         if before != after:
+            # a raw candidate is reported as given, a wrapped one as its array
             return PreserverClassification(
                 preserves=False,
                 counterexample=Counterexample(
-                    a=a, b=b, holds_before=before, holds_after=after
+                    a=ha.mat if a is ha else a,
+                    b=hb.mat if b is hb else b,
+                    holds_before=before,
+                    holds_after=after,
                 ),
             )
     raise SearchExhaustedError(

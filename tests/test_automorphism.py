@@ -28,7 +28,13 @@ from obsorder import oracle as oracle_module
 from obsorder.automorphism import VALIDATION_PROBES, _fit, _pencil_columns, gauge_distance
 from obsorder.cli import main
 from obsorder.demo_oracles import serve
-from obsorder.generators import random_hermitian, random_invertible, random_psd, random_unitary
+from obsorder.generators import (
+    random_hermitian,
+    random_hermitians,
+    random_invertible,
+    random_psd,
+    random_unitary,
+)
 from obsorder.hermitian import symmetrize
 from obsorder.io import (
     complex_matrix_from_dict,
@@ -266,6 +272,19 @@ class TestReconstruct:
             denom = max(1.0, float(np.max(np.abs(got))))
             residuals.append(float(np.max(np.abs(got - want))) / denom)
         assert report.max_residual == max(residuals)
+
+    @pytest.mark.parametrize("d", [2, 32, 64])
+    def test_validation_probes_are_the_per_block_draws(self, rng, d):
+        # one draw of all the probes, split into blocks, sends the bytes of
+        # one draw per block of frame_capacity(d) probes
+        handle = RecordingOracle(random_automorphism(rng, d))
+        reconstruct(handle, seed=5)
+        draws = np.random.default_rng(5)
+        size = oracle_module.frame_capacity(d)
+        blocks = [random_hermitians(draws, min(size, VALIDATION_PROBES - k), d)
+                  for k in range(0, VALIDATION_PROBES, size)]
+        sent = handle.probes[5:5 + VALIDATION_PROBES]
+        assert b"".join(a.tobytes() for a in sent) == b"".join(b.tobytes() for b in blocks)
 
     @pytest.mark.parametrize("d, slot", [(32, 0), (32, 3), (32, 4), (32, 19), (2, 0), (2, 19)])
     def test_wrong_validation_image_at_a_block_edge(self, rng, d, slot):

@@ -13,8 +13,18 @@ from obsorder import (
     rank_numeric,
     rank_one,
 )
+from obsorder import hermitian
 from obsorder.generators import random_hermitian, random_psd, random_unit
-from obsorder.hermitian import ASYMMETRY_LIMIT, _hermitian_stack
+from obsorder.hermitian import (
+    ASYMMETRY_LIMIT,
+    _certified_min_eig,
+    _hermitian_stack,
+    _spectral_norm,
+    psd_rank,
+    symmetrize,
+)
+from obsorder.loewner import _max_norm_scale
+from obsorder.tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
 
 
 class TestConstruction:
@@ -75,6 +85,20 @@ def _matrix_case(d: int):
     )
 
 
+def _case_matrix(d: int, case, spoil: bool) -> np.ndarray:
+    """The matrix of a ``_matrix_case``, with its non-finite entry only when
+    ``spoil`` is set."""
+    seed, scale, asym, special, spot = case
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    with np.errstate(over="ignore"):  # 1.5e308 makes some entries inf
+        m = scale * (h + asym * np.linalg.norm(h) / np.linalg.norm(g) * g)
+    if spoil and special is not None:
+        m.view(np.float64).reshape(-1)[spot] = special
+    return m
+
+
 @st.composite
 def _stacks(draw):
     d = draw(st.sampled_from([1, 2, 3, 8, 64]))
@@ -82,16 +106,15 @@ def _stacks(draw):
     # at most one matrix carries a non-finite entry
     bad = draw(st.integers(0, len(cases) - 1))
     stack = np.empty((len(cases), d, d), dtype=np.complex128)
-    for i, (seed, scale, asym, special, spot) in enumerate(cases):
-        rng = np.random.default_rng(seed)
-        h = random_hermitian(rng, d)
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        with np.errstate(over="ignore"):  # 1.5e308 makes some entries inf
-            m = scale * (h + asym * np.linalg.norm(h) / np.linalg.norm(g) * g)
-        if i == bad and special is not None:
-            m.view(np.float64).reshape(-1)[spot] = special
-        stack[i] = m
+    for i, case in enumerate(cases):
+        stack[i] = _case_matrix(d, case, i == bad)
     return stack
+
+
+@st.composite
+def _matrices(draw):
+    d = draw(st.sampled_from([1, 2, 3, 8, 64]))
+    return _case_matrix(d, draw(_matrix_case(d)), True)
 
 
 def _relative_asymmetry(m: np.ndarray) -> float:
@@ -129,6 +152,112 @@ class TestStackCheck:
         images, k = _hermitian_stack(stack)
         assert k == 1 and len(images) == 1
         np.testing.assert_array_equal(images[0], np.eye(2))
+
+
+def _assert_checked(m: np.ndarray, verdict: bool) -> None:
+    """from_array accepts m, as ``symmetrize(m)`` read-only and
+    C-contiguous, exactly when ``verdict`` is set."""
+    if not verdict:
+        with pytest.raises(ValidationError, match="matrix is not Hermitian: relative asymmetry"):
+            HermitianMatrix.from_array(m)
+        return
+    out = HermitianMatrix.from_array(m).mat
+    want = symmetrize(m)
+    assert out.tobytes() == want.tobytes() and out.shape == want.shape
+    assert out.flags.c_contiguous and not out.flags.writeable
+
+
+class TestMatrixCheck:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_matrices())
+    def test_agrees_with_the_scaled_measure(self, m):
+        with np.errstate(over="ignore"):  # moduli beyond the float range
+            if not np.isfinite(np.max(np.abs(m))):
+                with pytest.raises(ValidationError, match="matrix entries must be finite"):
+                    HermitianMatrix.from_array(m)
+                return
+            rel = _relative_asymmetry(m)
+            # the two sum the norms in different orders
+            assume(abs(rel / ASYMMETRY_LIMIT - 1.0) > 0.01)
+            _assert_checked(m, rel <= ASYMMETRY_LIMIT)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("asym", [0.0, 1e-14, 1e-10, 1.0])
+    def test_norm_just_under_and_over_the_guard(self, monkeypatch, d, asym):
+        # ||M||^2 a hair below the guard takes the unscaled path, a hair
+        # above it the scaled one; both give the scaled measure's verdict
+        scaled_calls = []
+        exact = hermitian._scaled_asymmetry
+
+        def counting(m):
+            scaled_calls.append(m)
+            return exact(m)
+
+        monkeypatch.setattr(hermitian, "_scaled_asymmetry", counting)
+        rng = np.random.default_rng(d)
+        h = random_hermitian(rng, d)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        unit = h + asym * np.linalg.norm(h) / np.linalg.norm(g) * g
+        unit /= np.linalg.norm(unit)
+        guard = hermitian._NORM2_GUARD
+        for above in (False, True):
+            m = np.sqrt(guard * (1.0 + (1e-6 if above else -1e-6))) * unit
+            assert (np.vdot(m, m).real > guard) == above
+            rel = _relative_asymmetry(m)
+            assert abs(rel / ASYMMETRY_LIMIT - 1.0) > 0.01
+            scaled_calls.clear()
+            _assert_checked(m, rel <= ASYMMETRY_LIMIT)
+            assert len(scaled_calls) == above
+            images, k = _hermitian_stack(m[None])
+            assert k == (rel <= ASYMMETRY_LIMIT)
+            if k:
+                assert images.tobytes() == symmetrize(m).tobytes()
+
+
+_SPECTRA = [[-3.0, -1.0], [-2.0, -2.0], [0.0, 0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0],
+            [-2.0, 0.5, 1.0], [-0.5, 3.0], [-1e-10, 1.0], [-4.0], [0.0], [5.0]]
+
+
+def _psd_message(evals: np.ndarray) -> str:
+    lo, norm = float(evals[0]), float(np.max(np.abs(evals)))
+    return f"matrix is not PSD: smallest eigenvalue {lo:.3e} (norm {norm:.3e})"
+
+
+class TestSpectralEnds:
+    """The largest eigenvalue modulus read off the two ends of an ascending
+    spectrum is ``np.max(np.abs(evals))`` bit for bit."""
+
+    @pytest.mark.parametrize("evals", _SPECTRA)
+    def test_ends_read(self, evals):
+        evals = np.array(evals)
+        want = np.float64(np.max(np.abs(evals)))
+        assert np.float64(_spectral_norm(evals)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOLERANCES, Tolerances(tol_psd=0.5)])
+    @pytest.mark.parametrize("evals", _SPECTRA)
+    def test_certified_min_eig_and_psd_rank(self, evals, tol):
+        evals = np.array(evals)
+        m = np.diag(evals)
+        spectrum = np.linalg.eigvalsh(m)
+        norm = float(np.max(np.abs(spectrum)))
+        if float(spectrum[0]) < -scaled(tol.tol_psd, norm):
+            for call in (lambda: _certified_min_eig(spectrum, tol), lambda: psd_rank(m, tol)):
+                with pytest.raises(ValidationError) as info:
+                    call()
+                assert str(info.value) == _psd_message(spectrum)
+            return
+        assert _certified_min_eig(spectrum, tol) == float(spectrum[0])
+        cut = scaled(tol.tol_rank, norm)
+        assert psd_rank(m, tol)[1] == int(np.count_nonzero(spectrum > cut))
+
+    @pytest.mark.parametrize("evals", _SPECTRA)
+    def test_max_norm_scale(self, evals):
+        a = np.diag(evals).astype(complex)
+        b = np.diag(np.linspace(-1.0, 0.5, len(evals))).astype(complex)
+        na = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+        nb = float(np.max(np.abs(np.linalg.eigvalsh(b))))
+        assert _max_norm_scale(a, b) == max(na, nb, 1.0)
+        assert _max_norm_scale(3.0 * a, b) == max(3.0 * na, nb, 1.0)
 
 
 class TestEig:

@@ -416,21 +416,22 @@ class TestPreservesRelation:
         assert not cls.preserves and images
         assert not any(arg is image.mat for arg in from_array_args for image in images[-2:])
 
-    @pytest.mark.parametrize("kind, wraps", [(RelationKind.COMPLEMENTARITY, 6),
-                                             (RelationKind.COMMUTATIVITY, 3),
-                                             (RelationKind.ORTHOGONALITY, 3)])
-    def test_each_candidate_is_wrapped_once(self, from_array_args, kind, wraps):
-        # the first pair is the counterexample, and a and b are checked once,
-        # ahead of the relation and apply: one wrap each, after T*T's (and,
-        # for complementarity, the inverse's X and the two probes that the
-        # candidates are made from). The counterexample reports raw arrays.
+    @pytest.mark.parametrize("kind, wraps, b_wraps", [(RelationKind.COMPLEMENTARITY, 4, 0),
+                                                      (RelationKind.COMMUTATIVITY, 3, 1),
+                                                      (RelationKind.ORTHOGONALITY, 3, 1)])
+    def test_each_candidate_is_wrapped_once(self, from_array_args, kind, wraps, b_wraps):
+        # the first pair is the counterexample, and a and b are checked once:
+        # one wrap each after T*T's, ahead of the relation and apply. For
+        # complementarity the inverse's X comes first, then zero and the
+        # probe whose image under the inverse is b; b is apply's checked
+        # image, never wrapped again. The counterexample reports raw arrays.
         phi = OrderAutomorphism.create(np.eye(2), x=np.diag([1.0, 2.0]))
         from_array_args.clear()
         cls = preserves_relation(phi, kind)
         ce = cls.counterexample
         assert not cls.preserves and type(ce.a) is type(ce.b) is np.ndarray
         assert len(from_array_args) == wraps
-        assert [arg is ce.b for arg in from_array_args].count(True) == 1
+        assert [arg is ce.b for arg in from_array_args].count(True) == b_wraps
 
     @pytest.mark.parametrize("d", [2, 3, 4, 16])
     def test_complementarity_counterexamples(self, rng, d):
