@@ -9,6 +9,7 @@ output deterministic.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -29,7 +30,7 @@ from .hermitian import (
     rank_one,
     symmetrize,
 )
-from .loewner import compare
+from .loewner import _relation
 from .oracle import OracleHandle, frame_capacity
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -324,6 +325,16 @@ class OrderCheckReport:
         return not self.violations
 
 
+def _order_pair(rng: np.random.Generator, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trial k's pair (A, B): B = A + GG*, so A <= B, at even k, Hermitian
+    only up to rounding; an independent draw at odd k."""
+    a = random_hermitian(rng, d)
+    if k % 2 == 0:
+        g = random_uniform(rng, d)
+        return a, a + g @ g.conj().T
+    return a, random_hermitian(rng, d)
+
+
 def check_order_automorphism(
     oracle: OracleHandle,
     trials: int = 200,
@@ -331,19 +342,32 @@ def check_order_automorphism(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> OrderCheckReport:
     """Sample ordered and unordered pairs and verify two-way preservation of
-    the relation through the oracle."""
+    the relation through the oracle.
+
+    Trial k draws a pair (A, B) and compares the relation of A to B with
+    that of their images, as ``compare`` decides it, without witnesses
+    (``loewner._relation``). The 2 * ``trials`` probes go to the oracle as
+    one stream (``OracleHandle.query_many``), drawn in trial order as the
+    handle takes them, so a pair is held only until its images are back.
+    """
+    if trials < 1:
+        raise ValidationError(f"an order check needs at least one trial, got {trials}")
     d = oracle.dim
     rng = np.random.default_rng(seed)
+    pending = deque()
+
+    def probes() -> Iterator[np.ndarray]:
+        for k in range(trials):
+            pair = _order_pair(rng, d, k)
+            pending.append(pair)
+            yield from pair
+
+    images = oracle.query_many(probes())
     violations = []
     for k in range(trials):
-        a = random_hermitian(rng, d)
-        if k % 2 == 0:
-            g = random_uniform(rng, d)
-            b = a + g @ g.conj().T  # forced a <= b
-        else:
-            b = random_hermitian(rng, d)
-        before = compare(a, b, tol).relation
-        after = compare(oracle.query(a), oracle.query(b), tol).relation
+        after = _relation(next(images), next(images), tol)
+        a, b = pending.popleft()
+        before = _relation(a, symmetrize(b), tol)
         if before != after:
             violations.append(
                 {"trial": k, "before": before.value, "after": after.value}

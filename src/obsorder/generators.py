@@ -25,9 +25,16 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_hermitians(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """An (n, d, d) stack of ``random_hermitian`` draws in one call: the same
-    bits and the same stream as n calls in a row."""
+    bits and the same stream as n calls in a row. The stack is built and
+    symmetrized in place, and the uniform draw dropped first, so that at
+    most two stacks' worth of memory is held at once."""
     u = rng.uniform(-1.0, 1.0, (n, 2, d, d))
-    return symmetrize(u[:, 0] + 1j * u[:, 1])
+    m = np.empty((n, d, d), dtype=np.complex128)
+    m.real, m.imag = u[:, 0], u[:, 1]
+    del u
+    m *= 0.5
+    m += m.conj().swapaxes(1, 2)  # symmetrize: conj() is a new array, not a view of m
+    return m
 
 
 def random_unit(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -13,6 +14,7 @@ from obsorder import (
     OracleHandle,
     OracleNotAutomorphicError,
     OrderAutomorphism,
+    Relation,
     SubprocessOracle,
     TransportFailureError,
     ValidationError,
@@ -24,8 +26,17 @@ from obsorder import (
     leq,
     reconstruct,
 )
+from obsorder import automorphism as automorphism_module
+from obsorder import loewner
 from obsorder import oracle as oracle_module
-from obsorder.automorphism import VALIDATION_PROBES, _fit, _pencil_columns, gauge_distance
+from obsorder.automorphism import (
+    VALIDATION_PROBES,
+    _basis_columns,
+    _conjugation_probe,
+    _fit,
+    _pencil_columns,
+    gauge_distance,
+)
 from obsorder.cli import main
 from obsorder.demo_oracles import serve
 from obsorder.generators import (
@@ -33,9 +44,10 @@ from obsorder.generators import (
     random_hermitians,
     random_invertible,
     random_psd,
+    random_uniform,
     random_unitary,
 )
-from obsorder.hermitian import symmetrize
+from obsorder.hermitian import herm_array, rank_one, symmetrize
 from obsorder.io import (
     complex_matrix_from_dict,
     hermitian_from_dict,
@@ -286,6 +298,43 @@ class TestReconstruct:
         sent = handle.probes[5:5 + VALIDATION_PROBES]
         assert b"".join(a.tobytes() for a in sent) == b"".join(b.tobytes() for b in blocks)
 
+    def test_validation_probe_draw_peak(self):
+        # reconstruct at d = 64 holds the 20 validation probes (1.3 MB) and
+        # their images. Drawn into one stack in place, the probes peak the
+        # call at 4.0 MB of allocations; with the uniform draw and three
+        # complex stacks alive at once the peak was 6.7 MB
+        phi = random_automorphism(np.random.default_rng(3), 64)
+        handle = from_automorphism(phi)
+        reconstruct(handle, seed=5)  # imports and first-call set-up
+        tracemalloc.start()
+        try:
+            reconstruct(handle, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.0e6
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    def test_pencil_and_basis_reads_agree(self, rng, d, conjugate):
+        # the two reads of T's columns, each through the all-ones phase fix
+        # of _fit, on the images of one well-conditioned map
+        phi = random_automorphism(rng, d, conjugate)
+        x = phi.X.mat
+
+        def image(m):
+            return apply(phi, m).mat
+
+        pencil = _pencil_columns(image(np.eye(d)) - x, image(np.diag(np.arange(1.0, d + 1))) - x)
+        basis = _basis_columns(iter([image(rank_one(e, e)) for e in np.eye(d)]), x)
+        v = np.ones(d) / np.sqrt(d)
+        checks = random_hermitians(rng, 4, d)
+        tail = [image(rank_one(v, v)), image(_conjugation_probe(d)), *map(image, checks)]
+        fitted = [_fit(cols, x, iter(tail), [checks], DEFAULT_TOLERANCES)[0]
+                  for cols in (pencil, basis)]
+        assert all(f.conjugate is conjugate for f in fitted)
+        assert gauge_distance(fitted[0].T, fitted[1].T) <= 1e-6
+
     @pytest.mark.parametrize("d, slot", [(32, 0), (32, 3), (32, 4), (32, 19), (2, 0), (2, 19)])
     def test_wrong_validation_image_at_a_block_edge(self, rng, d, slot):
         # blocks of 4 at d = 32, one block of 20 at d = 2
@@ -431,6 +480,55 @@ class TestReconstruct:
             assert np.linalg.norm(lhs - rhs, 2) <= 1e-8 * max(1.0, np.linalg.norm(lhs, 2))
 
 
+def _eigh_relation(a, b, tol=DEFAULT_TOLERANCES):
+    """compare's relation as it stood before the certificates: both ends of
+    one eigh(B - A) through the spectral verdicts."""
+    a, b = herm_array(a), herm_array(b)
+    evals = np.linalg.eigh(b - a)[0]
+    ab, ba = loewner._psd_verdicts((float(evals[0]), -float(evals[-1])), a, b, tol)
+    if ab:
+        return Relation.EQUAL if ba else Relation.LEQ
+    return Relation.GEQ if ba else Relation.INCOMPARABLE
+
+
+def _todays_check(oracle, trials, seed, tol=DEFAULT_TOLERANCES):
+    """check_order_automorphism's violations by its loop as it stood before
+    the certificates, copied: one pair at a time, each probe one query."""
+    d = oracle.dim
+    rng = np.random.default_rng(seed)
+    violations = []
+    for k in range(trials):
+        a = random_hermitian(rng, d)
+        if k % 2 == 0:
+            g = random_uniform(rng, d)
+            b = a + g @ g.conj().T
+        else:
+            b = random_hermitian(rng, d)
+        before = _eigh_relation(a, b, tol)
+        after = _eigh_relation(oracle.query(a), oracle.query(b), tol)
+        if before != after:
+            violations.append({"trial": k, "before": before.value, "after": after.value})
+    return violations
+
+
+def _spectral_map(f, d) -> OracleHandle:
+    """The oracle of A -> f(A), f applied to the eigenvalues."""
+    def fn(a):
+        evals, u = np.linalg.eigh(a)
+        return (u * f(evals)) @ u.conj().T
+    return OracleHandle(fn, d)
+
+
+# genuine maps, the order reversal, and s arctan(A / s), monotone but not
+# matrix monotone on all of the reals, at s = 1 and s = 10
+ORDER_CHECK_MAPS = {
+    "genuine": lambda phi, d: from_automorphism(phi),
+    "reversal": lambda phi, d: OracleHandle(np.negative, d),
+    "arctan-1": lambda phi, d: _spectral_map(np.arctan, d),
+    "arctan-10": lambda phi, d: _spectral_map(lambda x: 10.0 * np.arctan(x / 10.0), d),
+}
+
+
 class TestOrderCheck:
     def test_identity_clean(self):
         report = check_order_automorphism(from_automorphism(OrderAutomorphism.create(np.eye(3))), trials=200)
@@ -445,6 +543,72 @@ class TestOrderCheck:
         phi = random_automorphism(rng, 3)
         report = check_order_automorphism(from_automorphism(phi), trials=200, seed=3)
         assert report.passed
+
+    @pytest.mark.parametrize("trials", [0, -4])
+    def test_needs_a_trial(self, trials):
+        # no trial would pass an order-reversing map
+        with pytest.raises(ValidationError, match="at least one trial"):
+            check_order_automorphism(OracleHandle(np.negative, 3), trials=trials)
+
+    @pytest.mark.parametrize("name", sorted(ORDER_CHECK_MAPS))
+    @pytest.mark.parametrize("d", [2, 3, 8, 32, 64])
+    def test_violations_are_the_pair_loops(self, rng, d, name):
+        found = 0
+        for seed in range(4):
+            phi = random_automorphism(rng, d)
+            make = ORDER_CHECK_MAPS[name]
+            report = check_order_automorphism(make(phi, d), trials=12, seed=seed)
+            assert report.violations == _todays_check(make(phi, d), 12, seed)
+            found += len(report.violations)
+        if name == "genuine":
+            assert found == 0
+        if name == "reversal":
+            assert found > 0
+
+    @pytest.mark.parametrize("fault", ["nan", "shape", "raise"])
+    def test_failing_oracle_fails_as_before(self, fault):
+        def make():
+            count = [0]
+
+            def fn(a):
+                count[0] += 1
+                if count[0] < 5:
+                    return -a
+                if fault == "nan":
+                    return np.full_like(a, np.nan)
+                if fault == "shape":
+                    return np.zeros((3, 3))
+                raise RuntimeError("oracle crashed on probe 5")
+
+            return OracleHandle(fn, 2)
+
+        outcomes = []
+        for run in (lambda h: check_order_automorphism(h, trials=10, seed=1),
+                    lambda h: _todays_check(h, 10, 1)):
+            with pytest.raises(Exception) as info:
+                run(make())
+            outcomes.append((type(info.value), str(info.value)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_user_handle_takes_each_probe_as_it_is_drawn(self, monkeypatch):
+        log = []
+
+        def drawing(fn):
+            def wrapper(rng, d):
+                log.append("draw")
+                return fn(rng, d)
+            return wrapper
+
+        for name in ("random_hermitian", "random_uniform"):
+            monkeypatch.setattr(automorphism_module, name,
+                                drawing(getattr(automorphism_module, name)))
+
+        def fn(a):
+            log.append("query")
+            return -a
+
+        check_order_automorphism(OracleHandle(fn, 2), trials=4)
+        assert log == ["draw", "draw", "query", "query"] * 4
 
 
 class TestSubprocessOracle:

@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from obsorder import (
     DimensionMismatchError,
@@ -26,7 +29,7 @@ from obsorder.generators import (
 )
 from obsorder.harness import bisection_max_lambda
 from obsorder.hermitian import herm_array
-from obsorder.tolerances import DEFAULT_TOLERANCES
+from obsorder.tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances
 
 
 def quadratic_form(a, x) -> float:
@@ -360,8 +363,8 @@ class TestLeanMaxLambda:
 class TestLapackCalls:
     """One decomposition per operand: the LAPACK calls each entry point makes."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
+    @staticmethod
+    def _counting(monkeypatch, names):
         counts = {}
 
         def counting(name):
@@ -373,26 +376,61 @@ class TestLapackCalls:
 
             return wrapper
 
-        for name in ("eigh", "eigvalsh", "svd", "eig", "pinv", "inv"):
+        for name in names:
             monkeypatch.setattr(np.linalg, name, counting(name))
         return counts
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return self._counting(monkeypatch, ("eigh", "eigvalsh", "svd", "eig", "pinv", "inv"))
+
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """``calls`` with the Cholesky factors counted too."""
+        return self._counting(
+            monkeypatch, ("eigh", "eigvalsh", "svd", "eig", "pinv", "inv", "cholesky")
+        )
 
     def _gate_decided_pairs(self, rng, d):
         a = random_hermitian(rng, d)
         for b in (a.copy(), a + random_psd(rng, d, d), a - random_psd(rng, d, d), random_hermitian(rng, d)):
             yield a, b
 
-    def test_compare(self, rng, calls):
-        for a, b in self._gate_decided_pairs(rng, 16):
-            calls.clear()
+    # EQUAL, LEQ, GEQ and INCOMPARABLE pairs at d = 16: a Cholesky factor
+    # certifies each end that holds, a diagonal entry refutes each that
+    # fails, and a refuted A <= B sends compare to its witness eigh
+    def test_compare(self, rng, factors):
+        want = [{"cholesky": 2}, {"cholesky": 1}, {"eigh": 1}, {"eigh": 1}]
+        for (a, b), expected in zip(self._gate_decided_pairs(rng, 16), want):
+            factors.clear()
             compare(a, b)
-            assert calls == {"eigh": 1}
+            assert factors == expected
 
-    def test_leq(self, rng, calls):
-        for a, b in self._gate_decided_pairs(rng, 16):
-            calls.clear()
+    def test_leq(self, rng, factors):
+        want = [{"cholesky": 1}, {"cholesky": 1}, {}, {}]
+        for (a, b), expected in zip(self._gate_decided_pairs(rng, 16), want):
+            factors.clear()
             leq(a, b)
-            assert calls == {"eigvalsh": 1}
+            assert factors == expected
+
+    def test_tiny_tol_psd_takes_no_cholesky(self, rng, factors):
+        # at tol_psd = 1e-14 the rounding radius r reaches half the shift c,
+        # so a factor could certify nothing: leq takes its eigvalsh
+        a = random_hermitian(rng, 16)
+        b = a + random_psd(rng, 16, 16)
+        factors.clear()
+        assert leq(a, b, Tolerances(tol_psd=1e-14))
+        assert factors == {"eigvalsh": 1}
+
+    def test_small_dims_take_no_cholesky(self, rng, factors):
+        # below the break-even dim an end that holds costs one eigvalsh, and
+        # a diagonal entry still refutes one that fails
+        d = loewner._CHOLESKY_MIN_DIM - 1
+        want = [{"eigvalsh": 1}, {"eigvalsh": 1}, {}, {}]
+        for (a, b), expected in zip(self._gate_decided_pairs(rng, d), want):
+            factors.clear()
+            leq(a, b)
+            assert factors == expected
 
     @pytest.mark.parametrize("x, verdict", [(-5e-6, True), (-2e-5, False)])
     def test_in_band_pair_takes_the_exact_rule(self, rng, calls, x, verdict):
@@ -547,3 +585,171 @@ class TestNormGate:
             assert len(band_visits) == before + 1
             for p, q in ((a, b), (b, a)):
                 assert compare(p, q).relation is _exact_relation(p, q)
+
+
+def _todays_verdicts(ends, a, b, tol):
+    """The PSD verdicts on spectral ends as they stood before the
+    certificates, copied: the bounds tol_psd and tol_psd * frob on each end,
+    and the spectral threshold between them."""
+    frob = thr = None
+    verdicts = []
+    for m in ends:
+        if m >= -tol.tol_psd:
+            verdicts.append(True)
+            continue
+        if frob is None:
+            fa = math.sqrt(np.vdot(a, a).real)
+            fb = math.sqrt(np.vdot(b, b).real)
+            frob = max(fa, fb, 1.0) * (1.0 + GATE_MARGIN)
+        if m < -tol.tol_psd * frob:
+            verdicts.append(False)
+            continue
+        if thr is None:
+            ea, eb = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+            na = max(abs(float(ea[0])), abs(float(ea[-1])))
+            nb = max(abs(float(eb[0])), abs(float(eb[-1])))
+            thr = tol.tol_psd * max(na, nb, 1.0)
+        verdicts.append(m >= -thr)
+    return verdicts
+
+
+def _todays_leq(a, b, tol):
+    """leq as it stood before the certificates: one eigvalsh(B - A)."""
+    a, b = herm_array(a), herm_array(b)
+    return _todays_verdicts((float(np.linalg.eigvalsh(b - a)[0]),), a, b, tol)[0]
+
+
+def _todays_relation(a, b, tol):
+    """compare's relation as it stood before the certificates: both ends of
+    one eigh(B - A)."""
+    a, b = herm_array(a), herm_array(b)
+    evals = np.linalg.eigh(b - a)[0]
+    ab, ba = _todays_verdicts((float(evals[0]), -float(evals[-1])), a, b, tol)
+    if ab:
+        return Relation.EQUAL if ba else Relation.LEQ
+    return Relation.GEQ if ba else Relation.INCOMPARABLE
+
+
+def _cuts(a, b, tol):
+    """Where the verdicts turn, for the pair (a, b): tol_psd, the False
+    bound tol_psd * frob, the refutation cut tol_psd * frob + r, the
+    Cholesky shift c and the spectral threshold; and r itself."""
+    d = len(a)
+    frob = loewner._frobenius_scale(a, b)
+    r = 8.0 * d * d * loewner._UNIT_ROUNDOFF * frob
+    shift = 0.5 * tol.tol_psd * max(1.0, frob / math.sqrt(d)) * (1.0 - GATE_MARGIN)
+    cuts = {
+        "psd": tol.tol_psd,
+        "frob": tol.tol_psd * frob,
+        "refute": tol.tol_psd * frob + r,
+        "shift": shift,
+        "spectral": tol.tol_psd * _exact_scale(a, b),
+    }
+    return cuts, r
+
+
+def _ulps(x, steps):
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+    return float(x)
+
+
+@st.composite
+def _pairs_at_the_cuts(draw):
+    """(A, B, tol) with B - A placed at one of ``_cuts``: a diagonal entry
+    of B - A at -cut, give or take r and a few ulps, and either nothing
+    else (lo is that entry) or a coupling to e1 that pulls lo below it
+    (the entry alone is then at the refutation cut), or a full spectrum
+    with lo at -cut."""
+    d = draw(st.sampled_from([2, 11, 12, 16, 64]))
+    tol = draw(st.sampled_from([DEFAULT_TOLERANCES, Tolerances(tol_psd=1e-14)]))
+    norm = 10.0 ** draw(st.integers(-8, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = _operand_off_e0(rng, d, norm, rank_one=draw(st.booleans()))
+    cuts, r = _cuts(a, a, tol)
+    x = -cuts[draw(st.sampled_from(sorted(cuts)))] + draw(st.sampled_from([-1.0, 0.0, 1.0])) * r
+    x = _ulps(x, draw(st.integers(-3, 3)))
+    shape = draw(st.sampled_from(["corner", "coupled", "spectrum"]))
+    b = a.copy()
+    if shape == "spectrum":
+        mu = rng.uniform(0.5, 2.0, d) * max(abs(x), 1e-300)
+        if draw(st.booleans()):
+            mu[d // 2:] *= -1.0
+        mu[0] = x
+        u = random_unitary(rng, d)
+        b = a + (u * mu) @ u.conj().T
+    else:
+        b[0, 0] = x
+        if shape == "coupled":
+            s = abs(x) * draw(st.sampled_from([1e-3, 1.0, 1e3])) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            b[0, 1], b[1, 0] = s, np.conj(s)
+    return a, b, tol
+
+
+class TestCertificates:
+    """leq and compare decide most pairs from a diagonal entry or a
+    Cholesky factor of B - A (loewner._certified); each verdict must be the
+    one the spectral rule gives on the same arrays."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_pairs_at_the_cuts())
+    def test_verdicts_are_the_spectral_rules(self, case):
+        a, b, tol = case
+        for p, q in ((a, b), (b, a)):
+            relation = _todays_relation(p, q, tol)
+            assert leq(p, q, tol) is _todays_leq(p, q, tol)
+            assert compare(p, q, tol).relation is relation
+            assert loewner._relation(herm_array(p), herm_array(q), tol) is relation
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_overflowing_operands_take_the_spectral_path(self, d):
+        # B - A or the Frobenius scale is not finite: nothing is certified,
+        # and each call answers (or fails) as the spectral rule does
+        big = np.zeros((d, d), dtype=np.complex128)
+        big[0, 0] = 1e308
+        pairs = [(big, -big), (1e200 * np.eye(d), 1e200 * np.eye(d))]
+        calls = [
+            (lambda p, q: leq(p, q), lambda p, q: _todays_leq(p, q, DEFAULT_TOLERANCES)),
+            (lambda p, q: compare(p, q).relation,
+             lambda p, q: _todays_relation(p, q, DEFAULT_TOLERANCES)),
+        ]
+
+        def outcome(fn, p, q):
+            try:
+                return fn(p, q)
+            except Exception as exc:  # the class and message are compared
+                return type(exc), str(exc)
+
+        with np.errstate(all="ignore"):
+            for a, b in pairs:
+                for p, q in ((a, b), (b, a)):
+                    for call, reference in calls:
+                        assert outcome(call, p, q) == outcome(reference, p, q)
+
+    def test_relation_without_witnesses(self, rng):
+        # the order check's relation: certified ends where they decide,
+        # compare's eigh where either end is undecided
+        for d in (2, 3, 16):
+            for _ in range(20):
+                a = random_hermitian(rng, d)
+                for b in (a + random_psd(rng, d, d), a - random_psd(rng, d, d),
+                          random_hermitian(rng, d), a.copy()):
+                    b = herm_array(b)
+                    got = loewner._relation(a, b, DEFAULT_TOLERANCES)
+                    assert got is compare(a, b).relation
+
+    def test_undecided_relation_takes_compares_eigh(self, monkeypatch):
+        # diag(1, -1) rotated by 45 degrees has a zero diagonal, so no entry
+        # refutes either end, and at d = 2 no factor is tried
+        m = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+        a = np.zeros((2, 2), dtype=np.complex128)
+        seen = []
+        spectral = loewner._spectral_ends
+
+        def counting(*args):
+            seen.append(1)
+            return spectral(*args)
+
+        monkeypatch.setattr(loewner, "_spectral_ends", counting)
+        assert loewner._relation(a, m, DEFAULT_TOLERANCES) is Relation.INCOMPARABLE
+        assert len(seen) == 1

@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "obsorder"
+TESTS = ROOT / "tests"
 
 
 def test_no_assert_statements():
@@ -46,3 +48,19 @@ def test_benchmark_selfcheck_passes():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_every_test_module_imports():
+    # the suite runs with --continue-on-collection-errors, under which a
+    # module whose import fails (a missing test dependency such as
+    # hypothesis) drops out of the run; here it fails a test instead
+    paths = sorted(TESTS.glob("test_*.py"))
+    assert len(paths) > 5, f"test modules not found under {TESTS}"
+    failed = []
+    for path in paths:
+        spec = importlib.util.spec_from_file_location(f"_import_check_{path.stem}", path)
+        try:
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
+        except Exception as exc:  # any import failure is reported by module
+            failed.append(f"{path.name}: {type(exc).__name__}: {exc}")
+    assert not failed, "test modules that do not import: " + "; ".join(failed)
