@@ -24,12 +24,10 @@ c = tol_psd * max(1, frob / sqrt d) * (1 - margin) / 2 being at most half
 the threshold. r = 8 d^2 u frob bounds the rounding of the eigensolver
 and of the factor (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2nd ed., Ch. 10), so each certificate gives the verdict that
-the spectrum of M would. The Cholesky attempt runs from d =
-``_CHOLESKY_MIN_DIM`` on, where it is cheaper than the ``eigvalsh`` it
-saves, and only while r < c / 2; an end neither certificate decides
-takes the spectral rule above. ``leq`` uses both certificates, and
-``compare`` uses them for the relations that carry no witness, LEQ and
-EQUAL.
+the spectrum of M would. The factor is tried at every d, but only while
+r < c / 2; an end neither certificate decides takes the spectral rule
+above. ``leq`` uses both certificates, and ``compare`` uses them for the
+relations that carry no witness, LEQ and EQUAL.
 """
 
 from __future__ import annotations
@@ -50,14 +48,6 @@ from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
 # Noise floor used where a strict sign test is needed (see max_lambda).
 _NOISE_FLOOR = 1e-13
-
-# Smallest d at which ``_certified`` tries a Cholesky factor: below it the
-# factor, its shift and the norms cost about as much as the ``eigvalsh`` they
-# save. Time with the attempt over time without it (interleaved timeit, best
-# of 21, 2-vCPU VM, OpenBLAS): leq on a LEQ pair 0.96 at d = 8, 0.86 at
-# d = 10, 0.81 at d = 12; compare on an EQUAL pair, two factors against one
-# eigh, 1.03, 1.01 and 0.85. At d = 2 leq read 1.16 and at d = 64 0.44.
-_CHOLESKY_MIN_DIM = 10
 
 _UNIT_ROUNDOFF = 0.5 * float(np.finfo(np.float64).eps)
 
@@ -100,11 +90,7 @@ def _frobenius_scale(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _psd_verdicts(
-    ends: tuple[float, ...],
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: Tolerances,
-    frob: float | None = None,
+    ends: tuple[float, ...], a: np.ndarray, b: np.ndarray, frob: float, tol: Tolerances
 ) -> list[bool]:
     """``m >= -tol_psd * _max_norm_scale(a, b)`` for each m in ``ends``.
 
@@ -112,8 +98,8 @@ def _psd_verdicts(
     m < -tol_psd * ``_frobenius_scale`` is False, since that scale is at
     least the spectral one (rounding is monotone, so both bounds survive
     the products). Only an m between the two pays for the spectral norms;
-    an overflowing Frobenius scale decides nothing. ``frob``, when given,
-    is ``_frobenius_scale(a, b)``.
+    an overflowing Frobenius scale decides nothing. ``frob`` is
+    ``_frobenius_scale(a, b)``.
     """
     thr = None
     verdicts = []
@@ -121,8 +107,6 @@ def _psd_verdicts(
         if m >= -tol.tol_psd:
             verdicts.append(True)
             continue
-        if frob is None:
-            frob = _frobenius_scale(a, b)
         if m < -tol.tol_psd * frob:
             verdicts.append(False)
             continue
@@ -132,18 +116,10 @@ def _psd_verdicts(
     return verdicts
 
 
-def _certified(
-    m: np.ndarray,
-    sign: float,
-    a: np.ndarray,
-    b: np.ndarray,
-    frob: float | None,
-    tol: Tolerances,
-) -> tuple[bool | None, float | None]:
+def _certified(m: np.ndarray, sign: float, frob: float, tol: Tolerances) -> bool | None:
     """``_psd_verdicts``' verdict on the smallest eigenvalue lo of sign * m,
-    m = B - A, decided without an eigensolver, or None; with
-    ``_frobenius_scale(a, b)`` when it was computed (``frob`` on entry, when
-    known).
+    m = B - A, decided without an eigensolver, or None; frob is
+    ``_frobenius_scale(A, B)``.
 
     False when a diagonal entry of sign * m is below -tol_psd * frob - r:
     lo is at most that entry, and the computed lo within r of it, so it
@@ -152,32 +128,27 @@ def _certified(
     least 2c, since ||.|| >= ||.||_F / sqrt d. r = 8 d^2 u frob bounds the
     eigensolver's error and the factor's backward error (about
     d (d + 1) u ||sign * m + cI||, with ||m|| <= 2 frob) together. A
-    non-finite frob decides nothing, and so does a factor below
-    ``_CHOLESKY_MIN_DIM`` or with r >= c / 2.
+    non-finite frob decides nothing, and no factor is tried when
+    r >= c / 2.
     """
+    if not frob < math.inf:
+        return None
     d = len(m)
     diag = m.diagonal().real
     low = float(diag.min()) if sign > 0 else -float(diag.max())
-    # below -tol_psd, the smallest possible refutation cut, nothing else to try
-    if low >= -tol.tol_psd and d < _CHOLESKY_MIN_DIM:
-        return None, frob
-    if frob is None:
-        frob = _frobenius_scale(a, b)
-    if not frob < math.inf:
-        return None, frob
     r = 8.0 * d * d * _UNIT_ROUNDOFF * frob
     if low < -tol.tol_psd * frob - r:
-        return False, frob
+        return False
     c = 0.5 * tol.tol_psd * max(1.0, frob / math.sqrt(d)) * (1.0 - GATE_MARGIN)
-    if d < _CHOLESKY_MIN_DIM or not r < 0.5 * c:
-        return None, frob
+    if not r < 0.5 * c:
+        return None
     shifted = m * sign
     shifted.ravel()[:: d + 1] += c
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        return None, frob
-    return True, frob
+        return None
+    return True
 
 
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
@@ -202,11 +173,12 @@ def leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     b = herm_array(b)
     _check_dims(a, b)
     m = b - a
-    verdict, frob = _certified(m, 1.0, a, b, None, tol)
-    if verdict is not None:
-        return verdict
-    lo = float(np.linalg.eigvalsh(m)[0])
-    return _psd_verdicts((lo,), a, b, tol, frob)[0]
+    frob = _frobenius_scale(a, b)
+    verdict = _certified(m, 1.0, frob, tol)
+    if verdict is None:
+        lo = float(np.linalg.eigvalsh(m)[0])
+        verdict = _psd_verdicts((lo,), a, b, frob, tol)[0]
+    return verdict
 
 
 def _witness(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> OrderWitness:
@@ -224,12 +196,12 @@ def _relation_of(ab: bool, ba: bool) -> Relation:
 
 
 def _spectral_ends(
-    m: np.ndarray, a: np.ndarray, b: np.ndarray, frob: float | None, tol: Tolerances
+    m: np.ndarray, a: np.ndarray, b: np.ndarray, frob: float, tol: Tolerances
 ) -> tuple[bool, bool, np.ndarray]:
     """``compare``'s spectral rule: the verdicts on both ends of one
     ``eigh(m)``, m = B - A, and its eigenvectors."""
     evals, evecs = np.linalg.eigh(m)
-    ab, ba = _psd_verdicts((float(evals[0]), -float(evals[-1])), a, b, tol, frob)
+    ab, ba = _psd_verdicts((float(evals[0]), -float(evals[-1])), a, b, frob, tol)
     return ab, ba, evecs
 
 
@@ -238,9 +210,10 @@ def _relation(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> Relation:
     shape, with no witness: each end by ``_certified``, and both by
     ``compare``'s spectral rule when either is undecided."""
     m = b - a
-    ab, frob = _certified(m, 1.0, a, b, None, tol)
-    ba, frob = _certified(m, -1.0, a, b, frob, tol)
-    if ab is None or ba is None:
+    frob = _frobenius_scale(a, b)
+    ab = _certified(m, 1.0, frob, tol)
+    ba = None if ab is None else _certified(m, -1.0, frob, tol)
+    if ba is None:
         ab, ba, _ = _spectral_ends(m, a, b, frob, tol)
     return _relation_of(ab, ba)
 
@@ -261,9 +234,9 @@ def compare(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> OrderResult:
     b = herm_array(b)
     _check_dims(a, b)
     m = b - a
-    ab, frob = _certified(m, 1.0, a, b, None, tol)
-    if ab:
-        ba, frob = _certified(m, -1.0, a, b, frob, tol)
+    frob = _frobenius_scale(a, b)
+    if _certified(m, 1.0, frob, tol):
+        ba = _certified(m, -1.0, frob, tol)
         if ba is not None:
             return OrderResult(relation=_relation_of(True, ba))
     ab, ba, evecs = _spectral_ends(m, a, b, frob, tol)

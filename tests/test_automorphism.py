@@ -485,13 +485,14 @@ def _eigh_relation(a, b, tol=DEFAULT_TOLERANCES):
     one eigh(B - A) through the spectral verdicts."""
     a, b = herm_array(a), herm_array(b)
     evals = np.linalg.eigh(b - a)[0]
-    ab, ba = loewner._psd_verdicts((float(evals[0]), -float(evals[-1])), a, b, tol)
+    frob = loewner._frobenius_scale(a, b)
+    ab, ba = loewner._psd_verdicts((float(evals[0]), -float(evals[-1])), a, b, frob, tol)
     if ab:
         return Relation.EQUAL if ba else Relation.LEQ
     return Relation.GEQ if ba else Relation.INCOMPARABLE
 
 
-def _todays_check(oracle, trials, seed, tol=DEFAULT_TOLERANCES):
+def _prior_check(oracle, trials, seed, tol=DEFAULT_TOLERANCES):
     """check_order_automorphism's violations by its loop as it stood before
     the certificates, copied: one pair at a time, each probe one query."""
     d = oracle.dim
@@ -558,7 +559,7 @@ class TestOrderCheck:
             phi = random_automorphism(rng, d)
             make = ORDER_CHECK_MAPS[name]
             report = check_order_automorphism(make(phi, d), trials=12, seed=seed)
-            assert report.violations == _todays_check(make(phi, d), 12, seed)
+            assert report.violations == _prior_check(make(phi, d), 12, seed)
             found += len(report.violations)
         if name == "genuine":
             assert found == 0
@@ -584,7 +585,7 @@ class TestOrderCheck:
 
         outcomes = []
         for run in (lambda h: check_order_automorphism(h, trials=10, seed=1),
-                    lambda h: _todays_check(h, 10, 1)):
+                    lambda h: _prior_check(h, 10, 1)):
             with pytest.raises(Exception) as info:
                 run(make())
             outcomes.append((type(info.value), str(info.value)))

@@ -422,16 +422,6 @@ class TestLapackCalls:
         assert leq(a, b, Tolerances(tol_psd=1e-14))
         assert factors == {"eigvalsh": 1}
 
-    def test_small_dims_take_no_cholesky(self, rng, factors):
-        # below the break-even dim an end that holds costs one eigvalsh, and
-        # a diagonal entry still refutes one that fails
-        d = loewner._CHOLESKY_MIN_DIM - 1
-        want = [{"eigvalsh": 1}, {"eigvalsh": 1}, {}, {}]
-        for (a, b), expected in zip(self._gate_decided_pairs(rng, d), want):
-            factors.clear()
-            leq(a, b)
-            assert factors == expected
-
     @pytest.mark.parametrize("x, verdict", [(-5e-6, True), (-2e-5, False)])
     def test_in_band_pair_takes_the_exact_rule(self, rng, calls, x, verdict):
         # ||A|| = 1e4 at d = 16: the exact threshold is 1e-5 and the band
@@ -587,7 +577,7 @@ class TestNormGate:
                 assert compare(p, q).relation is _exact_relation(p, q)
 
 
-def _todays_verdicts(ends, a, b, tol):
+def _prior_verdicts(ends, a, b, tol):
     """The PSD verdicts on spectral ends as they stood before the
     certificates, copied: the bounds tol_psd and tol_psd * frob on each end,
     and the spectral threshold between them."""
@@ -613,18 +603,18 @@ def _todays_verdicts(ends, a, b, tol):
     return verdicts
 
 
-def _todays_leq(a, b, tol):
+def _prior_leq(a, b, tol):
     """leq as it stood before the certificates: one eigvalsh(B - A)."""
     a, b = herm_array(a), herm_array(b)
-    return _todays_verdicts((float(np.linalg.eigvalsh(b - a)[0]),), a, b, tol)[0]
+    return _prior_verdicts((float(np.linalg.eigvalsh(b - a)[0]),), a, b, tol)[0]
 
 
-def _todays_relation(a, b, tol):
+def _prior_relation(a, b, tol):
     """compare's relation as it stood before the certificates: both ends of
     one eigh(B - A)."""
     a, b = herm_array(a), herm_array(b)
     evals = np.linalg.eigh(b - a)[0]
-    ab, ba = _todays_verdicts((float(evals[0]), -float(evals[-1])), a, b, tol)
+    ab, ba = _prior_verdicts((float(evals[0]), -float(evals[-1])), a, b, tol)
     if ab:
         return Relation.EQUAL if ba else Relation.LEQ
     return Relation.GEQ if ba else Relation.INCOMPARABLE
@@ -696,8 +686,8 @@ class TestCertificates:
     def test_verdicts_are_the_spectral_rules(self, case):
         a, b, tol = case
         for p, q in ((a, b), (b, a)):
-            relation = _todays_relation(p, q, tol)
-            assert leq(p, q, tol) is _todays_leq(p, q, tol)
+            relation = _prior_relation(p, q, tol)
+            assert leq(p, q, tol) is _prior_leq(p, q, tol)
             assert compare(p, q, tol).relation is relation
             assert loewner._relation(herm_array(p), herm_array(q), tol) is relation
 
@@ -709,9 +699,9 @@ class TestCertificates:
         big[0, 0] = 1e308
         pairs = [(big, -big), (1e200 * np.eye(d), 1e200 * np.eye(d))]
         calls = [
-            (lambda p, q: leq(p, q), lambda p, q: _todays_leq(p, q, DEFAULT_TOLERANCES)),
+            (lambda p, q: leq(p, q), lambda p, q: _prior_leq(p, q, DEFAULT_TOLERANCES)),
             (lambda p, q: compare(p, q).relation,
-             lambda p, q: _todays_relation(p, q, DEFAULT_TOLERANCES)),
+             lambda p, q: _prior_relation(p, q, DEFAULT_TOLERANCES)),
         ]
 
         def outcome(fn, p, q):
