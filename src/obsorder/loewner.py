@@ -122,8 +122,8 @@ def _certified(m: np.ndarray, sign: float, frob: float, tol: Tolerances) -> bool
     ``_frobenius_scale(A, B)``.
 
     False when a diagonal entry of sign * m is below -tol_psd * frob - r:
-    lo is at most that entry, and the computed lo within r of it, so it
-    lies below the verdicts' False bound. True when sign * m + cI has a
+    the exact lo is at most that entry, and a computed lo within r of the
+    exact one, so it lies below the verdicts' False bound. True when sign * m + cI has a
     Cholesky factor: then lo >= -c - r > -1.5 c, while the threshold is at
     least 2c, since ||.|| >= ||.||_F / sqrt d. r = 8 d^2 u frob bounds the
     eigensolver's error and the factor's backward error (about

@@ -730,7 +730,7 @@ class TestCertificates:
 
     def test_undecided_relation_takes_compares_eigh(self, monkeypatch):
         # diag(1, -1) rotated by 45 degrees has a zero diagonal, so no entry
-        # refutes either end, and at d = 2 no factor is tried
+        # refutes either end, and it is indefinite, so no factor certifies one
         m = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
         a = np.zeros((2, 2), dtype=np.complex128)
         seen = []
