@@ -267,13 +267,19 @@ class Eigendecomposition:
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
+    """Each column of v times the phase that makes its pivot, the first
+    entry of largest modulus, real positive; a zero column is kept as is.
+
+    All columns are gauged at once. The pivot modulus is taken with
+    ``np.hypot``, which is what ``abs()`` of one complex scalar computes; the
+    array ``np.abs`` can differ from it in the last bit."""
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    mod = np.hypot(pivot.real, pivot.imag)
+    nonzero = mod > 0.0
+    if nonzero.all():
+        return v * (pivot.conj() / mod)
     v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if abs(pivot) > 0.0:
-            col *= pivot.conjugate() / abs(pivot)
+    v[:, nonzero] *= pivot[nonzero].conj() / mod[nonzero]
     return v
 
 

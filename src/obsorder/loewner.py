@@ -5,8 +5,12 @@
 produces refuting witnesses, the extremal scalar ``lambda`` with
 ``lambda * x(x)x <= B`` (feasible exactly when ``x`` lies in the range of
 ``B``), and the rank-1 range-domination test built on it. Each operand is
-decomposed once: ``compare`` reads everything off one ``eigh(B - A)``, and
-``max_lambda`` and ``range_dominates`` work in the eigenbasis of ``B``.
+decomposed at most once: ``compare`` reads everything off one
+``eigh(B - A)``, and ``max_lambda`` and ``range_dominates`` work in the
+eigenbasis of ``B``. There the vector y = B^+ x refutes the bumped lambda
+by its quadratic form (Rayleigh), and ``range_dominates`` takes A's
+direction from one power step, so A needs only the ``eigvalsh`` that
+certifies it and cuts its rank.
 
 The PSD threshold ``tol_psd * max(||A||, ||B||, 1)`` needs two spectral
 norms, but it lies between ``tol_psd`` (the scale is at least 1) and
@@ -28,6 +32,9 @@ the spectrum of M would. The factor is tried at every d, but only while
 r < c / 2; an end neither certificate decides takes the spectral rule
 above. ``leq`` uses both certificates, and ``compare`` uses them for the
 relations that carry no witness, LEQ and EQUAL.
+
+When frob overflows, B - A may too; the pair is then divided by its
+largest entry modulus and decided by the spectral rule alone (``_pair``).
 """
 
 from __future__ import annotations
@@ -43,7 +50,14 @@ from .errors import (
     InternalInconsistencyError,
     ValidationError,
 )
-from .hermitian import PsdMatrix, _spectral_norm, herm_array, psd_eigh, rank_one
+from .hermitian import (
+    PsdMatrix,
+    _spectral_norm,
+    herm_array,
+    psd_eigh,
+    psd_eigvalsh,
+    rank_one,
+)
 from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
 # Noise floor used where a strict sign test is needed (see max_lambda).
@@ -89,22 +103,48 @@ def _frobenius_scale(a: np.ndarray, b: np.ndarray) -> float:
     return max(fa, fb, 1.0) * (1.0 + GATE_MARGIN)
 
 
-def _psd_verdicts(
-    ends: tuple[float, ...], a: np.ndarray, b: np.ndarray, frob: float, tol: Tolerances
-) -> list[bool]:
-    """``m >= -tol_psd * _max_norm_scale(a, b)`` for each m in ``ends``.
+def _pair(a: np.ndarray, b: np.ndarray):
+    """``(a, b, m, frob, s)``: the checked pair divided by s, m = b - a and
+    frob = ``_frobenius_scale(a, b)`` of the pair as given.
 
-    m >= -tol_psd is True, since the scale is at least 1, and
+    s is 1 unless frob is inf. A finite frob is at most about 1.3e154 (its
+    square is finite), so no entry of B - A can overflow then. Otherwise the
+    pair is divided by s = max(peak(A), peak(B)), and frob stays inf, which
+    decides nothing (``_certified``, ``_psd_verdicts``): the verdicts come
+    from the spectral rule on the quotients, whose threshold
+    tol_psd * max(||A / s||, ||B / s||, 1) is the pair's own divided by s,
+    since one of the two norms is at least 1.
+    """
+    frob = _frobenius_scale(a, b)
+    if frob < math.inf:
+        return a, b, b - a, frob, 1.0
+    s = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    a = a / s
+    b = b / s
+    return a, b, b - a, frob, s
+
+
+def _psd_verdicts(
+    ends: tuple[float, ...],
+    a: np.ndarray,
+    b: np.ndarray,
+    frob: float,
+    tol: Tolerances,
+    s: float = 1.0,
+) -> list[bool]:
+    """``m >= -tol_psd * _max_norm_scale(a, b)`` for each m in ``ends``,
+    with (a, b, frob, s) from ``_pair``.
+
+    m >= -tol_psd / s is True, since the pair's scale is at least 1, and
     m < -tol_psd * ``_frobenius_scale`` is False, since that scale is at
     least the spectral one (rounding is monotone, so both bounds survive
     the products). Only an m between the two pays for the spectral norms;
-    an overflowing Frobenius scale decides nothing. ``frob`` is
-    ``_frobenius_scale(a, b)``.
+    an overflowing Frobenius scale decides nothing.
     """
     thr = None
     verdicts = []
     for m in ends:
-        if m >= -tol.tol_psd:
+        if m >= -tol.tol_psd / s:
             verdicts.append(True)
             continue
         if m < -tol.tol_psd * frob:
@@ -172,20 +212,19 @@ def leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     a = herm_array(a)
     b = herm_array(b)
     _check_dims(a, b)
-    m = b - a
-    frob = _frobenius_scale(a, b)
+    a, b, m, frob, s = _pair(a, b)
     verdict = _certified(m, 1.0, frob, tol)
     if verdict is None:
         lo = float(np.linalg.eigvalsh(m)[0])
-        verdict = _psd_verdicts((lo,), a, b, frob, tol)[0]
+        verdict = _psd_verdicts((lo,), a, b, frob, tol, s)[0]
     return verdict
 
 
-def _witness(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> OrderWitness:
-    """Unit ``x`` refuting P <= Q, its gap <Px,x> - <Qx,x> recomputed from P
-    and Q."""
+def _witness(x: np.ndarray, p: np.ndarray, q: np.ndarray, s: float) -> OrderWitness:
+    """Unit ``x`` refuting sP <= sQ, its gap s(<Px,x> - <Qx,x>) recomputed
+    from P and Q (inf when it exceeds the float range)."""
     x = x / np.linalg.norm(x)
-    gap = float(np.real(np.vdot(x, p @ x) - np.vdot(x, q @ x)))
+    gap = s * float(np.real(np.vdot(x, p @ x) - np.vdot(x, q @ x)))
     return OrderWitness(x=x, gap=gap)
 
 
@@ -196,12 +235,13 @@ def _relation_of(ab: bool, ba: bool) -> Relation:
 
 
 def _spectral_ends(
-    m: np.ndarray, a: np.ndarray, b: np.ndarray, frob: float, tol: Tolerances
+    m: np.ndarray, a: np.ndarray, b: np.ndarray, frob: float, tol: Tolerances, s: float
 ) -> tuple[bool, bool, np.ndarray]:
     """``compare``'s spectral rule: the verdicts on both ends of one
-    ``eigh(m)``, m = B - A, and its eigenvectors."""
+    ``eigh(m)``, m = B - A, and its eigenvectors; the arguments are
+    ``_pair``'s."""
     evals, evecs = np.linalg.eigh(m)
-    ab, ba = _psd_verdicts((float(evals[0]), -float(evals[-1])), a, b, frob, tol)
+    ab, ba = _psd_verdicts((float(evals[0]), -float(evals[-1])), a, b, frob, tol, s)
     return ab, ba, evecs
 
 
@@ -209,12 +249,11 @@ def _relation(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> Relation:
     """``compare(a, b, tol).relation`` for checked Hermitian arrays of one
     shape, with no witness: each end by ``_certified``, and both by
     ``compare``'s spectral rule when either is undecided."""
-    m = b - a
-    frob = _frobenius_scale(a, b)
+    a, b, m, frob, s = _pair(a, b)
     ab = _certified(m, 1.0, frob, tol)
     ba = None if ab is None else _certified(m, -1.0, frob, tol)
     if ba is None:
-        ab, ba, _ = _spectral_ends(m, a, b, frob, tol)
+        ab, ba, _ = _spectral_ends(m, a, b, frob, tol, s)
     return _relation_of(ab, ba)
 
 
@@ -233,41 +272,47 @@ def compare(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> OrderResult:
     a = herm_array(a)
     b = herm_array(b)
     _check_dims(a, b)
-    m = b - a
-    frob = _frobenius_scale(a, b)
+    a, b, m, frob, s = _pair(a, b)
     if _certified(m, 1.0, frob, tol):
         ba = _certified(m, -1.0, frob, tol)
         if ba is not None:
             return OrderResult(relation=_relation_of(True, ba))
-    ab, ba, evecs = _spectral_ends(m, a, b, frob, tol)
+    ab, ba, evecs = _spectral_ends(m, a, b, frob, tol, s)
     relation = _relation_of(ab, ba)
     if ab:
         return OrderResult(relation=relation)
-    witness_ab = _witness(evecs[:, 0], a, b)
+    witness_ab = _witness(evecs[:, 0], a, b, s)
     if ba:
         return OrderResult(relation=relation, witness_ab=witness_ab)
     return OrderResult(
         relation=relation,
         witness_ab=witness_ab,
-        witness_ba=_witness(evecs[:, -1], b, a),
+        witness_ba=_witness(evecs[:, -1], b, a, s),
     )
 
 
-def _range_weight(
+def _range_coordinates(
     evals: np.ndarray, evecs: np.ndarray, x: np.ndarray, tol: Tolerances
-) -> tuple[float, float]:
-    """Split unit x over PSD B = V diag(mu) V*, with c = V* x.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit x in the eigenbasis of PSD B = V diag(mu) V*: (c, keep, root)
+    with c = V* x, keep the mask of B's range and root = sqrt(mu) on it.
 
     The range of B keeps each mu_i that is at least tol_psd * ||B|| (smaller
     ones count as zero) and whose root sqrt(mu_i) exceeds
     tol_rank * max(sqrt ||B||, 1), the rank cut at the scale of sqrt B.
-    Returns the norm of c off that range (the range residual) and
-    sum |c_i|^2 / mu_i over it, the squared norm of B^(-1/2) x on the range.
     """
     norm = _spectral_norm(evals)
     root = np.sqrt(np.where(evals >= tol.tol_psd * norm, evals, 0.0))
     keep = root > tol.tol_rank * max(np.sqrt(norm), 1.0)
-    c = evecs.conj().T @ x
+    return evecs.conj().T @ x, keep, root
+
+
+def _range_weight(
+    c: np.ndarray, keep: np.ndarray, root: np.ndarray
+) -> tuple[float, float]:
+    """From ``_range_coordinates``: the norm of c off the range of B (the
+    range residual) and sum |c_i|^2 / mu_i over it, the squared norm of
+    B^(-1/2) x on the range."""
     residual = float(np.linalg.norm(c[~keep]))
     weight = float(np.sum(np.abs(c[keep] / root[keep]) ** 2))
     return residual, weight
@@ -280,19 +325,39 @@ def _certified_max_lambda(
     evecs: np.ndarray,
     tol: Tolerances,
 ) -> float | None:
-    """``max_lambda`` for unit x and B with eigenpairs (evals, evecs)."""
-    residual, weight = _range_weight(evals, evecs, x, tol)
+    """``max_lambda`` for unit x and B with eigenpairs (evals, evecs).
+
+    The closed form lambda = 1 / weight is certified through the order: it
+    must be feasible (``leq``), and the bumped lambda' = (1 + 10 tol_psd)
+    lambda infeasible, by the sign test lo(B - lambda' P) <= floor * scale.
+    The vector y = B^+ x, read off the same eigenpairs, usually settles the
+    second test without a spectrum: lo <= <(B - lambda' P) y, y> / ||y||^2
+    (Rayleigh), which is -10 tol_psd <B^+ x, x> / ||y||^2 in exact
+    arithmetic. The form is computed from B itself, so when it is at most
+    (floor * scale - r) ||y||^2 the computed lo would pass the test too;
+    r = 8 d^2 u (||B|| + lambda') bounds the rounding of that form and of
+    the eigensolver on B - lambda' P, as in ``_certified``. Otherwise the
+    test runs on one ``eigvalsh``.
+    """
+    c, keep, root = _range_coordinates(evals, evecs, x, tol)
+    residual, weight = _range_weight(c, keep, root)
     if residual > tol.tol_range:
         return None
     lam = 1.0 / weight
 
     p = rank_one(x, x)
-    scale = max(_spectral_norm(evals), lam, 1.0)
+    norm = _spectral_norm(evals)
+    scale = max(norm, lam, 1.0)
     if not leq(lam * p, b, tol):
         raise InternalInconsistencyError(
             "closed-form lambda is infeasible under the order predicate"
         )
     bumped = (1.0 + 10.0 * tol.tol_psd) * lam
+    y = evecs[:, keep] @ (c[keep] / evals[keep])
+    form = float(np.vdot(y, b.mat @ y).real) - bumped * abs(np.vdot(x, y)) ** 2
+    r = 8.0 * b.dim * b.dim * _UNIT_ROUNDOFF * (norm + bumped)
+    if form <= (_NOISE_FLOOR * scale - r) * float(np.vdot(y, y).real):
+        return lam
     lo = float(np.linalg.eigvalsh(b.mat - bumped * p)[0])
     if lo > _NOISE_FLOOR * scale:
         raise InternalInconsistencyError(
@@ -329,25 +394,24 @@ def max_lambda(
 def range_dominates(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """True iff some lambda > 0 has lambda * A <= B, for rank-1 PSD A.
 
-    Decided by the range criterion (rng A inside rng B, read in B's
-    eigenbasis) and cross-checked by the certified max_lambda on the unit
-    vector spanning rng A. Each operand is decomposed once.
+    That holds iff the unit vector x spanning rng A lies in rng B, and it is
+    decided by the certified max_lambda on x, read in B's eigenbasis (one
+    ``eigh(B)``). A's PSD certificate and rank cut come from one
+    ``eigvalsh``. x is A's column j of largest diagonal modulus after one
+    power step, x ~ A A[:, j]: its angle to the top eigenvector is about
+    (lambda_2 / lambda_1)^2 <= tol_rank^2, far below tol_range. The two
+    divisions by A[j, j] keep the step's entries near 1 at any norm.
     """
-    a, a_evals, a_evecs = psd_eigh(a, tol)
+    a, a_evals = psd_eigvalsh(a, tol)
     b, b_evals, b_evecs = psd_eigh(b, tol)
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    # rank and range of A under the rank_numeric / range_basis cut
-    keep = np.abs(a_evals) > scaled(tol.tol_rank, float(np.max(np.abs(a_evals))))
+    # rank of A under the rank_numeric cut
+    keep = np.abs(a_evals) > scaled(tol.tol_rank, _spectral_norm(a_evals))
     if np.count_nonzero(keep) != 1:
         raise ValidationError("range_dominates requires rank-1 A")
-    x = a_evecs[:, int(np.argmax(keep))]
-
-    residual, _ = _range_weight(b_evals, b_evecs, x, tol)
-    in_range = residual <= tol.tol_range
-    lam = _certified_max_lambda(x, b, b_evals, b_evecs, tol)
-    if (lam is not None) != in_range:
-        raise InternalInconsistencyError(
-            "range criterion and extremal-lambda feasibility disagree"
-        )
-    return in_range
+    diag = a.mat.diagonal().real
+    j = int(np.argmax(np.abs(diag)))
+    x = a.mat @ (a.mat[:, j] / diag[j]) / diag[j]
+    x /= np.linalg.norm(x)
+    return _certified_max_lambda(x, b, b_evals, b_evecs, tol) is not None

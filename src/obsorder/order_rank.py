@@ -4,7 +4,8 @@ A nonzero PSD matrix has rank 1 exactly when its order interval [0, A] is
 total (any two elements comparable); rank A > n+1 exactly when A dominates a
 rank-n E and a rank->1 F with trivially intersecting ranges. Both detectors
 live here, together with the trivial-intersection test that checks a rank
-witness.
+witness. The detectors read A's spectral terms off one gauged ``eig``; the
+witness forms E and F from them as one product each.
 """
 
 from __future__ import annotations
@@ -37,20 +38,23 @@ class RankWitness:
     n: int
 
 
-def _descending_spectral_terms(a: PsdMatrix, tol: Tolerances):
-    """Spectral rank-1 terms of A ordered by descending eigenvalue, keeping
-    only eigenvalues above the rank threshold. Ties resolve through the
+def _descending_spectral_terms(
+    a: PsdMatrix, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of A above the rank threshold in descending order, and
+    the matching eigenvectors as columns. Ties resolve through the
     deterministic eigenvector gauge of ``eig``."""
     dec = eig(a.base)
     norm = float(np.max(np.abs(dec.eigenvalues)))
     thr = scaled(tol.tol_rank, norm)
     order = np.argsort(-dec.eigenvalues, kind="stable")
-    terms = []
-    for j in order:
-        lam = float(dec.eigenvalues[j])
-        if lam > thr:
-            terms.append((lam, np.array(dec.eigenvectors[:, j])))
-    return terms
+    order = order[dec.eigenvalues[order] > thr]
+    return dec.eigenvalues[order], dec.eigenvectors[:, order]
+
+
+def _spectral_sum(lams: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """sum_i lams[i] v_i v_i* over the columns v_i of vecs, as one product."""
+    return (vecs * lams) @ vecs.conj().T
 
 
 def rank_two_counterexample(
@@ -59,12 +63,11 @@ def rank_two_counterexample(
     """For rank >= 2 PSD A: two elements of [0, A] that are incomparable,
     built from A's top two spectral directions."""
     a = as_psd(a, tol)
-    terms = _descending_spectral_terms(a, tol)
-    if len(terms) < 2:
+    lams, vecs = _descending_spectral_terms(a, tol)
+    if len(lams) < 2:
         raise ValidationError("A must have rank >= 2")
-    (l1, v1), (l2, v2) = terms[0], terms[1]
-    e = as_psd(l1 * rank_one(v1, v1), tol)
-    f = as_psd(l2 * rank_one(v2, v2), tol)
+    e = as_psd(float(lams[0]) * rank_one(vecs[:, 0], vecs[:, 0]), tol)
+    f = as_psd(float(lams[1]) * rank_one(vecs[:, 1], vecs[:, 1]), tol)
     return e, f
 
 
@@ -95,24 +98,19 @@ def rank_gt_np1_witness(
     """Witness that rank A > n+1, or None when rank A <= n+1.
 
     E is the sum of the first n spectral terms (descending eigenvalues), F
-    the sum of the rest; both are minorants of A with disjoint ranges.
+    the sum of the rest; both are minorants of A with disjoint ranges. Each
+    is formed as one product (V diag(lambda)) V* over its eigenvectors, and
+    ``as_psd`` certifies it.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     a, r = psd_rank(a, tol)
     if r <= n + 1:
         return None
-    terms = _descending_spectral_terms(a, tol)
-    e = np.zeros((a.dim, a.dim), dtype=np.complex128)
-    f = np.zeros_like(e)
-    for i, (lam, v) in enumerate(terms):
-        if i < n:
-            e += lam * rank_one(v, v)
-        else:
-            f += lam * rank_one(v, v)
+    lams, vecs = _descending_spectral_terms(a, tol)
     return RankWitness(
-        E=as_psd(e, tol),
-        F=as_psd(f, tol),
+        E=as_psd(_spectral_sum(lams[:n], vecs[:, :n]), tol),
+        F=as_psd(_spectral_sum(lams[n:], vecs[:, n:]), tol),
         n=n,
     )
 

@@ -290,6 +290,36 @@ class TestEig:
             pivot = col[int(np.argmax(np.abs(col)))]
             assert pivot.real > 0 and abs(pivot.imag) < 1e-12
 
+    @staticmethod
+    def _prior_gauge(v):
+        """``_fix_column_phases`` as it stood before it gauged all columns at
+        once, copied: one column at a time, the pivot modulus by abs()."""
+        v = v.copy()
+        for j in range(v.shape[1]):
+            col = v[:, j]
+            pivot = col[int(np.argmax(np.abs(col)))]
+            if abs(pivot) > 0.0:
+                col *= pivot.conjugate() / abs(pivot)
+        return v
+
+    def test_gauge_is_the_column_loops(self, rng):
+        # eigenvector bases and unstructured complex columns at d = 1 to 64,
+        # columns whose entries tie in modulus (the first pivot wins), and a
+        # zero column, which is left as it is
+        ties = np.array([0.5, 0.5j, -0.5, -0.5j])
+        for d in range(1, 65):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            tied = 0.01 * g
+            k = min(d, 4)
+            for j in range(d):
+                tied[:k, j] = np.roll(ties, j)[:k]
+            zero = g.copy()
+            zero[:, d // 2] = 0.0
+            basis = np.linalg.eigh(g + g.conj().T)[1]
+            for v in (basis, g * 10.0 ** rng.integers(-8, 9), tied, zero):
+                got = hermitian._fix_column_phases(v)
+                assert got.tobytes() == self._prior_gauge(v).tobytes(), d
+
 
 class TestRankAndRange:
     def test_rank_basics(self):

@@ -18,6 +18,7 @@ from obsorder import (
     leq,
     max_lambda,
     range_dominates,
+    rank_gt_np1_witness,
 )
 from obsorder import loewner
 from obsorder.generators import (
@@ -28,8 +29,8 @@ from obsorder.generators import (
     random_unitary,
 )
 from obsorder.harness import bisection_max_lambda
-from obsorder.hermitian import herm_array
-from obsorder.tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances
+from obsorder.hermitian import herm_array, psd_eigh
+from obsorder.tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
 
 def quadratic_form(a, x) -> float:
@@ -437,21 +438,32 @@ class TestLapackCalls:
         assert compare(a, b).relation is expected[1]
         assert calls == {"eigh": 1, "eigvalsh": 2}
 
-    def test_max_lambda(self, rng, calls):
-        for inside in (True, False):
+    # in range: B's eigh, a Cholesky factor certifying lambda, and the
+    # witness y = B^+ x refuting the bumped lambda; out of range: B's eigh
+    def test_max_lambda(self, rng, factors):
+        for inside, expected in ((True, {"eigh": 1, "cholesky": 1}), (False, {"eigh": 1})):
             b, x = _rank_deficient_case(rng, 16, 8, inside)
-            calls.clear()
+            factors.clear()
             max_lambda(x, b)
-            assert calls.get("eigh", 0) <= 1 and calls.get("eigvalsh", 0) <= 2
-            assert set(calls) <= {"eigh", "eigvalsh"}
+            assert factors == expected
 
-    def test_range_dominates(self, rng, calls):
-        for inside in (True, False):
+    # max_lambda's calls, and one eigvalsh for A's certificate and rank
+    def test_range_dominates(self, rng, factors):
+        for inside, expected in (
+            (True, {"eigvalsh": 1, "eigh": 1, "cholesky": 1}),
+            (False, {"eigvalsh": 1, "eigh": 1}),
+        ):
             b, x = _rank_deficient_case(rng, 16, 8, inside)
-            calls.clear()
+            factors.clear()
             range_dominates(np.outer(x, x.conj()), b)
-            assert calls.get("eigh", 0) <= 2 and calls.get("eigvalsh", 0) <= 2
-            assert set(calls) <= {"eigh", "eigvalsh"}
+            assert factors == expected
+
+    # A's rank, the gauged eigh of A, and the certificates of E and F
+    def test_rank_gt_np1_witness(self, rng, factors):
+        a = random_psd(rng, 16, 8)
+        factors.clear()
+        assert rank_gt_np1_witness(a, 3) is not None
+        assert factors == {"eigvalsh": 3, "eigh": 1}
 
 
 def _exact_scale(a, b):
@@ -693,28 +705,25 @@ class TestCertificates:
 
     @pytest.mark.parametrize("d", [2, 16])
     def test_overflowing_operands_take_the_spectral_path(self, d):
-        # B - A or the Frobenius scale is not finite: nothing is certified,
-        # and each call answers (or fails) as the spectral rule does
+        # the Frobenius scale is not finite: nothing is certified, and the
+        # spectral rule decides on the pair divided by its peak. So
+        # -big <= big holds although big - (-big) = 2e308 is no float, and
+        # the witness refuting big <= -big has the gap 2e308, read as inf
         big = np.zeros((d, d), dtype=np.complex128)
         big[0, 0] = 1e308
-        pairs = [(big, -big), (1e200 * np.eye(d), 1e200 * np.eye(d))]
-        calls = [
-            (lambda p, q: leq(p, q), lambda p, q: _prior_leq(p, q, DEFAULT_TOLERANCES)),
-            (lambda p, q: compare(p, q).relation,
-             lambda p, q: _prior_relation(p, q, DEFAULT_TOLERANCES)),
-        ]
-
-        def outcome(fn, p, q):
-            try:
-                return fn(p, q)
-            except Exception as exc:  # the class and message are compared
-                return type(exc), str(exc)
-
+        huge = 1e200 * np.eye(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert leq(-big, big) and not leq(big, -big)
+            assert compare(-big, big).relation is Relation.LEQ
+            r = compare(big, -big)
+            assert r.relation is Relation.GEQ and r.witness_ba is None
+            assert abs(abs(r.witness_ab.x[0]) - 1.0) <= 1e-15
+            assert r.witness_ab.gap == math.inf
+            assert leq(huge, huge) and compare(huge, huge).relation is Relation.EQUAL
         with np.errstate(all="ignore"):
-            for a, b in pairs:
-                for p, q in ((a, b), (b, a)):
-                    for call, reference in calls:
-                        assert outcome(call, p, q) == outcome(reference, p, q)
+            assert _prior_leq(huge, huge, DEFAULT_TOLERANCES)
+            assert _prior_relation(huge, huge, DEFAULT_TOLERANCES) is Relation.EQUAL
 
     def test_relation_without_witnesses(self, rng):
         # the order check's relation: certified ends where they decide,
@@ -743,3 +752,135 @@ class TestCertificates:
         monkeypatch.setattr(loewner, "_spectral_ends", counting)
         assert loewner._relation(a, m, DEFAULT_TOLERANCES) is Relation.INCOMPARABLE
         assert len(seen) == 1
+
+
+def _prior_certified_max_lambda(x, b, evals, evecs, tol):
+    """``loewner._certified_max_lambda`` as it stood before the witness
+    vector, copied: the bumped lambda is refuted by one eigvalsh."""
+    norm = float(np.max(np.abs(evals)))
+    root = np.sqrt(np.where(evals >= tol.tol_psd * norm, evals, 0.0))
+    keep = root > tol.tol_rank * max(np.sqrt(norm), 1.0)
+    c = evecs.conj().T @ x
+    if float(np.linalg.norm(c[~keep])) > tol.tol_range:
+        return None
+    lam = 1.0 / float(np.sum(np.abs(c[keep] / root[keep]) ** 2))
+    p = np.outer(x, x.conj())
+    scale = max(norm, lam, 1.0)
+    if not leq(lam * p, b, tol):
+        raise InternalInconsistencyError(
+            "closed-form lambda is infeasible under the order predicate"
+        )
+    bumped = (1.0 + 10.0 * tol.tol_psd) * lam
+    if float(np.linalg.eigvalsh(b.mat - bumped * p)[0]) > 1e-13 * scale:
+        raise InternalInconsistencyError(
+            "closed-form lambda is not extremal: bumped value still feasible"
+        )
+    return lam
+
+
+def _prior_max_lambda(x, b, tol=DEFAULT_TOLERANCES):
+    """``max_lambda`` before the witness vector, for an x of norm near 1."""
+    x = np.asarray(x, dtype=np.complex128)
+    b, evals, evecs = psd_eigh(b, tol)
+    return _prior_certified_max_lambda(x / float(np.linalg.norm(x)), b, evals, evecs, tol)
+
+
+def _prior_range_dominates(a, b, tol=DEFAULT_TOLERANCES):
+    """``range_dominates`` before it dropped A's eigh, copied: x is A's top
+    eigenvector. Its cross-check of the range residual against lambda's
+    feasibility read one residual twice, so it could not fire and is left
+    out."""
+    a, a_evals, a_evecs = psd_eigh(a, tol)
+    b, b_evals, b_evecs = psd_eigh(b, tol)
+    keep = np.abs(a_evals) > scaled(tol.tol_rank, float(np.max(np.abs(a_evals))))
+    if np.count_nonzero(keep) != 1:
+        raise ValidationError("range_dominates requires rank-1 A")
+    x = a_evecs[:, int(np.argmax(keep))]
+    lam = _prior_certified_max_lambda(x, b, b_evals, b_evecs, tol)
+    return lam is not None
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def _range_cases(draw):
+    """(x, B, A): PSD B = U diag(mu) U* of rank k with mu in [1e-3, 1e3]; a
+    unit x with weight w off rng B, w = 0 or in [1e-10, 1e-6] (around
+    tol_range); and A = s (x x* + delta G), G a PSD rank-two matrix of norm
+    about 1, delta = 0 or in [1e-10, 1e-7] (around tol_rank)."""
+    d = draw(st.sampled_from([2, 3, 8, 32, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, d))
+    u = random_unitary(rng, d)
+    mu = np.zeros(d)
+    mu[:k] = 10.0 ** rng.uniform(-3.0, 3.0, k)
+    c = np.zeros(d, dtype=np.complex128)
+    c[:k] = random_unit(rng, k)
+    if k < d and draw(st.booleans()):
+        w = 10.0 ** draw(st.floats(-10.0, -6.0))
+        c[:k] *= math.sqrt(1.0 - w * w)
+        c[k:] = w * random_unit(rng, d - k)
+    x = u @ c
+    a = np.outer(x, x.conj())
+    if draw(st.booleans()):
+        g = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+        a = a + 10.0 ** draw(st.floats(-10.0, -7.0)) * (g @ g.conj().T) / d
+    a = a * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return x, (u * mu) @ u.conj().T, a
+
+
+class TestSpectraInHand:
+    """max_lambda refutes the bumped lambda by a witness vector, and
+    range_dominates reads A's direction off one power step; both must answer
+    exactly as the eigensolver paths they replaced."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_range_cases())
+    def test_same_outcomes_as_before(self, case):
+        x, b, a = case
+        assert _outcome(max_lambda, x, b) == _outcome(_prior_max_lambda, x, b)
+        assert _outcome(range_dominates, a, b) == _outcome(_prior_range_dominates, a, b)
+
+    def test_power_step_reaches_the_top_eigenvector(self):
+        # A = xx* + delta yy* with y orthogonal to x and delta = 9e-9 below
+        # the rank cut, so x itself spans rng A and lies in rng B. The
+        # column A[:, 0] leans off rng B by delta y_0 y_off / x_0, about
+        # 2.8 delta > tol_range; after one power step the lean is of order
+        # delta^2
+        d = 64
+        x = np.append(np.ones(d - 1), 0.0) / math.sqrt(d - 1)
+        y = np.zeros(d)
+        y[0], y[1], y[-1] = 0.5, -0.5, math.sqrt(0.5)
+        a = np.outer(x, x) + 9e-9 * np.outer(y, y)
+        b = np.diag(np.append(np.ones(d - 1), 0.0))
+        assert range_dominates(a, b) is _prior_range_dominates(a, b) is True
+
+    @pytest.mark.parametrize(
+        "d, spread, eigvalsh_calls", [(3, 1.0, 0), (3, 1e-6, 0), (64, 1.0, 0), (64, 1e-6, 1)]
+    )
+    def test_witness_or_eigvalsh(self, rng, monkeypatch, d, spread, eigvalsh_calls):
+        # the witness settles the bumped lambda unless its form, about
+        # -1e-8 mu_min ||y||^2 here, lies above (1e-13 - r) ||y||^2: with
+        # mu_min = 1e-6 that happens at d = 64, where r = 8 d^2 u (1 + lambda)
+        # is about 7e-12, but not at d = 3, where r is about 2e-14
+        mu = np.ones(d)
+        mu[0], mu[-1] = spread, 0.0
+        u = random_unitary(rng, d)
+        b = PsdMatrix.from_hermitian((u * mu) @ u.conj().T)
+        x = u @ np.append(random_unit(rng, d - 1), 0.0)
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert max_lambda(x, b) == _prior_max_lambda(x, b)
+        assert len(calls) == eigvalsh_calls + 1  # the prior copy's own

@@ -3,18 +3,21 @@ import pytest
 
 from obsorder import (
     InternalInconsistencyError,
+    OrderAutomorphism,
     PsdMatrix,
     ValidationError,
+    apply,
     is_rank_one_by_order,
     leq,
     no_common_rank1_minorant,
+    range_dominates,
     rank_gt_np1_witness,
     rank_numeric,
 )
-from obsorder.generators import random_psd, random_unit
-from obsorder.hermitian import as_psd, psd_rank
+from obsorder.generators import random_psd, random_unit, random_unitary
+from obsorder.hermitian import as_psd, eig, psd_rank, rank_one
 from obsorder.order_rank import check_rank_witness, rank_two_counterexample
-from obsorder.tolerances import Tolerances
+from obsorder.tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
 
 
 def psd(m):
@@ -139,6 +142,102 @@ class TestRankGtNp1:
                 assert (w is not None) == (r > n + 1)
                 if w is not None:
                     assert check_rank_witness(a, w)
+
+
+def _prior_witness_terms(a, n, tol=DEFAULT_TOLERANCES):
+    """E and F of ``rank_gt_np1_witness`` as they stood before the one
+    product, copied: a sum of rank-one updates over the descending
+    spectral terms above the rank threshold."""
+    dec = eig(a)
+    thr = scaled(tol.tol_rank, float(np.max(np.abs(dec.eigenvalues))))
+    e = np.zeros((len(a), len(a)), dtype=np.complex128)
+    f = np.zeros_like(e)
+    i = 0
+    for j in np.argsort(-dec.eigenvalues, kind="stable"):
+        lam = float(dec.eigenvalues[j])
+        if lam > thr:
+            v = np.array(dec.eigenvectors[:, j])
+            if i < n:
+                e += lam * rank_one(v, v)
+            else:
+                f += lam * rank_one(v, v)
+            i += 1
+    return e, f
+
+
+class TestWitnessByOneProduct:
+    def test_within_rounding_of_the_update_loop(self, rng):
+        for d in (3, 4, 8, 32, 64):
+            for r in sorted({3, max(3, d // 2 + 1), d}):
+                a = random_psd(rng, d, r) * 10.0 ** rng.integers(-3, 4)
+                norm = float(np.linalg.norm(a, 2))
+                for n in sorted({1, r // 2, r - 2} - {0}):
+                    w = rank_gt_np1_witness(a, n)
+                    e, f = _prior_witness_terms(a, n)
+                    assert np.max(np.abs(w.E.mat - e)) <= 1e-14 * norm, (d, r, n)
+                    assert np.max(np.abs(w.F.mat - f)) <= 1e-14 * norm, (d, r, n)
+                    assert check_rank_witness(a, w)
+
+
+def _cone_map(rng, d, conjugate):
+    """A |-> T A T* (T conj(A) T* with the flag), cond(T) = 1e2 exactly."""
+    sv = 10.0 ** rng.uniform(0.0, 2.0, d)
+    sv[0], sv[-1] = 1.0, 1e2
+    t = (random_unitary(rng, d) * sv) @ random_unitary(rng, d)
+    return OrderAutomorphism.create(t, conjugate=conjugate), float(sv[0] ** 2)
+
+
+class TestConeMapInvariance:
+    """The paper's theorem as an oracle: a cone map A |-> T A T* (or with
+    conj(A)) is an order-automorphism of the PSD cone, so it keeps range
+    domination and rank. Spectra lie in [0.5, 2] and off-range weights are
+    0 or 0.3, far from every cut."""
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_range_dominates(self, rng, conjugate):
+        seen = set()
+        for d in (2, 3, 8, 32):
+            for _ in range(6):
+                phi, _ = _cone_map(rng, d, conjugate)
+                k = int(rng.integers(1, d + 1))
+                u = random_unitary(rng, d)
+                mu = np.zeros(d)
+                mu[:k] = rng.uniform(0.5, 2.0, k)
+                c = np.zeros(d, dtype=np.complex128)
+                c[:k] = random_unit(rng, k)
+                if k < d and rng.integers(0, 2):
+                    c[:k] *= np.sqrt(0.7)
+                    c[k:] = np.sqrt(0.3) * random_unit(rng, d - k)
+                x = u @ c
+                a = rng.uniform(0.5, 2.0) * np.outer(x, x.conj())
+                b = (u * mu) @ u.conj().T
+                verdict = range_dominates(a, b)
+                assert range_dominates(apply(phi, a), apply(phi, b)) is verdict
+                seen.add(verdict)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_rank_witness_existence(self, rng, conjugate):
+        seen = set()
+        for d in (3, 4, 8, 32):
+            for _ in range(4):
+                phi, lo = _cone_map(rng, d, conjugate)
+                r = int(rng.integers(1, d + 1))
+                mu = np.zeros(d)
+                mu[:r] = rng.uniform(0.5, 2.0, r)
+                u = random_unitary(rng, d)
+                a = (u * mu) @ u.conj().T
+                fa = apply(phi, a)
+                # harness thm1's guard: the image's smallest nonzero
+                # eigenvalue, at least lo * min(mu) (Ostrowski), clears the
+                # rank cut tenfold
+                norm = float(np.max(np.abs(np.linalg.eigvalsh(fa.mat))))
+                assert lo * float(mu[:r].min()) > 10.0 * scaled(DEFAULT_TOLERANCES.tol_rank, norm)
+                for n in range(1, d - 1):
+                    found = rank_gt_np1_witness(a, n) is not None
+                    assert (rank_gt_np1_witness(fa, n) is not None) is found
+                    seen.add(found)
+        assert seen == {True, False}
 
 
 class TestNoCommonRank1Minorant:
