@@ -9,8 +9,8 @@ decomposed at most once: ``compare`` reads everything off one
 ``eigh(B - A)``, and ``max_lambda`` and ``range_dominates`` work in the
 eigenbasis of ``B``. There the vector y = B^+ x refutes the bumped lambda
 by its quadratic form (Rayleigh), and ``range_dominates`` takes A's
-direction from one power step, so A needs only the ``eigvalsh`` that
-certifies it and cuts its rank.
+direction from one power step where that step is accurate, so A then needs
+only the ``eigvalsh`` that certifies it and cuts its rank.
 
 The PSD threshold ``tol_psd * max(||A||, ||B||, 1)`` needs two spectral
 norms, but it lies between ``tol_psd`` (the scale is at least 1) and
@@ -113,7 +113,7 @@ def _pair(a: np.ndarray, b: np.ndarray):
     decides nothing (``_certified``, ``_psd_verdicts``): the verdicts come
     from the spectral rule on the quotients, whose threshold
     tol_psd * max(||A / s||, ||B / s||, 1) is the pair's own divided by s,
-    since one of the two norms is at least 1.
+    since one of the two norms is at least 1 (a norm bounds every entry).
     """
     frob = _frobenius_scale(a, b)
     if frob < math.inf:
@@ -125,26 +125,25 @@ def _pair(a: np.ndarray, b: np.ndarray):
 
 
 def _psd_verdicts(
-    ends: tuple[float, ...],
-    a: np.ndarray,
-    b: np.ndarray,
-    frob: float,
-    tol: Tolerances,
-    s: float = 1.0,
+    ends: tuple[float, ...], a: np.ndarray, b: np.ndarray, frob: float, tol: Tolerances
 ) -> list[bool]:
     """``m >= -tol_psd * _max_norm_scale(a, b)`` for each m in ``ends``,
-    with (a, b, frob, s) from ``_pair``.
+    with (a, b, frob) from ``_pair``.
 
-    m >= -tol_psd / s is True, since the pair's scale is at least 1, and
+    m >= -tol_psd is True, since the scale is at least 1, and
     m < -tol_psd * ``_frobenius_scale`` is False, since that scale is at
     least the spectral one (rounding is monotone, so both bounds survive
-    the products). Only an m between the two pays for the spectral norms;
-    an overflowing Frobenius scale decides nothing.
+    the products). Only an m between the two pays for the spectral norms.
+    An overflowing Frobenius scale decides nothing: every end then takes
+    the spectral threshold of the pair, which ``_pair`` has divided by s.
     """
+    if not frob < math.inf:
+        thr = tol.tol_psd * _max_norm_scale(a, b)
+        return [m >= -thr for m in ends]
     thr = None
     verdicts = []
     for m in ends:
-        if m >= -tol.tol_psd / s:
+        if m >= -tol.tol_psd:
             verdicts.append(True)
             continue
         if m < -tol.tol_psd * frob:
@@ -216,7 +215,7 @@ def leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     verdict = _certified(m, 1.0, frob, tol)
     if verdict is None:
         lo = float(np.linalg.eigvalsh(m)[0])
-        verdict = _psd_verdicts((lo,), a, b, frob, tol, s)[0]
+        verdict = _psd_verdicts((lo,), a, b, frob, tol)[0]
     return verdict
 
 
@@ -235,13 +234,13 @@ def _relation_of(ab: bool, ba: bool) -> Relation:
 
 
 def _spectral_ends(
-    m: np.ndarray, a: np.ndarray, b: np.ndarray, frob: float, tol: Tolerances, s: float
+    m: np.ndarray, a: np.ndarray, b: np.ndarray, frob: float, tol: Tolerances
 ) -> tuple[bool, bool, np.ndarray]:
     """``compare``'s spectral rule: the verdicts on both ends of one
     ``eigh(m)``, m = B - A, and its eigenvectors; the arguments are
     ``_pair``'s."""
     evals, evecs = np.linalg.eigh(m)
-    ab, ba = _psd_verdicts((float(evals[0]), -float(evals[-1])), a, b, frob, tol, s)
+    ab, ba = _psd_verdicts((float(evals[0]), -float(evals[-1])), a, b, frob, tol)
     return ab, ba, evecs
 
 
@@ -253,7 +252,7 @@ def _relation(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> Relation:
     ab = _certified(m, 1.0, frob, tol)
     ba = None if ab is None else _certified(m, -1.0, frob, tol)
     if ba is None:
-        ab, ba, _ = _spectral_ends(m, a, b, frob, tol, s)
+        ab, ba, _ = _spectral_ends(m, a, b, frob, tol)
     return _relation_of(ab, ba)
 
 
@@ -277,7 +276,7 @@ def compare(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> OrderResult:
         ba = _certified(m, -1.0, frob, tol)
         if ba is not None:
             return OrderResult(relation=_relation_of(True, ba))
-    ab, ba, evecs = _spectral_ends(m, a, b, frob, tol, s)
+    ab, ba, evecs = _spectral_ends(m, a, b, frob, tol)
     relation = _relation_of(ab, ba)
     if ab:
         return OrderResult(relation=relation)
@@ -397,21 +396,35 @@ def range_dominates(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     That holds iff the unit vector x spanning rng A lies in rng B, and it is
     decided by the certified max_lambda on x, read in B's eigenbasis (one
     ``eigh(B)``). A's PSD certificate and rank cut come from one
-    ``eigvalsh``. x is A's column j of largest diagonal modulus after one
-    power step, x ~ A A[:, j]: its angle to the top eigenvector is about
-    (lambda_2 / lambda_1)^2 <= tol_rank^2, far below tol_range. The two
-    divisions by A[j, j] keep the step's entries near 1 at any norm.
+    ``eigvalsh``. x is then A's column j of largest diagonal after one power
+    step, x ~ A A[:, j], when that is safe: with rho = lambda_2 / lambda_1,
+    the two largest eigenvalue moduli of A, the step leaves x at an angle
+    below rho^2 d to the top eigenvector (A[j, j] >= tr A / d puts a share
+    of about 1 / d of x on it). The rank cut bounds rho by tol_rank only when
+    ||A|| >= 1, being absolute below, and the user may widen it, so the step
+    is taken only when rho^2 d <= 1e-3 tol_range; otherwise x is A's top
+    eigenvector from one ``eigh(A)``. The two divisions by A[j, j] keep the
+    step's entries near 1 at any norm.
     """
     a, a_evals = psd_eigvalsh(a, tol)
     b, b_evals, b_evecs = psd_eigh(b, tol)
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     # rank of A under the rank_numeric cut
-    keep = np.abs(a_evals) > scaled(tol.tol_rank, _spectral_norm(a_evals))
+    norm = _spectral_norm(a_evals)
+    keep = np.abs(a_evals) > scaled(tol.tol_rank, norm)
     if np.count_nonzero(keep) != 1:
         raise ValidationError("range_dominates requires rank-1 A")
-    diag = a.mat.diagonal().real
-    j = int(np.argmax(np.abs(diag)))
-    x = a.mat @ (a.mat[:, j] / diag[j]) / diag[j]
-    x /= np.linalg.norm(x)
+    # the kept eigenvalue has the largest modulus, so it ends the ascending
+    # a_evals, and the next largest modulus ends the rest
+    rest = a_evals[:-1] if keep[-1] else a_evals[1:]
+    rho = _spectral_norm(rest) / norm if a.dim > 1 else 0.0
+    if rho * rho * a.dim <= 1e-3 * tol.tol_range:
+        diag = a.mat.diagonal().real
+        j = int(np.argmax(diag))
+        x = a.mat @ (a.mat[:, j] / diag[j]) / diag[j]
+        x /= np.linalg.norm(x)
+    else:
+        _, evals, evecs = psd_eigh(a, tol)
+        x = evecs[:, int(np.argmax(np.abs(evals)))]
     return _certified_max_lambda(x, b, b_evals, b_evecs, tol) is not None

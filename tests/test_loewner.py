@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from obsorder import (
@@ -812,8 +812,12 @@ def _outcome(fn, *args):
 def _range_cases(draw):
     """(x, B, A): PSD B = U diag(mu) U* of rank k with mu in [1e-3, 1e3]; a
     unit x with weight w off rng B, w = 0 or in [1e-10, 1e-6] (around
-    tol_range); and A = s (x x* + delta G), G a PSD rank-two matrix of norm
-    about 1, delta = 0 or in [1e-10, 1e-7] (around tol_rank)."""
+    tol_range); and A = s x x* + delta G with s in [1e-7, 1e3], G a PSD
+    rank-two matrix of norm about 1, delta = 0 or in [1e-10, 1e-7] (around
+    tol_rank) times s or not. Below s = 1 the rank cut is absolute, so an
+    unscaled delta reaches lambda_2 / lambda_1 near 0.1 in a rank-1 A. G is
+    orthogonal to x or not: if it is, x stays A's top eigenvector however
+    large that ratio, and a direction read off A must not lean into G."""
     d = draw(st.sampled_from([2, 3, 8, 32, 64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(1, d))
@@ -824,14 +828,24 @@ def _range_cases(draw):
     c[:k] = random_unit(rng, k)
     if k < d and draw(st.booleans()):
         w = 10.0 ** draw(st.floats(-10.0, -6.0))
+        # at w = tol_psd, with B of rank one and norm >= 1, the recheck
+        # lambda x x* <= B sits on its threshold (its lowest eigenvalue is
+        # about -lambda w), so rounding in x decides between True and the
+        # infeasible-lambda error for any two ways of computing x
+        assume(abs(w / DEFAULT_TOLERANCES.tol_psd - 1.0) > 1e-6)
         c[:k] *= math.sqrt(1.0 - w * w)
         c[k:] = w * random_unit(rng, d - k)
     x = u @ c
-    a = np.outer(x, x.conj())
+    scale = 10.0 ** draw(st.floats(-7.0, 3.0))
+    a = scale * np.outer(x, x.conj())
     if draw(st.booleans()):
         g = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
-        a = a + 10.0 ** draw(st.floats(-10.0, -7.0)) * (g @ g.conj().T) / d
-    a = a * 10.0 ** draw(st.floats(-3.0, 3.0))
+        if draw(st.booleans()):
+            g -= np.outer(x, x.conj() @ g)
+        delta = 10.0 ** draw(st.floats(-10.0, -7.0))
+        if draw(st.booleans()):
+            delta *= scale
+        a = a + delta * (g @ g.conj().T) / d
     return x, (u * mu) @ u.conj().T, a
 
 
@@ -860,6 +874,39 @@ class TestSpectraInHand:
         a = np.outer(x, x) + 9e-9 * np.outer(y, y)
         b = np.diag(np.append(np.ones(d - 1), 0.0))
         assert range_dominates(a, b) is _prior_range_dominates(a, b) is True
+
+    @pytest.mark.parametrize(
+        "scale, delta, tol",
+        [
+            # below norm 1 the rank cut is the absolute tol_rank, so A with
+            # lambda_2 / lambda_1 = 0.09 still counts as rank 1
+            (1e-7, 9e-9, DEFAULT_TOLERANCES),
+            # a wide user rank cut admits the same ratio at norm 1
+            (1.0, 5e-4, Tolerances(tol_rank=1e-3)),
+        ],
+    )
+    def test_eigh_when_the_power_step_would_lean_off_range(
+        self, monkeypatch, scale, delta, tol
+    ):
+        # v spans rng A and lies in rng B = span(e0, e1); a power step from
+        # A's largest column keeps a share of order (delta / scale)^2 of w,
+        # whose e2 entry is off rng B, far above tol_range. A's eigh is taken
+        # instead, and the verdict is the prior one
+        v = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        w = np.array([1.0, -1.0, math.sqrt(2.0)]) / 2.0
+        a = scale * np.outer(v, v) + delta * np.outer(w, w)
+        b = np.diag([1.0, 1.0, 0.0])
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        assert range_dominates(a, b, tol) is True
+        assert len(calls) == 2
+        assert _prior_range_dominates(a, b, tol) is True
 
     @pytest.mark.parametrize(
         "d, spread, eigvalsh_calls", [(3, 1.0, 0), (3, 1e-6, 0), (64, 1.0, 0), (64, 1e-6, 1)]
