@@ -39,7 +39,8 @@ RECON_TOL = 1e-6
 
 # Largest cond(psi(I)) = cond(T)^2 at which reconstruct reads T from the pencil
 # (psi(D), psi(I)). Measured at d = 3..64: gauge error under 1e-7 up to 9e8;
-# at 1e10 the validation residual failed in up to 87% of maps.
+# at 1e10 the validation residual failed in up to 87% of maps. The spectral
+# read of _pencil_columns keeps the column error under 2e-7 at 9e8, d = 2..64.
 PENCIL_COND_CAP = 1e9
 
 # Random Hermitian probes whose images must match the recovered map.
@@ -179,19 +180,28 @@ def _basis_columns(images: Iterator[np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 def _pencil_columns(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """T's columns up to phase from P = TT* and Q = TDT*: with P = LL*,
-    L^-1 Q L^-* = W D W* for the unitary W = L^-1 T, and cols = LW (the
-    Cholesky reduction of the definite pencil (Q, P); Golub & Van Loan,
-    *Matrix Computations*, 8.7)."""
-    evals = np.linalg.eigvalsh(p)
-    if not 0.0 < evals[-1] <= PENCIL_COND_CAP * evals[0]:
+    """T's columns up to phase from P = TT* and Q = TDT*: with P = U diag(e) U*
+    and L = U diag(e)^(1/2), P = LL* and L^-1 Q L^-* = W D W* for the unitary
+    W = L^-1 T, so cols = LW (the reduction of the definite pencil (Q, P) by
+    the spectral decomposition of P; Golub & Van Loan, *Matrix
+    Computations*, 8.7). L^-* = U diag(e)^(-1/2) needs no solve, and cond(P)
+    is read off the same e."""
+    e, u = np.linalg.eigh(p)
+    if not 0.0 < e[-1] <= PENCIL_COND_CAP * e[0]:
         raise OracleNotAutomorphicError("pencil: psi(I) is not well-conditioned positive definite")
-    l = np.linalg.cholesky(p)
-    lam, w = np.linalg.eigh(np.linalg.solve(l, np.linalg.solve(l, q).conj().T))
+    root = np.sqrt(e)
+    l_inv_h = u / root
+    lam, w = np.linalg.eigh(l_inv_h.conj().T @ q @ l_inv_h)
     off = float(np.max(np.abs(lam - np.arange(1, len(p) + 1))))
-    if not off <= RECON_TOL * len(p):  # calibrated: under 7e-8 * d up to PENCIL_COND_CAP
+    # calibrated: at most 2e-7 * d at cond(P) = 9e8, d = 2..64
+    if not off <= RECON_TOL * len(p):
         raise OracleNotAutomorphicError(f"pencil: eigenvalues off 1, ..., d by {off:.3e}")
-    return l @ w
+    return (u * root) @ w
+
+
+def _residuals(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The relative max-abs residual of each matrix of an (n, d, d) stack."""
+    return np.abs(got - want).max(axis=(1, 2)) / np.maximum(np.abs(got).max(axis=(1, 2)), 1.0)
 
 
 def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: list,
@@ -239,13 +249,10 @@ def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: 
 
     # validation on random Hermitian probes, negative parts included; each
     # probe is exactly Hermitian, so this is apply(recovered, a) bit for bit
-    # without re-wrapping it
-    residuals = []
-    for block in checks:
-        got = np.stack([next(images) for _ in block])
-        want, _ = _images(recovered, block)
-        peak = np.abs(got).max(axis=(1, 2))
-        residuals.append(np.abs(got - want).max(axis=(1, 2)) / np.maximum(peak, 1.0))
+    # without re-wrapping it. No block's arrays outlive its _residuals call,
+    # so none is alive while the next block is mapped.
+    residuals = [_residuals(np.stack([next(images) for _ in block]), _images(recovered, block)[0])
+                 for block in checks]
     # NaN, from an overflowing T, propagates
     max_residual = float(np.max(np.concatenate(residuals)))
     if not max_residual <= RECON_TOL:
@@ -270,16 +277,17 @@ def reconstruct(
     ``VALIDATION_PROBES`` random Hermitian matrices (not only PSD) populate
     the residual, which must not exceed ``RECON_TOL``. They are drawn in one
     call and checked in blocks of at most ``oracle.FRAME_BUDGET_BYTES`` of
-    matrix bytes, the size of a stack frame: one block of 20 at d <= 8,
-    blocks of 4 at d = 32, one probe per block at d = 64.
+    matrix bytes, the size of a stack frame (``oracle.frame_capacity``):
+    one block of 20 at d <= 8, blocks of 16 and 4 at d = 32, 5 blocks of 4
+    at d = 64.
 
     At every d >= 2 the plan is zero, I, D, the all-ones and conjugation
     probes and the validation probes: 25 calls. No probe of it depends on an
     earlier answer, so it goes to the oracle as one stream
     (``OracleHandle.query_many``) and is answered whole before any check. If
-    any pencil check fails (cond(psi(I)) above ``PENCIL_COND_CAP``, the
-    Cholesky factor, psi(D)'s eigenvalues 1, ..., d, the column weights, the
-    conjugation fit or the validation residual), the d basis projections go
+    any pencil check fails (cond(psi(I)) above ``PENCIL_COND_CAP``,
+    psi(D)'s eigenvalues 1, ..., d, the column weights, the conjugation fit
+    or the validation residual), the d basis projections go
     out as a second stream, and the basis read takes T's columns from their
     images t_j t_j* and reuses the other images: 25 + d calls.
     """

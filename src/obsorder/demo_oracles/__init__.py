@@ -12,7 +12,9 @@ one (n, d, d) array, by the rule of ``io.hermitian_from_dict`` (finite
 entries, relative asymmetry at most ``hermitian.ASYMMETRY_LIMIT``); the
 first matrix that fails raises that reader's ``ValidationError``. ``fn``
 is applied to one symmetrized matrix at a time, so it need not handle
-stacks. A stack whose payload ends early raises ``ValidationError``.
+stacks; its images are written into one preallocated stack, which is the
+reply's payload. A stack whose payload ends early raises
+``ValidationError``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from ..hermitian import HermitianMatrix, _hermitian_stack
 from ..io import (
     hermitian_from_dict,
     matrix_to_dict,
+    read_stack,
     stack_frame,
-    stack_from_bytes,
     stack_shape,
 )
 from ..oracle import RAW_STACK
@@ -45,15 +47,19 @@ def serve(fn: Callable[[np.ndarray], np.ndarray]) -> None:
         payload = b""
         if "count" in matrix:
             n, d = stack_shape(matrix)
-            stack = stack_from_bytes(stdin.read(matrix["bytes"]), n, d)
+            stack = read_stack(stdin.readinto, n, d)
             good, k = _hermitian_stack(stack)
             # the first bad matrix raises from_array's error
             checked = [*good, *(HermitianMatrix.from_array(a).mat for a in stack[k:])]
-            out, payload = stack_frame([fn(a) for a in checked])
+            images = np.empty_like(stack)
+            for i, a in enumerate(checked):
+                images[i] = fn(a)
+            out, payload = stack_frame(images)
         else:
             out = matrix_to_dict(fn(hermitian_from_dict(matrix).mat))
         response = {"id": request["id"], "matrix": out}
         if "accept" in request:
             response["accept"] = [RAW_STACK]
-        stdout.write((json.dumps(response) + "\n").encode("ascii") + payload)
+        stdout.write((json.dumps(response) + "\n").encode("ascii"))
+        stdout.write(payload)
         stdout.flush()

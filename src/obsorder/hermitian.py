@@ -62,7 +62,8 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     """``(M + M*)/2`` over the last two axes, halved before the sum so that
     finite entries above half the float range cannot overflow it."""
     h = 0.5 * m
-    return h + h.conj().swapaxes(-1, -2)
+    h += h.conj().swapaxes(-1, -2)  # conj() is a new array, not a view of h
+    return h
 
 
 # Largest ||M||_F^2 at which the Hermitian check works on M itself. Below it

@@ -17,7 +17,7 @@ little-endian complex128 (real then imaginary float64), matrix after
 matrix, each row-major. A stack is not JSON, so files and CLI input cannot
 hold one; the single-matrix readers reject a dict carrying ``count``.
 ``stack_frame`` writes a header and its payload, ``stack_shape`` checks a
-header and ``stack_from_bytes`` reads a payload.
+header and ``read_stack`` reads a payload.
 
 Vectors are a single list of ``[re, im]`` pairs. Automorphism files are
 ``{"T": <matrix>, "conjugate": bool, "X": <matrix>}`` where ``T`` may be an
@@ -47,7 +47,7 @@ __all__ = [
     "complex_matrix_from_dict",
     "stack_frame",
     "stack_shape",
-    "stack_from_bytes",
+    "read_stack",
     "vector_to_list",
     "vector_from_list",
     "dumps",
@@ -88,7 +88,7 @@ def _number(x) -> float:
 def stack_shape(obj: dict) -> tuple[int, int]:
     """The (count, dim) of a stack header. Checks that dim is in range,
     count is an integer >= 1 and bytes is exactly 16*count*dim*dim; the
-    payload is read by ``stack_from_bytes``."""
+    payload is read by ``read_stack``."""
     if not isinstance(obj, dict) or not {"dim", "count", "bytes"} <= obj.keys():
         raise ValidationError("matrix stack header must have 'dim', 'count' and 'bytes'")
     d = _checked_dim(obj)
@@ -104,22 +104,31 @@ def stack_shape(obj: dict) -> tuple[int, int]:
     return n, d
 
 
-def stack_frame(stack) -> tuple[dict, bytes]:
-    """The header matrix object and the payload of an (n, d, d) stack."""
+def stack_frame(stack) -> tuple[dict, memoryview]:
+    """The header matrix object and the payload of an (n, d, d) stack. The
+    payload is a byte view of the stack as contiguous little-endian
+    complex128, which a complex128 stack on a little-endian host already
+    is: then nothing is copied."""
     arr = np.ascontiguousarray(stack, dtype=_C128LE)
     n, d = arr.shape[0], arr.shape[1]
-    return {"dim": d, "count": n, "bytes": arr.nbytes}, arr.tobytes()
+    return {"dim": d, "count": n, "bytes": arr.nbytes}, memoryview(arr).cast("B")
 
 
-def stack_from_bytes(raw, n: int, d: int) -> np.ndarray:
-    """The (n, d, d) complex array of a payload of exactly 16*n*d*d bytes.
-    Entries are not checked here: the oracle pipe checks a whole frame at
-    once, by ``hermitian._hermitian_stack``."""
-    if len(raw) != 16 * n * d * d:
-        raise ValidationError(
-            f"matrix stack payload has {len(raw)} bytes, expected {16 * n * d * d}"
-        )
-    return np.frombuffer(raw, dtype=_C128LE).reshape(n, d, d).astype(np.complex128)
+def read_stack(readinto, n: int, d: int) -> np.ndarray:
+    """The (n, d, d) complex array of a payload of 16*n*d*d bytes, read
+    straight into it: ``readinto(view)`` fills the head of a writable byte
+    view and returns how many bytes it wrote, 0 at the end of the stream.
+    A stream that ends early raises ``ValidationError``. Entries are not
+    checked here: the oracle pipe checks a whole frame at once, by
+    ``hermitian._hermitian_stack``."""
+    out = np.empty((n, d, d), dtype=_C128LE)
+    view = memoryview(out).cast("B")
+    got = 0
+    while got < len(view) and (k := readinto(view[got:])):
+        got += k
+    if got != len(view):
+        raise ValidationError(f"matrix stack payload has {got} bytes, expected {len(view)}")
+    return out.astype(np.complex128, copy=False)  # a copy only on a big-endian host
 
 
 def matrix_frame_from_dict(obj: dict) -> np.ndarray:

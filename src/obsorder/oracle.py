@@ -25,7 +25,11 @@ one JSON header line followed by raw bytes:
 
 The child answers with a stack frame of the n images, in order, in the
 same form. ``query_many`` puts as many probes in a frame as fit in
-``FRAME_BUDGET_BYTES`` of payload; ``query`` sends a stack of one.
+``FRAME_BUDGET_BYTES`` (256 KiB) of payload, ``frame_capacity(d)``: the
+whole 25-probe plan of ``reconstruct`` at d <= 8, 16 probes at d = 32 and
+4 at d = 64; ``query`` sends a stack of one. The request line and its
+payload go out in one gathered write, and a reply's payload is read
+straight into the stack that is returned.
 
 A reply whose frame is at fault (no ``matrix``, a bad grid or payload; an
 id, ``dim``, ``count`` or ``bytes`` other than the request's; the end of
@@ -65,8 +69,8 @@ from .hermitian import MAX_DIM, HermitianMatrix, _hermitian_stack, _leading, sym
 from .io import (
     matrix_frame_from_dict,
     matrix_to_dict,
+    read_stack,
     stack_frame,
-    stack_from_bytes,
     stack_shape,
 )
 
@@ -81,13 +85,15 @@ RESPONSE_TIMEOUT_S = 60.0
 RAW_STACK = "raw-stack"
 
 # raw matrix bytes (16 per entry) per stack frame: the whole reconstruction
-# plan at d <= 8, 4 probes at d = 32, one at d = 64. Measured with raw frames
-# (reconstruct over the demo affine child, one CPU of a shared 2-vCPU VM,
-# 60 calls per setting, two runs): at d = 64 a 256 KiB budget moved the best
-# call from 18-19 to 17 ms and left the median (19-23 ms) within run-to-run
-# noise; the whole plan in one 2 MiB frame saved nothing (best 20-21 ms) and
-# raised peak RSS by ~6 MB in the parent and ~8 MB in the child.
-FRAME_BUDGET_BYTES = 64 * 1024
+# plan at d <= 8, 16 probes at d = 32, 4 at d = 64. A frame's fixed cost is
+# Python work at both ends, not the pipe, so fewer frames pay it fewer
+# times; above 256 KiB the runs were slower again. Swept with the frame
+# copies of _write and read_stack as they are now, in oracle-pipe runs of
+# 30 s (seeds 2501-2503, the five budgets in rotated order, one CPU of a
+# shared 2-vCPU VM), median latency_p50_large_ms: 64 KiB 19.7 ms, 128 KiB
+# 17.5, 256 KiB 16.7, 512 KiB 18.6, 1 MiB 20.0; peak_rss_mb rose from 190
+# to 194 MB at 256 KiB and to 204 MB at 1 MiB.
+FRAME_BUDGET_BYTES = 256 * 1024
 
 
 # the longest reply line read at dim d is LINE_BYTES_PER_ENTRY * d * d +
@@ -168,7 +174,8 @@ class OracleHandle:
 def from_automorphism(phi) -> OracleHandle:
     """In-process oracle evaluating an OrderAutomorphism, in stacks.
 
-    ``query_many`` takes ``frame_capacity(dim)`` probes at a time, checks
+    ``query_many`` takes ``frame_capacity(dim)`` probes at a time (the
+    size of a stack frame on the pipe: 4 at d = 64, 16 at d = 32), checks
     them as one (n, d, d) array by ``HermitianMatrix.from_array``'s rule
     (``hermitian._hermitian_stack``) and answers them with one call of
     ``apply``'s image function, ``automorphism._images``, whose finiteness
@@ -256,15 +263,21 @@ class SubprocessOracle(OracleHandle):
                 f"killed ({self._exit_status()})"
             )
 
-    def _write(self, data: bytes, deadline: float) -> None:
+    def _write(self, parts: list, deadline: float) -> None:
+        # one gathered write for the request line and its payload, with no
+        # joined copy of the two
         fd = self._proc.stdin.fileno()
-        view = memoryview(data)
-        while view:
+        views = [v for v in map(memoryview, parts) if len(v)]
+        while views:
             self._wait(deadline, write=[fd])
             try:
-                view = view[os.write(fd, view):]
+                sent = os.writev(fd, views)
             except BlockingIOError:
-                pass
+                continue
+            while views and sent >= len(views[0]):
+                sent -= len(views.pop(0))
+            if sent:
+                views[0] = views[0][sent:]
 
     def _readline(self, deadline: float) -> bytes:
         # reads the raw fd: a buffered readline could block after select
@@ -286,26 +299,29 @@ class SubprocessOracle(OracleHandle):
         del self._pending[: end + 1]
         return line
 
-    def _read_exact(self, n: int, deadline: float) -> bytearray:
-        # the payload after a reply line; _readline may have read some of it
+    def _readinto(self, view: memoryview, size: int, deadline: float) -> int:
+        """Fill the head of ``view``, the rest of a ``size``-byte payload,
+        from the bytes _readline read past its line, else from one read of
+        the pipe; returns how many bytes it wrote."""
+        if self._pending:
+            k = min(len(view), len(self._pending))
+            view[:k] = self._pending[:k]
+            del self._pending[:k]
+            return k
         fd = self._proc.stdout.fileno()
-        data = self._pending[:n]
-        del self._pending[:n]
-        while len(data) < n:
-            self._wait(deadline, read=[fd])
-            try:
-                chunk = os.read(fd, n - len(data))
-            except OSError as exc:
-                raise self._fault(f"oracle I/O failed: {exc} ({self._exit_status()})") from exc
-            if not chunk:
-                raise self._fault(
-                    f"oracle closed its output stream after {len(data)} of {n} payload "
-                    f"bytes ({self._exit_status()})"
-                )
-            data += chunk
-        return data
+        self._wait(deadline, read=[fd])
+        try:
+            k = os.readv(fd, [view])
+        except OSError as exc:
+            raise self._fault(f"oracle I/O failed: {exc} ({self._exit_status()})") from exc
+        if not k:
+            raise self._fault(
+                f"oracle closed its output stream after {size - len(view)} of {size} payload "
+                f"bytes ({self._exit_status()})"
+            )
+        return k
 
-    def _exchange(self, body: dict, payload: bytes = b"") -> tuple[dict, float]:
+    def _exchange(self, body: dict, payload: bytes | memoryview = b"") -> tuple[dict, float]:
         """Write one request frame, a JSON line and then ``payload``; return
         the reply object, id checked, and the frame's deadline, by which any
         payload after the reply line must be read too. A fault of the frame
@@ -315,7 +331,7 @@ class SubprocessOracle(OracleHandle):
         request = (json.dumps({"id": k, **body}) + "\n").encode("ascii")
         deadline = time.monotonic() + RESPONSE_TIMEOUT_S
         try:
-            self._write(request + payload, deadline)
+            self._write([request, payload], deadline)
             line = self._readline(deadline)
         except (OSError, ValueError) as exc:
             raise self._fault(f"oracle I/O failed: {exc} ({self._exit_status()})") from exc
@@ -372,7 +388,8 @@ class SubprocessOracle(OracleHandle):
             raise self._fault(f"oracle stack response has dim {dim}, expected {d}")
         if count != n:
             raise self._fault(f"oracle stack response has {count} matrices, expected {n}")
-        return stack_from_bytes(self._read_exact(len(payload), deadline), n, d)
+        size = len(payload)
+        return read_stack(lambda view: self._readinto(view, size, deadline), n, d)
 
     def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         """The answers to ``probes``, in order. Until the child has offered

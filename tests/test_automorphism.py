@@ -53,8 +53,8 @@ from obsorder.io import (
     hermitian_from_dict,
     matrix_frame_from_dict,
     matrix_to_dict,
+    read_stack,
     stack_frame,
-    stack_from_bytes,
     stack_shape,
     vector_from_list,
 )
@@ -301,8 +301,9 @@ class TestReconstruct:
     def test_validation_probe_draw_peak(self):
         # reconstruct at d = 64 holds the 20 validation probes (1.3 MB) and
         # their images. Drawn into one stack in place, the probes peak the
-        # call at 4.0 MB of allocations; with the uniform draw and three
-        # complex stacks alive at once the peak was 6.7 MB
+        # call at 4.0 MB of allocations in blocks of one probe, and at 4.7 MB
+        # in blocks of 4; with the uniform draw and three complex stacks
+        # alive at once the peak was 6.7 MB in blocks of one
         phi = random_automorphism(np.random.default_rng(3), 64)
         handle = from_automorphism(phi)
         reconstruct(handle, seed=5)  # imports and first-call set-up
@@ -740,8 +741,8 @@ DECIMAL_CHILD = (
 BAD_REPLY_CHILD = (
     "import sys, json\n"
     "import numpy as np\n"
-    "from obsorder.io import hermitian_from_dict, matrix_to_dict, stack_frame,"
-    " stack_from_bytes, stack_shape\n"
+    "from obsorder.io import hermitian_from_dict, matrix_to_dict, read_stack,"
+    " stack_frame, stack_shape\n"
     "mode, raw = sys.argv[1], sys.argv[2] == 'stack'\n"
     "target = int(sys.argv[3]) if len(sys.argv) > 4 else 2\n"
     "stdin, stdout = sys.stdin.buffer, sys.stdout.buffer\n"
@@ -751,7 +752,7 @@ BAD_REPLY_CHILD = (
     "    m, k = req['matrix'], req['id']\n"
     "    if 'count' in m:\n"
     "        n, d = stack_shape(m)\n"
-    "        stack = stack_from_bytes(stdin.read(m['bytes']), n, d)\n"
+    "        stack = read_stack(stdin.readinto, n, d)\n"
     "    else:\n"
     "        stack = np.array([hermitian_from_dict(m).mat])\n"
     "    slot, seen = target - seen, seen + len(stack)\n"
@@ -795,6 +796,51 @@ BAD_REPLY_CHILD = (
     "    stdout.flush()\n"
     "    if fault == 'short' and payload:\n"
     "        break\n"
+)
+
+# A -> 2A offering raw stacks, that reads its stdin 4 KiB at a time with
+# os.read; with sys.argv[1] == "stall" it takes the header line of the first
+# stack frame (with the rest of that 4 KiB read) and then sleeps 60 s, or,
+# with "stall-reply", answers that frame with its header and half its
+# payload and then sleeps
+SMALL_READS_CHILD = (
+    "import json, os, sys, time\n"
+    "from obsorder.io import hermitian_from_dict, matrix_to_dict, read_stack,"
+    " stack_frame, stack_shape\n"
+    "mode = sys.argv[1] if len(sys.argv) > 2 else ''\n"
+    "stdout, pending = sys.stdout.buffer, b''\n"
+    "def readinto(view):  # what a line read left over, else one 4 KiB read\n"
+    "    global pending\n"
+    "    pending = pending or os.read(0, 4096)\n"
+    "    k = min(len(view), len(pending))\n"
+    "    view[:k], pending = pending[:k], pending[k:]\n"
+    "    return k\n"
+    "def readline():\n"
+    "    global pending\n"
+    "    while b'\\n' not in pending:\n"
+    "        chunk = os.read(0, 4096)\n"
+    "        if not chunk:\n"
+    "            sys.exit(0)\n"
+    "        pending += chunk\n"
+    "    line, _, pending = pending.partition(b'\\n')\n"
+    "    return line\n"
+    "while True:\n"
+    "    req = json.loads(readline())\n"
+    "    m = req['matrix']\n"
+    "    if 'count' not in m:\n"
+    "        out, payload = matrix_to_dict(2 * hermitian_from_dict(m).mat), b''\n"
+    "    elif mode == 'stall':\n"
+    "        time.sleep(60)\n"
+    "    else:\n"
+    "        out, payload = stack_frame(2 * read_stack(readinto, *stack_shape(m)))\n"
+    "    resp = {'id': req['id'], 'matrix': out, 'accept': ['raw-stack']}\n"
+    "    if payload and mode == 'stall-reply':\n"
+    "        payload = payload[: len(payload) // 2]\n"
+    "    stdout.write((json.dumps(resp) + '\\n').encode())\n"
+    "    stdout.write(payload)\n"
+    "    stdout.flush()\n"
+    "    if payload and mode == 'stall-reply':\n"
+    "        time.sleep(60)\n"
 )
 
 # every fault of a single JSON frame, and each of a stack frame: only a
@@ -850,21 +896,36 @@ class TestStackFrames:
         assert stack["matrix"] == {"dim": 3, "count": 24, "bytes": 24 * 16 * 9}
         assert "accept" not in stack
 
-    def test_dim_64_sends_one_matrix_per_frame(self, monkeypatch):
+    def test_dim_64_sends_four_matrices_per_frame(self, monkeypatch):
+        # the negotiating decimal frame, then the other 24 probes of the plan
+        # in 6 stack frames of 4
         sent = record_frames(monkeypatch)
         with SubprocessOracle(AFFINE_CHILD, 64) as handle:
             report = reconstruct(handle)
         assert report.probes_used == 25
-        assert len(sent) == report.probes_used
-        assert all(f["matrix"]["count"] == 1 for f in sent[1:])
+        assert "entries" in sent[0]["matrix"]
+        assert [f["matrix"]["count"] for f in sent[1:]] == [4] * 6
 
     def test_frames_follow_the_byte_budget(self, monkeypatch):
         sent = record_frames(monkeypatch)
         with SubprocessOracle(AFFINE_CHILD, 32) as handle:
             handle.query(np.zeros((32, 32)))
-            images = list(handle.query_many(np.eye(32)[None] * np.arange(9.0)[:, None, None]))
-        np.testing.assert_allclose(images[5], 10.0 * np.eye(32) + np.eye(32))
-        assert [f["matrix"].get("count", 1) for f in sent[1:]] == [4, 4, 1]
+            images = list(handle.query_many(np.eye(32)[None] * np.arange(20.0)[:, None, None]))
+        np.testing.assert_allclose(images[17], 34.0 * np.eye(32) + np.eye(32))
+        assert [f["matrix"].get("count", 1) for f in sent[1:]] == [16, 4]
+
+    def test_child_draining_a_frame_in_small_reads(self, monkeypatch, rng):
+        # a frame of 4 d = 64 matrices is four times the pipe buffer: the
+        # request goes out in pieces as the child takes it, 4 KiB at a
+        # time, and the reply comes back the same way
+        sent = record_frames(monkeypatch)
+        probes = [random_hermitian(rng, 64) for _ in range(4)]
+        with SubprocessOracle([sys.executable, "-c", SMALL_READS_CHILD], 64) as handle:
+            handle.query(np.zeros((64, 64)))
+            images = list(handle.query_many(probes))
+        assert [f["matrix"].get("count", 1) for f in sent[1:]] == [4]
+        for a, image in zip(probes, images):
+            np.testing.assert_array_equal(image, 2.0 * a)
 
     # "c128le" named a base64 single-frame form, which is gone
     @pytest.mark.parametrize("offer", [[], ["c128le"]], ids=["nothing", "c128le"])
@@ -946,15 +1007,17 @@ class TestStackFrames:
             with pytest.raises(TransportFailureError, match="has 3 matrices, expected 4"):
                 list(handle.query_many([np.eye(2) * k for k in range(4)]))
 
-    # d = 32 puts 4 probes in a frame, d = 64 one
+    # after the negotiating frame, d <= 8 puts the other 24 probes in one
+    # frame, d = 32 in frames of 16 and 8, d = 64 in 6 frames of 4
     @pytest.mark.parametrize("d, seed", [(2, 3), (3, 7), (5, 11), (32, 13), (64, 17)])
     def test_matches_in_process_reconstruction(self, monkeypatch, d, seed):
         phi = OrderAutomorphism.create(np.sqrt(2.0) * np.eye(d), x=np.eye(d))
         sent = record_frames(monkeypatch)
         with SubprocessOracle(AFFINE_CHILD, d) as handle:
             piped = reconstruct(handle, seed=seed)
-        per_frame = min(24, oracle_module.FRAME_BUDGET_BYTES // (16 * d * d))
-        assert {f["matrix"]["count"] for f in sent[1:]} == {per_frame}
+        per_frame = oracle_module.FRAME_BUDGET_BYTES // (16 * d * d)
+        assert [f["matrix"]["count"] for f in sent[1:]] == [
+            min(per_frame, 24 - k) for k in range(0, 24, per_frame)]
         local = reconstruct(from_automorphism(phi), seed=seed)
         assert piped.probes_used == local.probes_used
         assert piped.recovered.conjugate == local.recovered.conjugate
@@ -978,7 +1041,7 @@ class TestStackFrames:
         assert first["accept"] == ["raw-stack"] and "accept" not in second
         np.testing.assert_array_equal(complex_matrix_from_dict(first["matrix"]), fn(probes[0]))
         assert second == {"id": 1, "matrix": {"dim": 3, "count": 4, "bytes": 4 * 16 * 9}}
-        images = stack_from_bytes(out.read(), 4, 3)
+        images = read_stack(out.readinto, 4, 3)
         for a, image in zip(probes, images):
             np.testing.assert_array_equal(image, fn(a))
 
@@ -1024,6 +1087,21 @@ class TestResponseDeadline:
                 handle.query(a)
             assert handle._proc.poll() is not None
         assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("mode", ["stall", "stall-reply"])
+    def test_child_stalling_mid_frame_is_killed(self, monkeypatch, rng, mode):
+        # a frame of 4 d = 64 matrices: the child stops taking the request,
+        # or stops writing the reply, a quarter or half of the way through
+        probes = [random_hermitian(rng, 64) for _ in range(4)]
+        with SubprocessOracle([sys.executable, "-c", SMALL_READS_CHILD, mode], 64) as handle:
+            handle.query(np.zeros((64, 64)))  # negotiated under the full deadline
+            monkeypatch.setattr(oracle_module, "RESPONSE_TIMEOUT_S", 0.5)
+            start = time.monotonic()
+            expected = r"no response within 0\.5 s.*exit status -9"
+            with pytest.raises(TransportFailureError, match=expected):
+                list(handle.query_many(probes))
+            assert handle._proc.poll() is not None
+            assert time.monotonic() - start < 5.0
 
     def test_partial_line_then_silence_is_killed(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "RESPONSE_TIMEOUT_S", 0.5)
@@ -1278,10 +1356,13 @@ class TestWireForms:
         header, raw = stack_frame(stack)
         assert header == {"dim": 4, "count": 3, "bytes": 3 * 16 * 16} == {**header, "bytes": len(raw)}
         assert stack_shape(header) == (3, 4)
-        assert stack_from_bytes(raw, 3, 4).tobytes() == stack.tobytes()
-        for cut in (raw[:-16], raw + bytes(16)):
-            with pytest.raises(ValidationError, match="payload"):
-                stack_from_bytes(cut, 3, 4)
+        assert read_stack(io.BytesIO(raw).readinto, 3, 4).tobytes() == stack.tobytes()
+        with pytest.raises(ValidationError, match="payload has 752 bytes, expected 768"):
+            read_stack(io.BytesIO(raw[:-16]).readinto, 3, 4)
+        # bytes past the payload are the next frame's, and are left unread
+        stream = io.BytesIO(bytes(raw) + b"next")
+        assert read_stack(stream.readinto, 3, 4).tobytes() == stack.tobytes()
+        assert stream.read() == b"next"
 
     @pytest.mark.parametrize("case", ["count_zero", "count_bool", "count_str", "short", "long",
                                       "no_count", "dim_65"])
