@@ -107,8 +107,8 @@ def stack_shape(obj: dict) -> tuple[int, int]:
 def stack_frame(stack) -> tuple[dict, memoryview]:
     """The header matrix object and the payload of an (n, d, d) stack. The
     payload is a byte view of the stack as contiguous little-endian
-    complex128, which a complex128 stack on a little-endian host already
-    is: then nothing is copied."""
+    complex128, which a contiguous complex128 stack on a little-endian
+    host already is: then nothing is copied."""
     arr = np.ascontiguousarray(stack, dtype=_C128LE)
     n, d = arr.shape[0], arr.shape[1]
     return {"dim": d, "count": n, "bytes": arr.nbytes}, memoryview(arr).cast("B")

@@ -915,9 +915,9 @@ class TestStackFrames:
         assert [f["matrix"].get("count", 1) for f in sent[1:]] == [16, 4]
 
     def test_child_draining_a_frame_in_small_reads(self, monkeypatch, rng):
-        # a frame of 4 d = 64 matrices is four times the pipe buffer: the
-        # request goes out in pieces as the child takes it, 4 KiB at a
-        # time, and the reply comes back the same way
+        # a frame of 4 d = 64 matrices is four times a 64 KiB pipe buffer:
+        # the request goes out in pieces as the child takes it, 4 KiB at a
+        # time, and the reply comes back in pieces too
         sent = record_frames(monkeypatch)
         probes = [random_hermitian(rng, 64) for _ in range(4)]
         with SubprocessOracle([sys.executable, "-c", SMALL_READS_CHILD], 64) as handle:
