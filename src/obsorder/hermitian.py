@@ -10,14 +10,16 @@ point; a wrapper passes through unchecked. Internally everything is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalFailureError, ValidationError
-from .tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
+from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
 MAX_DIM = 64
+
+_UNIT_ROUNDOFF = 0.5 * float(np.finfo(np.float64).eps)
 
 # Relative asymmetry up to this level is treated as round-trip noise and
 # silently symmetrized; anything larger is rejected.
@@ -106,15 +108,21 @@ def _hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, int]:
     takes the scaled path: a finite peak per matrix, then the rule on
     M / max(peak, 1). The norms are summed in another order than
     ``from_array``'s, so within rounding of the limit the two may decide
-    differently."""
+    differently. Besides the stack it checks, at most three stacks of its
+    size are alive at once (two on the unscaled path)."""
     norm2 = _sum_squares(stack)
     if norm2.max(initial=0.0) <= _NORM2_GUARD:
         h = 0.5 * stack
-        hc = h.conj().swapaxes(1, 2)
+        ht = h.swapaxes(1, 2)
+        # buf holds h*, then h - h* for the asymmetry, then h* again and
+        # h + h* for the output: two stacks alive, not four
+        buf = np.conjugate(ht, out=np.empty_like(h))
+        np.subtract(h, buf, out=buf)
         # ||M - M*|| = 2 ||h - h*||, squared
-        asym2 = _sum_squares(h - hc)
+        asym2 = _sum_squares(buf)
         k = _leading(asym2 <= (ASYMMETRY_LIMIT / 2) ** 2 * np.maximum(norm2, 1.0))
-        out = h[:k] + hc[:k]
+        out = np.conjugate(ht[:k], out=buf[:k])
+        np.add(h[:k], out, out=out)
     else:
         peak = np.abs(stack).max(axis=(1, 2))
         k = _leading(np.isfinite(peak))
@@ -180,21 +188,39 @@ class HermitianMatrix:
 
 @dataclass(frozen=True)
 class PsdMatrix:
-    """Hermitian matrix certified positive semidefinite at construction.
+    """Hermitian matrix certified positive semidefinite at construction:
+    its smallest eigenvalue does not fall below -tol_psd * max(||A||, 1).
 
-    ``min_eig`` is the certified smallest eigenvalue; it must not fall below
-    ``-tol_psd * max(||A||, 1)``. There is no unchecked constructor.
+    ``from_hermitian`` decides this as the order verdict 0 <= A, by the
+    Cholesky certificate of ``leq`` (``_shift_factors``), and runs an
+    ``eigvalsh`` only when that cannot tell. ``min_eig``, the smallest
+    eigenvalue, is then read off one ``eigvalsh`` on first use, unless the
+    spectrum that certified A gave it already.
     """
 
     base: HermitianMatrix
-    min_eig: float
+    _min_eig: float | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_hermitian(
         cls, h: "HermitianMatrix | np.ndarray", tol: Tolerances = DEFAULT_TOLERANCES
     ) -> "PsdMatrix":
+        """The certified wrapper of h; ValidationError when h is not PSD.
+
+        With frob = max(||A||_F, 1) (1 + margin), a Cholesky factor of
+        A + cI certifies A exactly as it certifies 0 <= A in ``leq``. A
+        failed or untried factor takes the spectral rule on one
+        ``eigvalsh``, and its message."""
         h = as_hermitian(h)
-        return cls(base=h, min_eig=_certified_min_eig(np.linalg.eigvalsh(h.mat), tol))
+        if _shift_factors(h.mat, 1.0, _frobenius_scale(h.mat), tol):
+            return cls(base=h)
+        return cls(base=h, _min_eig=_certified_min_eig(np.linalg.eigvalsh(h.mat), tol))
+
+    @property
+    def min_eig(self) -> float:
+        if self._min_eig is None:
+            object.__setattr__(self, "_min_eig", float(np.linalg.eigvalsh(self.mat)[0]))
+        return self._min_eig
 
     @property
     def mat(self) -> np.ndarray:
@@ -203,6 +229,49 @@ class PsdMatrix:
     @property
     def dim(self) -> int:
         return self.base.dim
+
+
+def _frobenius_scale(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """max(||A||_F, ||B||_F, 1) * (1 + margin), or without B: at least the
+    computed max(||A||, ||B||, 1), and inf when a sum of squares overflows."""
+    f = math.sqrt(np.vdot(a, a).real)
+    if b is not None:
+        f = max(f, math.sqrt(np.vdot(b, b).real))
+    return max(f, 1.0) * (1.0 + GATE_MARGIN)
+
+
+def _rounding_radius(d: int, frob: float) -> float:
+    """r = 8 d^2 u frob: a bound on the error of the eigenvalues an
+    eigensolver computes for a d x d matrix of Frobenius norm at most frob,
+    and on the backward error of a Cholesky factor of such a matrix plus a
+    shift below frob (about d (d + 1) u times its norm; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., Ch. 10)."""
+    return 8.0 * d * d * _UNIT_ROUNDOFF * frob
+
+
+def _shift_factors(m: np.ndarray, sign: float, frob: float, tol: Tolerances) -> bool:
+    """True when sign * m + cI has a Cholesky factor. frob is the
+    ``_frobenius_scale`` of the operands whose spectral norms scale the PSD
+    threshold tol_psd * max(norms, 1), and ||m|| is at most 2 frob.
+
+    c = tol_psd * max(1, frob / sqrt d) * (1 - margin) / 2 is at most half
+    that threshold (a spectral norm is at least the Frobenius norm over
+    sqrt d), and a factor gives lo >= -c - r > -1.5 c for the computed
+    smallest eigenvalue lo of sign * m: r = ``_rounding_radius(d, frob)``
+    covers the factor's backward error and the eigensolver's. So lo passes
+    the threshold whenever the factor exists. No factor is tried, and the
+    answer is False, unless r < c / 2 (never when frob is inf)."""
+    d = len(m)
+    c = 0.5 * tol.tol_psd * max(1.0, frob / math.sqrt(d)) * (1.0 - GATE_MARGIN)
+    if not _rounding_radius(d, frob) < 0.5 * c:
+        return False
+    shifted = m * sign
+    shifted.ravel()[:: d + 1] += c
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def as_hermitian(m) -> HermitianMatrix:
@@ -251,7 +320,7 @@ def psd_eigh(
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
     if isinstance(m, PsdMatrix):
         return m, evals, evecs
-    return PsdMatrix(base=h, min_eig=_certified_min_eig(evals, tol)), evals, evecs
+    return PsdMatrix(base=h, _min_eig=_certified_min_eig(evals, tol)), evals, evecs
 
 
 def herm_array(m) -> np.ndarray:
@@ -315,7 +384,7 @@ def psd_eigvalsh(m, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[PsdMatrix, np
     h = as_hermitian(m)
     evals = np.linalg.eigvalsh(h.mat)
     if not isinstance(m, PsdMatrix):
-        m = PsdMatrix(base=h, min_eig=_certified_min_eig(evals, tol))
+        m = PsdMatrix(base=h, _min_eig=_certified_min_eig(evals, tol))
     return m, evals
 
 
@@ -350,3 +419,20 @@ def rank_one(x, y) -> np.ndarray:
             f"rank_one: vector lengths differ ({x.size} vs {y.size})"
         )
     return np.outer(x, y.conj())
+
+
+def _scaled_projector(x: np.ndarray, scale: float) -> HermitianMatrix:
+    """scale * x x* for real scale, wrapped without ``from_array``: it is
+    formed from the real and imaginary parts of x, so its real part is
+    exactly symmetric, its imaginary part exactly antisymmetric and its
+    diagonal real. ``rank_one(x, x)`` need not be exactly Hermitian, since
+    a complex product may be rounded through a fused multiply-add."""
+    re, im = x.real, x.imag
+    out = np.empty((len(x), len(x)), dtype=np.complex128)
+    sym = np.outer(re, re)
+    sym += np.outer(im, im)
+    skew = np.outer(im, re)
+    np.multiply(sym, scale, out=out.real)
+    np.multiply(skew - skew.T, scale, out=out.imag)
+    out.flags.writeable = False
+    return HermitianMatrix(mat=out)

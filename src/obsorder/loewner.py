@@ -9,8 +9,9 @@ decomposed at most once: ``compare`` reads everything off one
 ``eigh(B - A)``, and ``max_lambda`` and ``range_dominates`` work in the
 eigenbasis of ``B``. There the vector y = B^+ x refutes the bumped lambda
 by its quadratic form (Rayleigh), and ``range_dominates`` takes A's
-direction from one power step where that step is accurate, so A then needs
-only the ``eigvalsh`` that certifies it and cuts its rank.
+direction from one power step where that step is accurate. The residual of
+that step usually certifies A PSD and of rank 1 as well, so A needs no
+spectrum at all; otherwise one ``eigvalsh`` does.
 
 The PSD threshold ``tol_psd * max(||A||, ||B||, 1)`` needs two spectral
 norms, but it lies between ``tol_psd`` (the scale is at least 1) and
@@ -31,7 +32,8 @@ Algorithms*, 2nd ed., Ch. 10), so each certificate gives the verdict that
 the spectrum of M would. The factor is tried at every d, but only while
 r < c / 2; an end neither certificate decides takes the spectral rule
 above. ``leq`` uses both certificates, and ``compare`` uses them for the
-relations that carry no witness, LEQ and EQUAL.
+relations that carry no witness, LEQ and EQUAL. The factor test is
+``hermitian._shift_factors``, which also certifies 0 <= A for ``as_psd``.
 
 When frob overflows, B - A may too; the pair is then divided by its
 largest entry modulus and decided by the spectral rule alone (``_pair``).
@@ -51,19 +53,23 @@ from .errors import (
     ValidationError,
 )
 from .hermitian import (
+    _UNIT_ROUNDOFF,
     PsdMatrix,
+    _frobenius_scale,
+    _rounding_radius,
+    _scaled_projector,
+    _shift_factors,
     _spectral_norm,
+    as_hermitian,
     herm_array,
     psd_eigh,
     psd_eigvalsh,
     rank_one,
 )
-from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
+from .tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
 
 # Noise floor used where a strict sign test is needed (see max_lambda).
 _NOISE_FLOOR = 1e-13
-
-_UNIT_ROUNDOFF = 0.5 * float(np.finfo(np.float64).eps)
 
 
 class Relation(enum.Enum):
@@ -93,14 +99,6 @@ def _max_norm_scale(a: np.ndarray, b: np.ndarray) -> float:
     na = _spectral_norm(np.linalg.eigvalsh(a))
     nb = _spectral_norm(np.linalg.eigvalsh(b))
     return max(na, nb, 1.0)
-
-
-def _frobenius_scale(a: np.ndarray, b: np.ndarray) -> float:
-    """max(||A||_F, ||B||_F, 1) * (1 + margin): at least the computed
-    ``_max_norm_scale``, and inf when a sum of squares overflows."""
-    fa = math.sqrt(np.vdot(a, a).real)
-    fb = math.sqrt(np.vdot(b, b).real)
-    return max(fa, fb, 1.0) * (1.0 + GATE_MARGIN)
 
 
 def _pair(a: np.ndarray, b: np.ndarray):
@@ -161,33 +159,18 @@ def _certified(m: np.ndarray, sign: float, frob: float, tol: Tolerances) -> bool
     ``_frobenius_scale(A, B)``.
 
     False when a diagonal entry of sign * m is below -tol_psd * frob - r:
-    the exact lo is at most that entry, and a computed lo within r of the
-    exact one, so it lies below the verdicts' False bound. True when sign * m + cI has a
-    Cholesky factor: then lo >= -c - r > -1.5 c, while the threshold is at
-    least 2c, since ||.|| >= ||.||_F / sqrt d. r = 8 d^2 u frob bounds the
-    eigensolver's error and the factor's backward error (about
-    d (d + 1) u ||sign * m + cI||, with ||m|| <= 2 frob) together. A
-    non-finite frob decides nothing, and no factor is tried when
-    r >= c / 2.
+    the exact lo is at most that entry, and a computed lo within
+    r = ``_rounding_radius(d, frob)`` of the exact one, so it lies below the
+    verdicts' False bound. True when sign * m + cI has a Cholesky factor
+    (``_shift_factors``). A non-finite frob decides nothing.
     """
     if not frob < math.inf:
         return None
-    d = len(m)
     diag = m.diagonal().real
     low = float(diag.min()) if sign > 0 else -float(diag.max())
-    r = 8.0 * d * d * _UNIT_ROUNDOFF * frob
-    if low < -tol.tol_psd * frob - r:
+    if low < -tol.tol_psd * frob - _rounding_radius(len(m), frob):
         return False
-    c = 0.5 * tol.tol_psd * max(1.0, frob / math.sqrt(d)) * (1.0 - GATE_MARGIN)
-    if not r < 0.5 * c:
-        return None
-    shifted = m * sign
-    shifted.ravel()[:: d + 1] += c
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return None
-    return True
+    return True if _shift_factors(m, sign, frob, tol) else None
 
 
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
@@ -327,16 +310,21 @@ def _certified_max_lambda(
     """``max_lambda`` for unit x and B with eigenpairs (evals, evecs).
 
     The closed form lambda = 1 / weight is certified through the order: it
-    must be feasible (``leq``), and the bumped lambda' = (1 + 10 tol_psd)
-    lambda infeasible, by the sign test lo(B - lambda' P) <= floor * scale.
-    The vector y = B^+ x, read off the same eigenpairs, usually settles the
-    second test without a spectrum: lo <= <(B - lambda' P) y, y> / ||y||^2
+    must be feasible for x's projection x_r = V_r c_r onto the kept range
+    of B (``leq(lambda x_r x_r*, B)``), for which it is exactly the
+    extremum, and the bumped lambda' = (1 + 10 tol_psd) lambda infeasible
+    for x, by the sign test lo(B - lambda' P) <= floor * scale. The
+    projection matters when x leans off the range: a lean w up to
+    tol_range passes the range test, but lambda x x* <= B fails by about
+    lambda w, beyond the order's tol_psd when w > tol_psd. The vector
+    y = B^+ x, read off the same eigenpairs, usually settles the second
+    test without a spectrum: lo <= <(B - lambda' P) y, y> / ||y||^2
     (Rayleigh), which is -10 tol_psd <B^+ x, x> / ||y||^2 in exact
     arithmetic. The form is computed from B itself, so when it is at most
     (floor * scale - r) ||y||^2 the computed lo would pass the test too;
-    r = 8 d^2 u (||B|| + lambda') bounds the rounding of that form and of
-    the eigensolver on B - lambda' P, as in ``_certified``. Otherwise the
-    test runs on one ``eigvalsh``.
+    r = ``_rounding_radius(d, ||B|| + lambda')`` bounds the rounding of
+    that form and of the eigensolver on B - lambda' P. Otherwise the test
+    runs on one ``eigvalsh``.
     """
     c, keep, root = _range_coordinates(evals, evecs, x, tol)
     residual, weight = _range_weight(c, keep, root)
@@ -344,20 +332,20 @@ def _certified_max_lambda(
         return None
     lam = 1.0 / weight
 
-    p = rank_one(x, x)
     norm = _spectral_norm(evals)
     scale = max(norm, lam, 1.0)
-    if not leq(lam * p, b, tol):
+    kept = evecs[:, keep]
+    if not leq(_scaled_projector(kept @ c[keep], lam), b, tol):
         raise InternalInconsistencyError(
             "closed-form lambda is infeasible under the order predicate"
         )
     bumped = (1.0 + 10.0 * tol.tol_psd) * lam
-    y = evecs[:, keep] @ (c[keep] / evals[keep])
+    y = kept @ (c[keep] / evals[keep])
     form = float(np.vdot(y, b.mat @ y).real) - bumped * abs(np.vdot(x, y)) ** 2
-    r = 8.0 * b.dim * b.dim * _UNIT_ROUNDOFF * (norm + bumped)
+    r = _rounding_radius(b.dim, norm + bumped)
     if form <= (_NOISE_FLOOR * scale - r) * float(np.vdot(y, y).real):
         return lam
-    lo = float(np.linalg.eigvalsh(b.mat - bumped * p)[0])
+    lo = float(np.linalg.eigvalsh(b.mat - bumped * rank_one(x, x))[0])
     if lo > _NOISE_FLOOR * scale:
         raise InternalInconsistencyError(
             "closed-form lambda is not extremal: bumped value still feasible"
@@ -375,7 +363,8 @@ def max_lambda(
     extremum is 1 / sum_i |c_i|^2 / mu_i over the range. One ``eigh(B)``
     gives both. The closed form is implementer derived, so it is
     cross-checked against the order predicate itself: lambda must be
-    feasible and a slightly bumped lambda infeasible. The bumped side uses a
+    feasible for x's projection onto the range (x may lean off it by up to
+    tol_range) and a slightly bumped lambda infeasible. The bumped side uses a
     raw sign test (noise floor instead of the one-sided PSD tolerance): the
     bump shifts the bottom eigenvalue by an amount that can be legitimately
     smaller than tol_psd * ||B||.
@@ -390,26 +379,66 @@ def max_lambda(
     return _certified_max_lambda(x / nrm, b, evals, evecs, tol)
 
 
-def range_dominates(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """True iff some lambda > 0 has lambda * A <= B, for rank-1 PSD A.
+def _power_step(a: np.ndarray, diag: np.ndarray, j: int) -> np.ndarray:
+    """Unit x ~ A A[:, j], A's column j after one power step. The two
+    divisions by A[j, j] keep the step's entries near 1 at any norm."""
+    x = a @ (a[:, j] / diag[j]) / diag[j]
+    x /= np.linalg.norm(x)
+    return x
 
-    That holds iff the unit vector x spanning rng A lies in rng B, and it is
-    decided by the certified max_lambda on x, read in B's eigenbasis (one
-    ``eigh(B)``). A's PSD certificate and rank cut come from one
-    ``eigvalsh``. x is then A's column j of largest diagonal after one power
-    step, x ~ A A[:, j], when that is safe: with rho = lambda_2 / lambda_1,
-    the two largest eigenvalue moduli of A, the step leaves x at an angle
-    below rho^2 d to the top eigenvector (A[j, j] >= tr A / d puts a share
-    of about 1 / d of x on it). The rank cut bounds rho by tol_rank only when
-    ||A|| >= 1, being absolute below, and the user may widen it, so the step
-    is taken only when rho^2 d <= 1e-3 tol_range; otherwise x is A's top
-    eigenvector from one ``eigh(A)``. The two divisions by A[j, j] keep the
-    step's entries near 1 at any norm.
+
+def _certified_rank_one_step(a: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    """The power step x that ``range_dominates`` takes for A, when its
+    residual shows that the ``eigvalsh`` path would certify A PSD, find it
+    of rank 1 and take that same step; otherwise None.
+
+    j is A's largest diagonal entry. With mu = <Ax, x> and
+    e = ||A - mu x x*||_F, A's eigenvalues lie within e of {mu, 0, ..., 0}
+    (Weyl), and the computed ones within e + r: r = 16 (d + 1)^2 u F,
+    F = max(||A||_F, 1), is at least twice the eigensolver's
+    ``_rounding_radius``, and the rest covers the rounding of x, mu, e and
+    of the tests below (each a few d u F). So lo = mu - e - r bounds the
+    computed ||A|| from below and mu + e + r from above, every other
+    computed eigenvalue is at most e + r in modulus, and each test gives
+    one verdict of the spectral path:
+
+    - lo > tol_rank * max(mu + e + r, 1): the top eigenvalue clears the
+      rank cut;
+    - e + r <= tol_rank * max(lo, 1): no other does, so A has rank 1;
+    - e + r <= tol_psd * max(lo, 1): the PSD test passes;
+    - ((e + r) / lo)^2 d <= 1e-3 tol_range: rho, at most (e + r) / lo,
+      passes the gate of the power step.
+
+    A NaN fails every test. The step is tried only when
+    d A[j, j] > ||A||_F / 2, as for every nonzero PSD A
+    (A[j, j] >= tr A / d >= ||A||_F / d), which keeps its entries finite.
     """
-    a, a_evals = psd_eigvalsh(a, tol)
-    b, b_evals, b_evecs = psd_eigh(b, tol)
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    d = len(a)
+    fa = math.sqrt(np.vdot(a, a).real)
+    diag = a.diagonal().real
+    j = int(np.argmax(diag))
+    if not d * diag[j] > 0.5 * fa:  # also False for a zero or overflowing A
+        return None
+    x = _power_step(a, diag, j)
+    mu = float(np.vdot(x, a @ x).real)
+    er = float(np.linalg.norm(a - np.outer(mu * x, x.conj())))
+    er += 16.0 * (d + 1) * (d + 1) * _UNIT_ROUNDOFF * max(fa, 1.0)
+    lo = mu - er
+    if (
+        lo > tol.tol_rank * max(mu + er, 1.0)
+        and er <= tol.tol_rank * max(lo, 1.0)
+        and er <= tol.tol_psd * max(lo, 1.0)
+        and (er / lo) ** 2 * d <= 1e-3 * tol.tol_range
+    ):
+        return x
+    return None
+
+
+def _spectral_rank_one_step(a: PsdMatrix, a_evals: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The direction x spanning rng A from A's ascending eigenvalues:
+    ValidationError unless exactly one clears the rank cut, then the power
+    step when rho^2 d <= 1e-3 tol_range, and otherwise A's top eigenvector
+    from one ``eigh(A)``."""
     # rank of A under the rank_numeric cut
     norm = _spectral_norm(a_evals)
     keep = np.abs(a_evals) > scaled(tol.tol_rank, norm)
@@ -421,10 +450,37 @@ def range_dominates(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     rho = _spectral_norm(rest) / norm if a.dim > 1 else 0.0
     if rho * rho * a.dim <= 1e-3 * tol.tol_range:
         diag = a.mat.diagonal().real
-        j = int(np.argmax(diag))
-        x = a.mat @ (a.mat[:, j] / diag[j]) / diag[j]
-        x /= np.linalg.norm(x)
-    else:
-        _, evals, evecs = psd_eigh(a, tol)
-        x = evecs[:, int(np.argmax(np.abs(evals)))]
+        return _power_step(a.mat, diag, int(np.argmax(diag)))
+    _, evals, evecs = psd_eigh(a, tol)
+    return evecs[:, int(np.argmax(np.abs(evals)))]
+
+
+def range_dominates(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """True iff some lambda > 0 has lambda * A <= B, for rank-1 PSD A.
+
+    That holds iff the unit vector x spanning rng A lies in rng B, and it is
+    decided by the certified max_lambda on x, read in B's eigenbasis (one
+    ``eigh(B)``). x is A's column j of largest diagonal after one power
+    step, x ~ A A[:, j], when that is safe: with rho = lambda_2 / lambda_1,
+    the two largest eigenvalue moduli of A, the step leaves x at an angle
+    below rho^2 d to the top eigenvector (A[j, j] >= tr A / d puts a share
+    of about 1 / d of x on it). The rank cut bounds rho by tol_rank only when
+    ||A|| >= 1, being absolute below, and the user may widen it, so the step
+    is taken only when rho^2 d <= 1e-3 tol_range; otherwise x is A's top
+    eigenvector from one ``eigh(A)``.
+
+    A's PSD certificate, rank cut and rho come from one ``eigvalsh`` on the
+    spectral path. Most rank-1 A skip it: the residual of the power step
+    bounds A's spectrum tightly enough to give the same three verdicts
+    (``_certified_rank_one_step``), and then the same x.
+    """
+    h = as_hermitian(a)
+    x = _certified_rank_one_step(h.mat, tol)
+    if x is None:
+        a, a_evals = psd_eigvalsh(a if isinstance(a, PsdMatrix) else h, tol)
+    b, b_evals, b_evecs = psd_eigh(b, tol)
+    if h.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {h.dim} vs {b.dim}")
+    if x is None:
+        x = _spectral_rank_one_step(a, a_evals, tol)
     return _certified_max_lambda(x, b, b_evals, b_evecs, tol) is not None

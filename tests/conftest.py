@@ -21,3 +21,24 @@ def from_array_args(monkeypatch):
 
     monkeypatch.setattr(HermitianMatrix, "from_array", classmethod(counting))
     return args
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """How many times each ``numpy.linalg`` eigensolver, decomposition and
+    Cholesky factor is called from now on, by name; a name never called is
+    absent, so a test can compare the whole dict."""
+    counts = {}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd", "eig", "pinv", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return counts

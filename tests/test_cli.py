@@ -170,6 +170,14 @@ class TestLambdaMax:
         check_golden("lambda_max.json", out)
         assert json.loads(out)["lambda"] == pytest.approx(4.0, rel=1e-9)
 
+    def test_lean_off_the_range_within_tol_range(self, files, capsys):
+        # x leans off rng B by 5e-9: inside tol_range, beyond tol_psd
+        eps = 5e-9
+        x = json.dumps([[float(np.sqrt(1.0 - eps * eps)), 0], [eps, 0]])
+        code, out, err = run_cli(["lambda-max", str(files / "diag10.json"), x], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["lambda"] == pytest.approx(1.0, rel=1e-12)
+
     def test_infeasible_is_null(self, files, capsys):
         code, out, _ = run_cli(["lambda-max", str(files / "diag10.json"), "[[0,0],[1,0]]"], capsys)
         assert code == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -14,12 +16,15 @@ from obsorder import (
     rank_one,
 )
 from obsorder import hermitian
-from obsorder.generators import random_hermitian, random_psd, random_unit
+from obsorder.generators import random_hermitian, random_psd, random_unit, random_unitary
 from obsorder.hermitian import (
     ASYMMETRY_LIMIT,
     _certified_min_eig,
     _hermitian_stack,
+    _scaled_projector,
     _spectral_norm,
+    as_hermitian,
+    as_psd,
     psd_rank,
     symmetrize,
 )
@@ -146,6 +151,22 @@ class TestStackCheck:
         assert not images.flags.writeable
         for image, want in zip(images, accepted):
             np.testing.assert_array_equal(image.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("scale, stacks", [(1.0, 2.75), (1e200, 3.75)])
+    def test_peak_allocation(self, rng, scale, stacks):
+        # a 4 x 64 x 64 stack: the unscaled path keeps the halves h and one
+        # more stack alive (h*, then h - h*, then the output), the scaled
+        # path at most three; numpy's ufunc buffer adds 128 KiB to each
+        stack = scale * np.stack([random_hermitian(rng, 64) for _ in range(4)])
+        _hermitian_stack(stack)
+        tracemalloc.start()
+        try:
+            _, k = _hermitian_stack(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == 4
+        assert peak < stacks * stack.nbytes
 
     def test_matrices_after_a_bad_one_are_not_returned(self):
         stack = np.stack([np.eye(2), [[1.0, 1.0], [0.0, 1.0]], np.eye(2)]).astype(complex)
@@ -366,3 +387,114 @@ def test_psd_quadratic_forms_nonnegative(rng):
     for _ in range(1000):
         x = random_unit(rng, 5)
         assert np.real(np.vdot(x, a.mat @ x)) >= -1e-9 * norm
+
+
+def _prior_from_hermitian(m, tol):
+    """``PsdMatrix.from_hermitian`` before the Cholesky certificate, copied:
+    the verdict and min_eig from one eigvalsh. Returns (mat, min_eig)."""
+    h = as_hermitian(m)
+    return h.mat, _certified_min_eig(np.linalg.eigvalsh(h.mat), tol)
+
+
+def _from_hermitian(m, tol):
+    p = PsdMatrix.from_hermitian(m, tol)
+    return p.mat, p.min_eig
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+def _psd_case(d: int, norm: float, t, tol: Tolerances) -> np.ndarray:
+    """U diag(mu) U* with ||A|| = norm: full rank (t = None), or with half
+    its spectrum zero and the lowest eigenvalue -t tol_psd max(norm, 1),
+    around the PSD threshold at t = 1."""
+    rng = np.random.default_rng([d, int(np.log10(norm) + 10), 0 if t is None else 1 + int(8 * t)])
+    mu = norm * 10.0 ** rng.uniform(-3.0, 0.0, d)
+    mu[0] = norm
+    if t is not None:
+        mu[d // 2:] = 0.0
+        mu[-1] = -t * tol.tol_psd * max(norm, 1.0)
+    u = random_unitary(rng, d)
+    return (u * mu) @ u.conj().T
+
+
+_PSD_TOLS = [DEFAULT_TOLERANCES, Tolerances(tol_psd=1e-6), Tolerances(tol_psd=1e-14)]
+
+
+class TestPsdCertificate:
+    """``PsdMatrix.from_hermitian`` decides 0 <= A by a Cholesky factor where
+    it can; its matrix, min_eig and errors are those of the eigvalsh path."""
+
+    @pytest.mark.parametrize("tol", _PSD_TOLS, ids=["default", "wide", "tiny"])
+    @pytest.mark.parametrize("t", [None, 0.0, 0.1, 0.5, 0.99, 1.01, 2.0, 1e3])
+    @pytest.mark.parametrize("norm", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_same_outcome_as_the_eigvalsh_path(self, d, norm, t, tol):
+        m = _psd_case(d, norm, t, tol)
+        got, want = _outcome(_from_hermitian, m, tol), _outcome(_prior_from_hermitian, m, tol)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got[0], want[0])
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.zeros((3, 3)),
+            np.diag([1.0, -1.0]),
+            np.diag([1e-3, 0.0, -1e-3]),
+            # ||A||_F^2 overflows, so no factor is tried
+            1e200 * np.ones((4, 4)),
+            np.diag([1e300, 1e300, -1e300]),
+            np.array([[1.5e308, -1.5e308], [-1.5e308, 1.0]]),
+        ],
+        ids=["zero", "indefinite", "small-indefinite", "overflowing", "huge-indefinite", "near-max"],
+    )
+    def test_edge_operands(self, m):
+        tol = DEFAULT_TOLERANCES
+        got, want = _outcome(_from_hermitian, m, tol), _outcome(_prior_from_hermitian, m, tol)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1]
+
+    def test_psd_operand_takes_one_factor(self, rng, lapack_calls):
+        m = random_psd(rng, 16, 8)
+        lapack_calls.clear()
+        p = as_psd(m)
+        assert lapack_calls == {"cholesky": 1}
+        lapack_calls.clear()
+        first = p.min_eig
+        assert lapack_calls == {"eigvalsh": 1}
+        lapack_calls.clear()
+        assert p.min_eig == first
+        assert lapack_calls == {}
+
+    def test_tiny_tol_psd_takes_the_eigvalsh(self, rng, lapack_calls):
+        # at tol_psd = 1e-14 the rounding radius reaches half the shift, so
+        # no factor is tried; the eigvalsh that decides gives min_eig too
+        m = random_psd(rng, 16, 16)
+        lapack_calls.clear()
+        p = as_psd(m, Tolerances(tol_psd=1e-14))
+        assert lapack_calls == {"eigvalsh": 1}
+        p.min_eig
+        assert lapack_calls == {"eigvalsh": 1}
+
+
+class TestScaledProjector:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    def test_exactly_hermitian(self, rng, d):
+        for scale in (1e-300, 0.3, 1.0, 7.0, 1e150):
+            x = random_unit(rng, d)
+            m = _scaled_projector(x, scale).mat
+            np.testing.assert_array_equal(m, m.conj().T)
+            assert not m.diagonal().imag.any()
+            assert not m.flags.writeable
+            np.testing.assert_allclose(m, scale * np.outer(x, x.conj()), rtol=1e-15, atol=0.0)

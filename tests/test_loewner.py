@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from obsorder import (
@@ -364,34 +364,6 @@ class TestLeanMaxLambda:
 class TestLapackCalls:
     """One decomposition per operand: the LAPACK calls each entry point makes."""
 
-    @staticmethod
-    def _counting(monkeypatch, names):
-        counts = {}
-
-        def counting(name):
-            original = getattr(np.linalg, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] = counts.get(name, 0) + 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in names:
-            monkeypatch.setattr(np.linalg, name, counting(name))
-        return counts
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        return self._counting(monkeypatch, ("eigh", "eigvalsh", "svd", "eig", "pinv", "inv"))
-
-    @pytest.fixture
-    def factors(self, monkeypatch):
-        """``calls`` with the Cholesky factors counted too."""
-        return self._counting(
-            monkeypatch, ("eigh", "eigvalsh", "svd", "eig", "pinv", "inv", "cholesky")
-        )
-
     def _gate_decided_pairs(self, rng, d):
         a = random_hermitian(rng, d)
         for b in (a.copy(), a + random_psd(rng, d, d), a - random_psd(rng, d, d), random_hermitian(rng, d)):
@@ -400,70 +372,72 @@ class TestLapackCalls:
     # EQUAL, LEQ, GEQ and INCOMPARABLE pairs at d = 16: a Cholesky factor
     # certifies each end that holds, a diagonal entry refutes each that
     # fails, and a refuted A <= B sends compare to its witness eigh
-    def test_compare(self, rng, factors):
+    def test_compare(self, rng, lapack_calls):
         want = [{"cholesky": 2}, {"cholesky": 1}, {"eigh": 1}, {"eigh": 1}]
         for (a, b), expected in zip(self._gate_decided_pairs(rng, 16), want):
-            factors.clear()
+            lapack_calls.clear()
             compare(a, b)
-            assert factors == expected
+            assert lapack_calls == expected
 
-    def test_leq(self, rng, factors):
+    def test_leq(self, rng, lapack_calls):
         want = [{"cholesky": 1}, {"cholesky": 1}, {}, {}]
         for (a, b), expected in zip(self._gate_decided_pairs(rng, 16), want):
-            factors.clear()
+            lapack_calls.clear()
             leq(a, b)
-            assert factors == expected
+            assert lapack_calls == expected
 
-    def test_tiny_tol_psd_takes_no_cholesky(self, rng, factors):
+    def test_tiny_tol_psd_takes_no_cholesky(self, rng, lapack_calls):
         # at tol_psd = 1e-14 the rounding radius r reaches half the shift c,
         # so a factor could certify nothing: leq takes its eigvalsh
         a = random_hermitian(rng, 16)
         b = a + random_psd(rng, 16, 16)
-        factors.clear()
+        lapack_calls.clear()
         assert leq(a, b, Tolerances(tol_psd=1e-14))
-        assert factors == {"eigvalsh": 1}
+        assert lapack_calls == {"eigvalsh": 1}
 
     @pytest.mark.parametrize("x, verdict", [(-5e-6, True), (-2e-5, False)])
-    def test_in_band_pair_takes_the_exact_rule(self, rng, calls, x, verdict):
+    def test_in_band_pair_takes_the_exact_rule(self, rng, lapack_calls, x, verdict):
         # ||A|| = 1e4 at d = 16: the exact threshold is 1e-5 and the band
         # [-tol_psd * ||A||_F, -tol_psd) reaches below -1e-5, so lo = x needs
-        # the two spectral norms either way
+        # the two spectral norms either way, after a factor that fails
         a = _operand_off_e0(rng, 16, 1e4, rank_one=False)
         b = _with_corner(a, x)
         expected = (_exact_leq(a, b), _exact_relation(a, b))
-        calls.clear()
+        lapack_calls.clear()
         assert leq(a, b) is verdict is expected[0]
-        assert calls == {"eigvalsh": 3}
-        calls.clear()
+        assert lapack_calls == {"cholesky": 1, "eigvalsh": 3}
+        lapack_calls.clear()
         assert compare(a, b).relation is expected[1]
-        assert calls == {"eigh": 1, "eigvalsh": 2}
+        assert lapack_calls == {"cholesky": 1, "eigh": 1, "eigvalsh": 2}
 
     # in range: B's eigh, a Cholesky factor certifying lambda, and the
     # witness y = B^+ x refuting the bumped lambda; out of range: B's eigh
-    def test_max_lambda(self, rng, factors):
+    def test_max_lambda(self, rng, lapack_calls):
         for inside, expected in ((True, {"eigh": 1, "cholesky": 1}), (False, {"eigh": 1})):
             b, x = _rank_deficient_case(rng, 16, 8, inside)
-            factors.clear()
+            lapack_calls.clear()
             max_lambda(x, b)
-            assert factors == expected
+            assert lapack_calls == expected
 
-    # max_lambda's calls, and one eigvalsh for A's certificate and rank
-    def test_range_dominates(self, rng, factors):
+    # max_lambda's calls: the residual of A's power step certifies A PSD and
+    # of rank 1 without a spectrum
+    def test_range_dominates(self, rng, lapack_calls):
         for inside, expected in (
-            (True, {"eigvalsh": 1, "eigh": 1, "cholesky": 1}),
-            (False, {"eigvalsh": 1, "eigh": 1}),
+            (True, {"eigh": 1, "cholesky": 1}),
+            (False, {"eigh": 1}),
         ):
             b, x = _rank_deficient_case(rng, 16, 8, inside)
-            factors.clear()
+            lapack_calls.clear()
             range_dominates(np.outer(x, x.conj()), b)
-            assert factors == expected
+            assert lapack_calls == expected
 
-    # A's rank, the gauged eigh of A, and the certificates of E and F
-    def test_rank_gt_np1_witness(self, rng, factors):
+    # A's rank, the gauged eigh of A, and a Cholesky factor certifying each
+    # of E and F
+    def test_rank_gt_np1_witness(self, rng, lapack_calls):
         a = random_psd(rng, 16, 8)
-        factors.clear()
+        lapack_calls.clear()
         assert rank_gt_np1_witness(a, 3) is not None
-        assert factors == {"eigvalsh": 3, "eigh": 1}
+        assert lapack_calls == {"eigvalsh": 1, "eigh": 1, "cholesky": 2}
 
 
 def _exact_scale(a, b):
@@ -756,7 +730,9 @@ class TestCertificates:
 
 def _prior_certified_max_lambda(x, b, evals, evecs, tol):
     """``loewner._certified_max_lambda`` as it stood before the witness
-    vector, copied: the bumped lambda is refuted by one eigvalsh."""
+    vector, copied: the bumped lambda is refuted by one eigvalsh. Its
+    feasibility recheck has since moved to x's projection onto the range,
+    which the copy follows, so that it tests the witness vector alone."""
     norm = float(np.max(np.abs(evals)))
     root = np.sqrt(np.where(evals >= tol.tol_psd * norm, evals, 0.0))
     keep = root > tol.tol_rank * max(np.sqrt(norm), 1.0)
@@ -766,7 +742,10 @@ def _prior_certified_max_lambda(x, b, evals, evecs, tol):
     lam = 1.0 / float(np.sum(np.abs(c[keep] / root[keep]) ** 2))
     p = np.outer(x, x.conj())
     scale = max(norm, lam, 1.0)
-    if not leq(lam * p, b, tol):
+    # feasibility is rechecked on x's projection onto the kept range of B,
+    # for which lambda is the exact extremum, as in the library
+    xr = evecs[:, keep] @ c[keep]
+    if not leq(lam * np.outer(xr, xr.conj()), b, tol):
         raise InternalInconsistencyError(
             "closed-form lambda is infeasible under the order predicate"
         )
@@ -828,11 +807,6 @@ def _range_cases(draw):
     c[:k] = random_unit(rng, k)
     if k < d and draw(st.booleans()):
         w = 10.0 ** draw(st.floats(-10.0, -6.0))
-        # at w = tol_psd, with B of rank one and norm >= 1, the recheck
-        # lambda x x* <= B sits on its threshold (its lowest eigenvalue is
-        # about -lambda w), so rounding in x decides between True and the
-        # infeasible-lambda error for any two ways of computing x
-        assume(abs(w / DEFAULT_TOLERANCES.tol_psd - 1.0) > 1e-6)
         c[:k] *= math.sqrt(1.0 - w * w)
         c[k:] = w * random_unit(rng, d - k)
     x = u @ c
@@ -931,3 +905,176 @@ class TestSpectraInHand:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         assert max_lambda(x, b) == _prior_max_lambda(x, b)
         assert len(calls) == eigvalsh_calls + 1  # the prior copy's own
+
+
+class TestLeanOffTheRange:
+    """x may lean off rng B by up to tol_range, beyond what tol_psd absorbs
+    in lambda x x* <= B; the feasibility recheck runs on x's projection onto
+    the range, for which lambda is the exact extremum."""
+
+    EPS = 5e-9
+
+    def _case(self):
+        x = np.array([math.sqrt(1.0 - self.EPS**2), self.EPS])
+        return x, np.diag([1.0, 0.0])
+
+    def test_max_lambda(self):
+        x, b = self._case()
+        assert max_lambda(x, b) == pytest.approx(1.0, rel=1e-12)
+
+    def test_range_dominates(self):
+        x, b = self._case()
+        assert range_dominates(np.outer(x, x), b) is True
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    @pytest.mark.parametrize("lean", [2e-9, 5e-9, 9.9e-9])
+    def test_lean_between_the_tolerances(self, rng, d, lean):
+        # B of rank d / 2 and norm up to 10, x leaning off its range by more
+        # than tol_psd but less than tol_range
+        u = random_unitary(rng, d)
+        k = d // 2
+        mu = np.zeros(d)
+        mu[:k] = rng.uniform(0.1, 10.0, k)
+        c = np.zeros(d, dtype=np.complex128)
+        c[:k] = math.sqrt(1.0 - lean**2) * random_unit(rng, k)
+        c[k:] = lean * random_unit(rng, d - k)
+        b = (u * mu) @ u.conj().T
+        x = u @ c
+        lam = max_lambda(x, b)
+        assert lam == pytest.approx(bisection_max_lambda(u[:, :k] @ c[:k], b), rel=1e-7)
+        assert range_dominates(np.outer(x, x.conj()), b) is True
+
+
+def _prior_rank_one_step(a, b, tol=DEFAULT_TOLERANCES):
+    """``range_dominates`` before the power-step residual, copied: A's
+    certificate, rank cut and rho from one eigvalsh. Returns the verdict
+    and the x it passed to ``_certified_max_lambda``."""
+    a, a_evals = loewner.psd_eigvalsh(a, tol)
+    b, b_evals, b_evecs = psd_eigh(b, tol)
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    norm = float(np.max(np.abs(a_evals)))
+    keep = np.abs(a_evals) > scaled(tol.tol_rank, norm)
+    if np.count_nonzero(keep) != 1:
+        raise ValidationError("range_dominates requires rank-1 A")
+    rest = a_evals[:-1] if keep[-1] else a_evals[1:]
+    rho = float(np.max(np.abs(rest))) / norm if a.dim > 1 else 0.0
+    if rho * rho * a.dim <= 1e-3 * tol.tol_range:
+        diag = a.mat.diagonal().real
+        j = int(np.argmax(diag))
+        x = a.mat @ (a.mat[:, j] / diag[j]) / diag[j]
+        x /= np.linalg.norm(x)
+    else:
+        _, evals, evecs = psd_eigh(a, tol)
+        x = evecs[:, int(np.argmax(np.abs(evals)))]
+    return loewner._certified_max_lambda(x, b, b_evals, b_evecs, tol) is not None, x
+
+
+def _rank_one_step(monkeypatch, a, b, tol=DEFAULT_TOLERANCES):
+    """``range_dominates`` and the x it passed to ``_certified_max_lambda``."""
+    seen = []
+    certified = loewner._certified_max_lambda
+
+    def recording(x, *args):
+        seen.append(x)
+        return certified(x, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(loewner, "_certified_max_lambda", recording)
+        verdict = range_dominates(a, b, tol)
+    return verdict, seen[0]
+
+
+# near-rank-one A = s (v v* + sign t w w*): t = 0, at the rank cut
+# (t ~ tol_rank max(s, 1) / s), at the power step's gate
+# (t^2 d ~ 1e-3 tol_range) and below the PSD threshold (sign -1,
+# t ~ tol_psd max(s, 1) / s); f straddles each threshold
+_PERTURBATIONS = [("exact", 1, None, 1.0)] + [
+    (kind, sign, kind, f)
+    for kind, sign in (("rank", 1), ("gate", 1), ("psd", -1))
+    for f in (0.9, 1.1)
+]
+
+
+def _perturbation(kind: str, s: float, d: int, f: float, tol: Tolerances) -> float:
+    if kind == "rank":
+        return f * tol.tol_rank * max(s, 1.0) / s
+    if kind == "gate":
+        return math.sqrt(f * 1e-3 * tol.tol_range / d)
+    return f * tol.tol_psd * max(s, 1.0) / s
+
+
+class TestRankOneResidual:
+    """range_dominates certifies A PSD and of rank 1 from the residual of its
+    power step where it can; verdicts, x and errors are those of the
+    eigvalsh path."""
+
+    @pytest.mark.parametrize("inside", [True, False])
+    @pytest.mark.parametrize("case", _PERTURBATIONS, ids=lambda c: f"{c[0]}-{c[3]}")
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_same_outcome_as_the_eigvalsh_path(self, monkeypatch, d, s, case, inside):
+        name, sign, kind, f = case
+        rng = np.random.default_rng([d, int(math.log10(s)) + 10, len(name), int(10 * f), inside])
+        u = random_unitary(rng, d)
+        k = max(1, d // 2)
+        v = u[:, :k] @ random_unit(rng, k)
+        if not inside:
+            v = math.sqrt(0.5) * v + math.sqrt(0.5) * u[:, k:] @ random_unit(rng, d - k)
+        w = random_unit(rng, d)
+        w -= v * np.vdot(v, w)
+        w /= np.linalg.norm(w)
+        a = s * np.outer(v, v.conj())
+        if kind is not None:
+            a = a + sign * s * _perturbation(kind, s, d, f, DEFAULT_TOLERANCES) * np.outer(w, w.conj())
+        mu = np.zeros(d)
+        mu[:k] = rng.uniform(0.5, 2.0, k)
+        b = (u * mu) @ u.conj().T
+        self._assert_same(monkeypatch, a, b)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.zeros((3, 3)),
+            np.diag([1.0, -1.0, 0.0]),
+            np.diag([1.0, 0.0, -1e-3]),
+            np.diag([1.0, 1.0, 0.0]),
+            np.diag([1e200, 0.0, 0.0]),
+            1e200 * np.ones((3, 3)),
+            np.diag([1e-300, 0.0, 0.0]),
+            np.diag([1.0, 0.0]),
+        ],
+        ids=["zero", "indefinite", "negative-tail", "rank-two", "large", "overflowing",
+             "subnormal-ish", "dims-differ"],
+    )
+    def test_edge_operands(self, monkeypatch, a):
+        self._assert_same(monkeypatch, a, np.diag([1.0, 1.0, 0.0]))
+
+    def test_already_certified_operands(self, monkeypatch, rng):
+        for d in (2, 8, 64):
+            x = random_unit(rng, d)
+            a = PsdMatrix.from_hermitian(np.outer(x, x.conj()) + 2e-9 * np.eye(d))
+            self._assert_same(monkeypatch, a, random_psd(rng, d, d))
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_rank_one_operand_takes_no_spectrum(self, rng, lapack_calls, d):
+        # s in [1e-3, 1e6]: the residual certifies A, so only B's eigh and
+        # lambda's factor remain (B's spectrum in [0.5, 2] lets the witness
+        # refute the bumped lambda)
+        for s in (1e-3, 1.0, 1e6):
+            x = random_unit(rng, d)
+            a = s * np.outer(x, x.conj())
+            u = random_unitary(rng, d)
+            b = (u * rng.uniform(0.5, 2.0, d)) @ u.conj().T
+            lapack_calls.clear()
+            assert range_dominates(a, b) is True
+            assert lapack_calls == {"eigh": 1, "cholesky": 1}
+
+    def _assert_same(self, monkeypatch, a, b):
+        want = _outcome(_prior_rank_one_step, a, b)
+        got = _outcome(_rank_one_step, monkeypatch, a, b)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert got[0] is want[0]
+            assert got[1].tobytes() == want[1].tobytes()

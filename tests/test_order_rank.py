@@ -99,6 +99,15 @@ class TestRankFromTheCertificate:
             assert rank_gt_np1_witness(m, 2) is None
             assert len(eigvalsh_calls) == 1
 
+    def test_rank_two_refuted_without_more_spectra(self, rng, lapack_calls):
+        # A's rank from one eigvalsh and its two top terms from one eigh; a
+        # Cholesky factor certifies each of E and F PSD and each below A,
+        # and a diagonal entry refutes E <= F and F <= E
+        a = random_psd(rng, 16, 2)
+        lapack_calls.clear()
+        assert not is_rank_one_by_order(a)
+        assert lapack_calls == {"eigvalsh": 1, "eigh": 1, "cholesky": 4}
+
 
 class TestRankUnderALooseCertificate:
     """With tol_psd above tol_rank a certified A may keep a small negative
