@@ -109,7 +109,14 @@ def _hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, int]:
     M / max(peak, 1). The norms are summed in another order than
     ``from_array``'s, so within rounding of the limit the two may decide
     differently. Besides the stack it checks, at most three stacks of its
-    size are alive at once (two on the unscaled path)."""
+    size are alive at once (two on the unscaled path). A stack of one, as
+    an oracle over a callable sends, is checked by ``from_array`` itself,
+    in half the numpy calls."""
+    if len(stack) == 1:
+        try:
+            return HermitianMatrix.from_array(stack[0]).mat[None], 1
+        except ValidationError:
+            return _freeze(stack[:0]), 0
     norm2 = _sum_squares(stack)
     if norm2.max(initial=0.0) <= _NORM2_GUARD:
         h = 0.5 * stack
@@ -137,12 +144,13 @@ def _hermitian_stack(stack: np.ndarray) -> tuple[np.ndarray, int]:
     return out, k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """Square complex matrix equal to its conjugate transpose.
 
     Construction symmetrizes ``(M + M*)/2``; asymmetry above
     ``ASYMMETRY_LIMIT`` (relative) is an error rather than silently absorbed.
+    Wrappers, like ``PsdMatrix``, compare and hash by identity.
     """
 
     mat: np.ndarray
@@ -153,7 +161,7 @@ class HermitianMatrix:
         1 to ``MAX_DIM`` with finite entries and
         ||M - M*||_F <= ``ASYMMETRY_LIMIT`` * max(||M||_F, 1); otherwise
         ValidationError. Every raw array is checked by this rule where it
-        enters a public entry point, and every matrix on the oracle pipe by
+        enters a public entry point, and every oracle probe and answer by
         ``_hermitian_stack``.
 
         ||M||_F^2 comes from one ``vdot``, which is NaN or inf when an entry
@@ -186,7 +194,7 @@ class HermitianMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsdMatrix:
     """Hermitian matrix certified positive semidefinite at construction:
     its smallest eigenvalue does not fall below -tol_psd * max(||A||, 1).
@@ -199,7 +207,7 @@ class PsdMatrix:
     """
 
     base: HermitianMatrix
-    _min_eig: float | None = field(default=None, repr=False, compare=False)
+    _min_eig: float | None = field(default=None, repr=False)
 
     @classmethod
     def from_hermitian(

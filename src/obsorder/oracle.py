@@ -1,10 +1,28 @@
 """Black-box oracle transports.
 
 An oracle maps Hermitian matrices to Hermitian matrices of the same
-dimension. Two transports are supported: an in-process callable and a
-subprocess speaking JSON lines (with raw bytes after a stack header, see
-below) on stdin/stdout. An in-process ``OrderAutomorphism`` gets a handle
-of its own (``from_automorphism``) that answers probes in stacks.
+dimension. Three handles share one loop, ``OracleHandle.query_many``: an
+``OracleHandle`` over an in-process callable, the handle of
+``from_automorphism`` over an in-process ``OrderAutomorphism``, and a
+``SubprocessOracle`` over a child process speaking JSON lines (with raw
+bytes after a stack header, see below) on stdin/stdout. The loop
+
+1. takes up to a block of probes: one for a callable and for a child that
+   has not offered stack frames, otherwise ``frame_capacity(d)``;
+2. checks the block's shapes and, as one stack, the rule of
+   ``HermitianMatrix.from_array`` (finite entries and
+   ||M - M*||_F <= ``hermitian.ASYMMETRY_LIMIT`` * max(||M||_F, 1), by
+   ``hermitian._hermitian_stack``), and hands the Hermitian parts of the
+   good probes ahead of the first bad one to its handle's one hook: the
+   callable per matrix, ``automorphism._images`` on the stack, or one
+   frame on the pipe;
+3. checks the answers as one stack by the same rule;
+4. yields the good answers, then raises the first bad one's error.
+
+A bad probe raises ``from_array``'s ``ValidationError`` and reaches no
+oracle. A bad answer raises ``OracleNotAutomorphicError`` with the message
+"oracle response is not a valid Hermitian matrix: " and ``from_array``'s.
+``query`` is a block of one, and ``calls`` counts the answers yielded.
 
     request:  {"id": k, "matrix": <matrix JSON>, "accept": ["raw-stack"]}
     response: {"id": k, "matrix": <matrix JSON>[, "accept": [...]]}
@@ -24,12 +42,11 @@ one JSON header line followed by raw bytes:
     <the n matrices as little-endian complex128, each row-major>
 
 The child answers with a stack frame of the n images, in order, in the
-same form. ``query_many`` puts as many probes in a frame as fit in
-``FRAME_BUDGET_BYTES`` (256 KiB) of payload, ``frame_capacity(d)``: the
-whole 25-probe plan of ``reconstruct`` at d <= 8, 16 probes at d = 32 and
-4 at d = 64; ``query`` sends a stack of one. The request line and its
-payload go out in one gathered write, and a reply's payload is read
-straight into the stack that is returned.
+same form. A frame holds as many probes as fit in ``FRAME_BUDGET_BYTES``
+(256 KiB) of payload, ``frame_capacity(d)``: the whole 25-probe plan of
+``reconstruct`` at d <= 8, 16 probes at d = 32 and 4 at d = 64. The
+request line and its payload go out in one gathered write, and a reply's
+payload is read straight into the stack that is returned.
 
 A reply whose frame is at fault (no ``matrix``, a bad grid or payload; an
 id, ``dim``, ``count`` or ``bytes`` other than the request's; the end of
@@ -37,13 +54,8 @@ the stream inside a payload; a reply line longer than
 ``LINE_BYTES_PER_ENTRY`` * d * d + ``LINE_SLACK_BYTES``) is a
 ``TransportFailureError``, and the child is killed, since the rest of its
 reply would be read as the next one; every later query then fails with the
-child's exit status. A matrix whose entries
-are non-finite or not Hermitian is an ``OracleNotAutomorphicError`` and
-leaves the stream in step. Both rules are the same for single and stack
-frames. Every reply matrix is checked by the rule of
-``io.hermitian_from_dict`` (finite entries, relative asymmetry at most
-``hermitian.ASYMMETRY_LIMIT``): a stack reply once per frame, as one
-(n, d, d) array, with the images ahead of a bad matrix still yielded.
+child's exit status. A bad probe or a bad answer leaves the stream in
+step, and the child keeps serving.
 
 Each request must be taken and answered, the reply's payload included,
 within ``RESPONSE_TIMEOUT_S``; otherwise the child is killed and the query
@@ -55,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
+import numbers
 import os
 import select
 import subprocess
@@ -65,7 +77,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import OracleNotAutomorphicError, TransportFailureError, ValidationError
-from .hermitian import MAX_DIM, HermitianMatrix, _hermitian_stack, _leading, symmetrize
+from .hermitian import ASYMMETRY_LIMIT, MAX_DIM, HermitianMatrix, _hermitian_stack, _leading
 from .io import (
     matrix_frame_from_dict,
     matrix_to_dict,
@@ -111,55 +123,70 @@ def frame_capacity(d: int) -> int:
     return max(1, FRAME_BUDGET_BYTES // (16 * d * d))
 
 
+def _rejection(m: np.ndarray) -> ValidationError:
+    """``HermitianMatrix.from_array``'s error for a matrix that
+    ``_hermitian_stack`` rejected."""
+    try:
+        HermitianMatrix.from_array(m)
+    except ValidationError as exc:
+        return exc
+    # the two sum the norms in other orders, so at the limit they can differ
+    return ValidationError(
+        f"matrix is not Hermitian: relative asymmetry within rounding of {ASYMMETRY_LIMIT:g}"
+    )
+
+
 class OracleHandle:
     """Serial request/response channel to an order-automorphism candidate."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int):
-        if not 1 <= dim <= MAX_DIM:
-            raise ValidationError(f"oracle dimension must be in [1, {MAX_DIM}], got {dim}")
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray] | None, dim: int):
+        integral = isinstance(dim, numbers.Integral) and not isinstance(dim, bool)
+        if not (integral and 1 <= dim <= MAX_DIM):
+            raise ValidationError(f"oracle dimension must be an integer in [1, {MAX_DIM}], got {dim!r}")
         self._fn = fn
-        self.dim = dim
+        self.dim = int(dim)
         self.calls = 0
+        self._per_block = 1  # probes per block of query_many
 
-    def _probe(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.complex128)
-        if a.shape != (self.dim, self.dim):
-            raise ValidationError(f"probe has shape {a.shape}, expected ({self.dim}, {self.dim})")
-        return a
-
-    def _check_shape(self, out: np.ndarray) -> None:
+    def _answer(self, stack: np.ndarray) -> np.ndarray:
+        """The one hook of ``query_many``: answers a non-empty prefix of a
+        checked (n, d, d) stack of probes as a contiguous complex128 stack,
+        or raises the first probe's error. Here fn answers a block's one
+        probe."""
+        out = np.ascontiguousarray(self._fn(stack[0]), dtype=np.complex128)
         if out.shape != (self.dim, self.dim):
             raise TransportFailureError(
                 f"oracle returned shape {out.shape}, expected ({self.dim}, {self.dim})"
             )
-
-    def _image(self, out) -> np.ndarray:
-        """The check every in-process answer passes: d x d, finite and
-        Hermitian to 1e-9 max-abs; returns its Hermitian part."""
-        out = np.asarray(out, dtype=np.complex128)
-        self._check_shape(out)
-        peak = float(np.max(np.abs(out)))  # NaN propagates through max
-        if not math.isfinite(peak):
-            raise OracleNotAutomorphicError("oracle response has non-finite entries")
-        asym = float(np.max(np.abs(out - out.conj().T)))
-        if asym > 1e-9 * max(1.0, peak):
-            raise OracleNotAutomorphicError(
-                f"oracle response is not Hermitian (asymmetry {asym:.3e})"
-            )
-        return symmetrize(out)
+        return out[None]
 
     def query(self, a: np.ndarray) -> np.ndarray:
-        a = self._probe(a)
-        self.calls += 1
-        return self._image(self._fn(a))
+        return next(self.query_many([a]))
 
     def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """The answers to ``probes``, in order. Here each probe is one
-        ``query``, drawn only as its answer is taken; the handles of
-        ``from_automorphism`` and ``SubprocessOracle`` draw and answer up to
-        ``frame_capacity(dim)`` probes at a time."""
-        for a in probes:
-            yield self.query(a)
+        """The answers to ``probes``, in order, each drawn only as its block
+        is taken (see the module docstring)."""
+        probes = iter(probes)
+        shape = (self.dim, self.dim)
+        while block := [np.asarray(a, dtype=np.complex128)
+                        for a in itertools.islice(probes, self._per_block)]:
+            n = next((i for i, a in enumerate(block) if a.shape != shape), len(block))
+            rest, k = _hermitian_stack(np.stack(block[:n])) if n else ([], 0)
+            while len(rest):
+                replies = self._answer(rest)
+                images, m = _hermitian_stack(replies)
+                self.calls += m
+                yield from images
+                if m < len(replies):
+                    exc = _rejection(replies[m])
+                    raise OracleNotAutomorphicError(
+                        f"oracle response is not a valid Hermitian matrix: {exc}"
+                    ) from exc
+                rest = rest[m:]  # a hook may answer a prefix only
+            if k < n:
+                raise _rejection(block[k])
+            if n < len(block):
+                raise ValidationError(f"probe has shape {block[n].shape}, expected {shape}")
 
     def close(self) -> None:
         pass
@@ -174,17 +201,12 @@ class OracleHandle:
 def from_automorphism(phi) -> OracleHandle:
     """In-process oracle evaluating an OrderAutomorphism, in stacks.
 
-    ``query_many`` takes ``frame_capacity(dim)`` probes at a time (the
-    size of a stack frame on the pipe: 4 at d = 64, 16 at d = 32), checks
-    them as one (n, d, d) array by ``HermitianMatrix.from_array``'s rule
-    (``hermitian._hermitian_stack``) and answers them with one call of
-    ``apply``'s image function, ``automorphism._images``, whose finiteness
-    flags it checks as ``apply`` does. From the first probe of a block that
-    fails a check (its shape, non-finite entries, asymmetry or a non-finite
-    image) on, each probe takes the per-matrix path of an ``OracleHandle``
-    over ``apply``, which raises that probe's error, after the images ahead
-    of it, with the class and message of the per-matrix path. ``query`` is
-    a block of one, and ``calls`` counts probes.
+    Its blocks hold ``frame_capacity(dim)`` probes (the size of a stack
+    frame on the pipe: 4 at d = 64, 16 at d = 32), and its hook answers a
+    block with one call of ``apply``'s image function,
+    ``automorphism._images``. Like ``apply``, it raises
+    ``ValidationError("matrix entries must be finite")`` at the first image
+    that is not finite, after the images ahead of it.
     """
     return _AutomorphismOracle(phi)
 
@@ -193,45 +215,33 @@ class _AutomorphismOracle(OracleHandle):
     """The handle of ``from_automorphism``."""
 
     def __init__(self, phi):
-        from .automorphism import _images, apply
+        from .automorphism import _images
 
-        super().__init__(lambda a: apply(phi, a).mat, phi.dim)
+        super().__init__(None, phi.dim)
         self._map = lambda block: _images(phi, block)
         self._per_block = frame_capacity(phi.dim)
 
-    def query(self, a: np.ndarray) -> np.ndarray:
-        return next(self.query_many([a]))
-
-    def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        probes = iter(probes)
-        shape = (self.dim, self.dim)
-        while block := [np.asarray(a, dtype=np.complex128)
-                        for a in itertools.islice(probes, self._per_block)]:
-            k = next((i for i, a in enumerate(block) if a.shape != shape), len(block))
-            if k:
-                good, k = _hermitian_stack(np.stack(block[:k]))
-                out, finite = self._map(good)
-                k = _leading(finite)
-                self.calls += k
-                yield from out[:k]
-            for a in block[k:]:
-                yield OracleHandle.query(self, a)
+    def _answer(self, stack: np.ndarray) -> np.ndarray:
+        out, finite = self._map(stack)
+        k = _leading(finite)
+        if not k:
+            raise ValidationError("matrix entries must be finite")
+        return out[:k]
 
 
 class SubprocessOracle(OracleHandle):
     """Oracle backed by a child process speaking the stdio protocol above."""
 
     def __init__(self, command: list[str], dim: int):
-        super().__init__(self._roundtrip, dim)  # checks dim before the child starts
-        argv = list(command) + [str(dim)]
+        super().__init__(None, dim)  # checks dim before the child starts
+        argv = list(command) + [str(self.dim)]
         try:
             self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise TransportFailureError(f"failed to launch oracle: {exc}") from exc
         self._next_id = 0
         self._raw = False  # set by a response whose accept lists RAW_STACK
-        self._per_frame = frame_capacity(dim)
-        self._line_cap = LINE_BYTES_PER_ENTRY * dim * dim + LINE_SLACK_BYTES
+        self._line_cap = LINE_BYTES_PER_ENTRY * self.dim**2 + LINE_SLACK_BYTES
         self._pending = bytearray()  # bytes read from the child past the last line
         # a child that stops reading must not hold a frame larger than the
         # pipe buffer past the deadline
@@ -325,7 +335,7 @@ class SubprocessOracle(OracleHandle):
         """Write one request frame, a JSON line and then ``payload``; return
         the reply object, id checked, and the frame's deadline, by which any
         payload after the reply line must be read too. A fault of the frame
-        is a transport failure; the entries are left to ``_image``."""
+        is a transport failure; the entries are left to ``query_many``."""
         k = self._next_id
         self._next_id += 1
         request = (json.dumps({"id": k, **body}) + "\n").encode("ascii")
@@ -349,20 +359,12 @@ class SubprocessOracle(OracleHandle):
             )
         return obj, deadline
 
-    def _image(self, out) -> np.ndarray:
-        # the entry check of io.hermitian_from_dict on a d x d reply; its
-        # result is finite and exactly Hermitian
-        try:
-            return HermitianMatrix.from_array(out).mat
-        except ValidationError as exc:
-            raise OracleNotAutomorphicError(
-                f"oracle response is not a valid Hermitian matrix: {exc}"
-            ) from exc
-
-    def _roundtrip(self, a: np.ndarray) -> np.ndarray:
+    def _answer(self, stack: np.ndarray) -> np.ndarray:
+        """One frame: a stack frame once the child has offered them,
+        otherwise a decimal single frame that offers them."""
         if self._raw:
-            return self._exchange_stack(a[None])[0]
-        obj, _ = self._exchange({"matrix": matrix_to_dict(a), "accept": [RAW_STACK]})
+            return self._exchange_stack(stack)
+        obj, _ = self._exchange({"matrix": matrix_to_dict(stack[0]), "accept": [RAW_STACK]})
         try:
             out = matrix_frame_from_dict(obj["matrix"])
         except (KeyError, ValidationError) as exc:
@@ -373,7 +375,9 @@ class SubprocessOracle(OracleHandle):
             )
         accept = obj.get("accept")
         self._raw = isinstance(accept, list) and RAW_STACK in accept
-        return out
+        if self._raw:
+            self._per_block = frame_capacity(self.dim)
+        return out[None]
 
     def _exchange_stack(self, stack: np.ndarray) -> np.ndarray:
         """The (n, d, d) reply to a stack frame of ``stack``, frame checked."""
@@ -390,26 +394,6 @@ class SubprocessOracle(OracleHandle):
             raise self._fault(f"oracle stack response has {count} matrices, expected {n}")
         size = len(payload)
         return read_stack(lambda view: self._readinto(view, size, deadline), n, d)
-
-    def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """The answers to ``probes``, in order. Until the child has offered
-        stack frames each probe is one ``query``; from then on probes go
-        ``FRAME_BUDGET_BYTES`` at a time, so up to one frame of probes is
-        sent before the answers ahead of it are taken."""
-        probes = iter(probes)
-        while not self._raw:
-            a = next(probes, None)
-            if a is None:
-                return
-            yield self.query(a)
-        while chunk := [self._probe(a) for a in itertools.islice(probes, self._per_frame)]:
-            self.calls += len(chunk)
-            stack = self._exchange_stack(np.stack(chunk))
-            images, k = _hermitian_stack(stack)
-            yield from images
-            # the first bad matrix raises _image's error, as a lone reply does
-            for m in stack[k:]:
-                yield self._image(m)
 
     def close(self) -> None:
         # also after a kill, so that no pipe is left open

@@ -47,7 +47,7 @@ from obsorder.generators import (
     random_uniform,
     random_unitary,
 )
-from obsorder.hermitian import herm_array, rank_one, symmetrize
+from obsorder.hermitian import _hermitian_stack, herm_array, rank_one, symmetrize
 from obsorder.io import (
     complex_matrix_from_dict,
     hermitian_from_dict,
@@ -207,11 +207,12 @@ class RecordingOracle(OracleHandle):
     """The in-process oracle of ``phi``, keeping every probe and image."""
 
     def __init__(self, phi):
-        super().__init__(lambda a: apply(phi, a).mat, phi.dim)
+        super().__init__(self._record, phi.dim)
+        self._phi = phi
         self.probes, self.images = [], []
 
-    def query(self, a):
-        image = super().query(a)
+    def _record(self, a):
+        image = apply(self._phi, a).mat
         self.probes.append(np.array(a))
         self.images.append(image)
         return image
@@ -632,6 +633,37 @@ class TestSubprocessOracle:
         with SubprocessOracle(cmd, 2) as handle:
             with pytest.raises(OracleNotAutomorphicError):
                 reconstruct(handle)
+
+    def test_non_hermitian_probe_leaves_the_child_serving(self):
+        # the probe is checked before it is sent, in single and stack frames
+        cmd = [sys.executable, "-m", "obsorder.demo_oracles.affine"]
+        bad = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with SubprocessOracle(cmd, 2) as handle:
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                handle.query(bad)
+            np.testing.assert_array_equal(handle.query(np.eye(2)), 3.0 * np.eye(2))
+            images = handle.query_many([np.eye(2), bad])
+            np.testing.assert_array_equal(next(images), 3.0 * np.eye(2))
+            with pytest.raises(ValidationError, match="not Hermitian"):
+                next(images)
+            np.testing.assert_array_equal(handle.query(np.zeros((2, 2))), np.eye(2))
+            assert handle._proc.poll() is None
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, np.True_, "2", 0, 65])
+    def test_bad_dim_is_rejected_before_any_child_starts(self, dim):
+        # a launched child would fail as a TransportFailureError
+        with pytest.raises(ValidationError, match="oracle dimension must be an integer"):
+            OracleHandle(np.negative, dim)
+        with pytest.raises(ValidationError, match="oracle dimension must be an integer"):
+            SubprocessOracle(["/nonexistent/oracle"], dim)
+
+    @pytest.mark.parametrize("dim", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_dim(self, dim):
+        assert type(OracleHandle(np.negative, dim).dim) is int
+        cmd = [sys.executable, "-m", "obsorder.demo_oracles.affine"]
+        with SubprocessOracle(cmd, dim) as handle:
+            np.testing.assert_array_equal(handle.query(np.eye(2)), 3.0 * np.eye(2))
+            assert len(list(handle.query_many([np.eye(2)] * 3))) == 3
 
     def test_dead_child_is_transport_failure(self):
         cmd = [sys.executable, "-c", "import sys; sys.exit(0)"]
@@ -1211,8 +1243,52 @@ class TestPayloadDeadline:
 class TestInProcessChecks:
     def test_non_finite_image_is_rejected(self):
         handle = OracleHandle(lambda a: np.full((2, 2), np.nan), 2)
-        with pytest.raises(OracleNotAutomorphicError, match="non-finite"):
+        expected = r"^oracle response is not a valid Hermitian matrix: matrix entries must be finite$"
+        with pytest.raises(OracleNotAutomorphicError, match=expected):
             handle.query(np.eye(2))
+
+    def test_slightly_asymmetric_image_is_rejected(self):
+        # relative Frobenius asymmetry 1e-10: past ASYMMETRY_LIMIT, though
+        # under a max-abs bound of 1e-9 * max(1, peak)
+        m = np.eye(2)
+        m[0, 1] = 1e-10
+        handle = OracleHandle(lambda a: m, 2)
+        with pytest.raises(OracleNotAutomorphicError,
+                           match=r"not a valid Hermitian matrix: .* relative asymmetry 1\.000e-10$"):
+            handle.query(np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_naive_congruence_images_are_accepted(self, rng, d, scale):
+        # T A T* formed without symmetrizing, cond(T) = 1e8: its rounding
+        # asymmetry stays far under the one rule's limit
+        t = (random_unitary(rng, d) * np.geomspace(1.0, 1e-8, d)) @ random_unitary(rng, d)
+        handle = OracleHandle(lambda a: t @ a @ t.conj().T, d)
+        probes = [scale * random_hermitian(rng, d) for _ in range(20)]
+        for a, image in zip(probes, handle.query_many(probes), strict=True):
+            np.testing.assert_array_equal(image, symmetrize(t @ a @ t.conj().T))
+        assert handle.calls == len(probes)
+
+    def test_probe_at_the_limit_takes_the_stack_verdict(self):
+        # a matrix whose relative asymmetry from_array puts at or under
+        # ASYMMETRY_LIMIT and _hermitian_stack, summing in another order,
+        # over it (found by bisecting the asymmetry of random matrices); a
+        # stack of one is checked by from_array, so it is sent second
+        m = np.array([
+            [-4.399928676094878 + 3.822548983921742e-13j, 0.7200180458178438 - 1.9930662022106065j,
+             1.0304257979755644 + 0.17643812486863628j],
+            [0.7200180458176995 + 1.993066202210377j, -4.928501775502254 + 7.708444370562138e-13j,
+             0.10639831891136836 + 2.315210954770171j],
+            [1.0304257979752645 - 0.1764381248736516j, 0.10639831890947123 - 2.315210954770887j,
+             2.4730745162961982 - 1.569832961617525e-12j],
+        ])
+        HermitianMatrix.from_array(m)
+        if _hermitian_stack(np.stack([np.eye(3), m]).astype(complex))[1] == 2:
+            pytest.skip("the two sums agree on this platform")
+        images = from_automorphism(OrderAutomorphism.create(np.eye(3))).query_many([np.eye(3), m])
+        np.testing.assert_array_equal(next(images), np.eye(3))
+        with pytest.raises(ValidationError, match="within rounding of 1e-12$"):
+            next(images)
 
     def test_non_hermitian_image_is_rejected(self):
         handle = OracleHandle(lambda a: a + np.array([[0.0, 1e-6], [0.0, 0.0]]), 2)

@@ -71,6 +71,13 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             HermitianMatrix.from_array(np.eye(65))
 
+    @pytest.mark.parametrize("wrap", [HermitianMatrix.from_array, PsdMatrix.from_hermitian])
+    def test_wrappers_compare_and_hash_by_identity(self, wrap):
+        arr = np.eye(2)
+        a, b = wrap(arr), wrap(arr)
+        assert a == a and a != b and not a == b
+        assert a in {a} and b not in {a} and len({a, b}) == 2
+
     def test_psd_certification(self):
         with pytest.raises(ValidationError):
             PsdMatrix.from_hermitian(np.diag([1.0, -1.0]))

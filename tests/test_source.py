@@ -64,3 +64,20 @@ def test_every_test_module_imports():
         except Exception as exc:  # any import failure is reported by module
             failed.append(f"{path.name}: {type(exc).__name__}: {exc}")
     assert not failed, "test modules that do not import: " + "; ".join(failed)
+
+
+def test_oracle_has_one_loop_and_no_inline_threshold():
+    # every oracle handle answers through OracleHandle.query_many, and the
+    # Hermitian rule it applies is hermitian's: a second loop or a float
+    # literal in a function (an inline tolerance) would fork them again
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    loops = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "query_many"]
+    assert len(loops) == 1, f"oracle.py defines query_many {len(loops)} times"
+    floats = [
+        f"oracle.py:{node.lineno}"
+        for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+    ]
+    assert not floats, "float literals outside oracle.py's named constants: " + ", ".join(floats)
