@@ -9,6 +9,7 @@ output deterministic.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -82,12 +83,23 @@ class OrderAutomorphism:
         return self.T.shape[0]
 
 
+def _exact(m: np.ndarray) -> HermitianMatrix:
+    """The unchecked wrapper of a matrix that is Hermitian bit for bit, as
+    every probe that ``reconstruct`` and ``check_order_automorphism`` draw
+    is; ``OracleHandle.query_many`` sends a block of these unchecked."""
+    return HermitianMatrix(mat=_freeze(m))
+
+
+def _products(phi: OrderAutomorphism, a: np.ndarray) -> np.ndarray:
+    """T K(a) T* + X of a checked Hermitian a or (n, d, d) stack: the one
+    place the map is formed. Matmul runs one product per matrix, so a
+    stack's products are bit for bit those of its matrices alone."""
+    return phi.T @ (a.conj() if phi.conjugate else a) @ phi.T.conj().T + phi.X.mat
+
+
 def _images(phi: OrderAutomorphism, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """symmetrize(T K(a) T* + X) of a checked Hermitian a or (n, d, d) stack,
-    and whether each T K(a) T* + X is finite: the one place the map is
-    formed. Matmul runs one product per matrix, so a stack's images are bit
-    for bit those of its matrices alone."""
-    out = phi.T @ (a.conj() if phi.conjugate else a) @ phi.T.conj().T + phi.X.mat
+    """symmetrize(``_products(phi, a)``), and whether each product is finite."""
+    out = _products(phi, a)
     return symmetrize(out), np.isfinite(np.abs(out).max(axis=(-2, -1)))
 
 
@@ -168,9 +180,14 @@ def _column_from_rank_one(m: np.ndarray, what: str) -> np.ndarray:
     return evecs[:, -1] * np.sqrt(float(evals[-1]))
 
 
-def _conjugation_probe(d: int) -> np.ndarray:
+def _conjugation_vector(d: int) -> np.ndarray:
+    """w = (e_1 + i e_2)/sqrt(2): ww* tells T K(A) T* from T conj(A) T*."""
     e = np.eye(d)
-    w = (e[0] + 1j * e[1]) / np.sqrt(2.0)
+    return (e[0] + 1j * e[1]) / np.sqrt(2.0)
+
+
+def _conjugation_probe(d: int) -> np.ndarray:
+    w = _conjugation_vector(d)
     return rank_one(w, w)
 
 
@@ -210,8 +227,8 @@ def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: 
     from T's columns up to phase and the next images: all-ones, conjugation,
     then one per validation probe. ``checks`` holds the validation probes as
     (n, d, d) blocks; each block's images are compared with
-    ``_images(recovered, block)`` at once, and its per-matrix relative
-    max-abs residuals taken in one pass."""
+    symmetrize(``_products(recovered, block)``) at once, and its per-matrix
+    relative max-abs residuals taken in one pass."""
     d = len(x)
 
     # one phase per column from T v = sum_j t_j / sqrt(d)
@@ -230,11 +247,13 @@ def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: 
         )
     t = gauge_fix(cols * (c / mag))
 
-    # conjugation flag
+    # conjugation flag: the probe is ww*, so the two branches predict the
+    # rank-one images (Tw)(Tw)* and (Tw̄)(Tw̄)*
     mw = next(images) - x
-    pw = _conjugation_probe(d)
-    pred_lin = t @ pw @ t.conj().T
-    pred_conj = t @ pw.conj() @ t.conj().T
+    w = _conjugation_vector(d)
+    tw, tw_bar = t @ w, t @ w.conj()
+    pred_lin = rank_one(tw, tw)
+    pred_conj = rank_one(tw_bar, tw_bar)
     scale = max(float(np.max(np.abs(mw))), 1.0)
     fit_lin = float(np.max(np.abs(mw - pred_lin))) <= RECON_TOL * scale
     fit_conj = float(np.max(np.abs(mw - pred_conj))) <= RECON_TOL * scale
@@ -249,9 +268,12 @@ def _fit(cols: np.ndarray, x: np.ndarray, images: Iterator[np.ndarray], checks: 
 
     # validation on random Hermitian probes, negative parts included; each
     # probe is exactly Hermitian, so this is apply(recovered, a) bit for bit
-    # without re-wrapping it. No block's arrays outlive its _residuals call,
-    # so none is alive while the next block is mapped.
-    residuals = [_residuals(np.stack([next(images) for _ in block]), _images(recovered, block)[0])
+    # without re-wrapping it, and with no finiteness test: a product that is
+    # not finite makes its residual inf or NaN, which fails the bound below.
+    # No block's arrays outlive its _residuals call, so none is alive while
+    # the next block is mapped.
+    residuals = [_residuals(np.stack([next(images) for _ in block]),
+                            symmetrize(_products(recovered, block)))
                  for block in checks]
     # NaN, from an overflowing T, propagates
     max_residual = float(np.max(np.concatenate(residuals)))
@@ -284,7 +306,10 @@ def reconstruct(
     At every d >= 2 the plan is zero, I, D, the all-ones and conjugation
     probes and the validation probes: 25 calls. No probe of it depends on an
     earlier answer, so it goes to the oracle as one stream
-    (``OracleHandle.query_many``) and is answered whole before any check. If
+    (``OracleHandle.query_many``) and is answered whole before any check.
+    Every probe, the basis projections below included, is Hermitian bit for
+    bit and goes out as a ``HermitianMatrix`` wrapper, which ``query_many``
+    sends unchecked; the answers are checked. If
     any pencil check fails (cond(psi(I)) above ``PENCIL_COND_CAP``,
     psi(D)'s eigenvalues 1, ..., d, the column weights, the conjugation fit
     or the validation residual), the d basis projections go
@@ -296,17 +321,21 @@ def reconstruct(
         raise ValidationError("reconstruction requires dimension >= 2")
     start_calls = oracle.calls
     rng = np.random.default_rng(seed)
-    probes = random_hermitians(rng, VALIDATION_PROBES, d)
+    probes = _freeze(random_hermitians(rng, VALIDATION_PROBES, d))
     size = frame_capacity(d)
     checks = [probes[k:k + size] for k in range(0, VALIDATION_PROBES, size)]
     v = np.ones(d, dtype=np.complex128) / np.sqrt(d)
-    zero = np.zeros((d, d), dtype=np.complex128)
-    x, p, q, *held = oracle.query_many([zero, np.eye(d), np.diag(np.arange(1.0, d + 1)),
-                                        rank_one(v, v), _conjugation_probe(d), *probes])
+    # the plan is a temporary, wrapped as query_many takes it: only the
+    # validation stack, which checks reads, lives on through the fit. Its
+    # probes are views of that frozen stack, so they are wrapped as they are.
+    x, p, q, *held = oracle.query_many(itertools.chain(
+        map(_exact, [np.zeros((d, d)), np.eye(d), np.diag(np.arange(1.0, d + 1)),
+                     rank_one(v, v), _conjugation_probe(d)]),
+        map(HermitianMatrix, probes)))
     try:
         fit = _fit(_pencil_columns(p - x, q - x), x, iter(held), checks, tol)
     except (OracleNotAutomorphicError, np.linalg.LinAlgError):
-        basis = (rank_one(e, e) for e in np.eye(d))
+        basis = (_exact(rank_one(e, e)) for e in np.eye(d))
         fit = _fit(_basis_columns(oracle.query_many(basis), x), x, iter(held), checks, tol)
     recovered, max_residual, degenerate = fit
 
@@ -333,14 +362,18 @@ class OrderCheckReport:
         return not self.violations
 
 
-def _order_pair(rng: np.random.Generator, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trial k's pair (A, B): B = A + GG*, so A <= B, at even k, Hermitian
-    only up to rounding; an independent draw at odd k."""
+def _order_pair(rng: np.random.Generator, d: int,
+                k: int) -> tuple[HermitianMatrix, HermitianMatrix]:
+    """Trial k's pair (A, B), wrapped unchecked: B = symmetrize(A + GG*), so
+    A <= B, at even k; an independent draw at odd k. Both are Hermitian bit
+    for bit, so ``query_many`` sends them as they are."""
     a = random_hermitian(rng, d)
     if k % 2 == 0:
         g = random_uniform(rng, d)
-        return a, a + g @ g.conj().T
-    return a, random_hermitian(rng, d)
+        b = symmetrize(a + g @ g.conj().T)
+    else:
+        b = random_hermitian(rng, d)
+    return _exact(a), _exact(b)
 
 
 def check_order_automorphism(
@@ -357,6 +390,9 @@ def check_order_automorphism(
     (``loewner._relation``). The 2 * ``trials`` probes go to the oracle as
     one stream (``OracleHandle.query_many``), drawn in trial order as the
     handle takes them, so a pair is held only until its images are back.
+    Each pair is Hermitian bit for bit and goes out as ``HermitianMatrix``
+    wrappers, which ``query_many`` sends unchecked; the answers are
+    checked.
     """
     if trials < 1:
         raise ValidationError(f"an order check needs at least one trial, got {trials}")
@@ -375,7 +411,7 @@ def check_order_automorphism(
     for k in range(trials):
         after = _relation(next(images), next(images), tol)
         a, b = pending.popleft()
-        before = _relation(a, symmetrize(b), tol)
+        before = _relation(a.mat, b.mat, tol)
         if before != after:
             violations.append(
                 {"trial": k, "before": before.value, "after": after.value}

@@ -161,8 +161,8 @@ class HermitianMatrix:
         1 to ``MAX_DIM`` with finite entries and
         ||M - M*||_F <= ``ASYMMETRY_LIMIT`` * max(||M||_F, 1); otherwise
         ValidationError. Every raw array is checked by this rule where it
-        enters a public entry point, and every oracle probe and answer by
-        ``_hermitian_stack``.
+        enters a public entry point, and every raw oracle probe and every
+        answer by ``_hermitian_stack``.
 
         ||M||_F^2 comes from one ``vdot``, which is NaN or inf when an entry
         is non-finite. When it is at most ``_NORM2_GUARD``, the asymmetry is

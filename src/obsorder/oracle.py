@@ -9,17 +9,21 @@ bytes after a stack header, see below) on stdin/stdout. The loop
 
 1. takes up to a block of probes: one for a callable and for a child that
    has not offered stack frames, otherwise ``frame_capacity(d)``;
-2. checks the block's shapes and, as one stack, the rule of
-   ``HermitianMatrix.from_array`` (finite entries and
-   ||M - M*||_F <= ``hermitian.ASYMMETRY_LIMIT`` * max(||M||_F, 1), by
-   ``hermitian._hermitian_stack``), and hands the Hermitian parts of the
-   good probes ahead of the first bad one to its handle's one hook: the
+2. checks the block's shapes and hands the Hermitian parts of the good
+   probes ahead of the first bad one to its handle's one hook: the
    callable per matrix, ``automorphism._images`` on the stack, or one
-   frame on the pipe;
+   frame on the pipe. A ``HermitianMatrix`` wrapper passes unchecked, as it
+   does at every entry point of ``hermitian``, so a block of wrappers only
+   is stacked and sent as it is; a block with any raw array is checked
+   whole, as one stack, by the rule of ``HermitianMatrix.from_array``
+   (finite entries and
+   ||M - M*||_F <= ``hermitian.ASYMMETRY_LIMIT`` * max(||M||_F, 1), by
+   ``hermitian._hermitian_stack``), which a wrapper's matrix passes
+   unchanged;
 3. checks the answers as one stack by the same rule;
 4. yields the good answers, then raises the first bad one's error.
 
-A bad probe raises ``from_array``'s ``ValidationError`` and reaches no
+A bad raw probe raises ``from_array``'s ``ValidationError`` and reaches no
 oracle. A bad answer raises ``OracleNotAutomorphicError`` with the message
 "oracle response is not a valid Hermitian matrix: " and ``from_array``'s.
 ``query`` is a block of one, and ``calls`` counts the answers yielded.
@@ -77,7 +81,14 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import OracleNotAutomorphicError, TransportFailureError, ValidationError
-from .hermitian import ASYMMETRY_LIMIT, MAX_DIM, HermitianMatrix, _hermitian_stack, _leading
+from .hermitian import (
+    ASYMMETRY_LIMIT,
+    MAX_DIM,
+    HermitianMatrix,
+    _freeze,
+    _hermitian_stack,
+    _leading,
+)
 from .io import (
     matrix_frame_from_dict,
     matrix_to_dict,
@@ -164,14 +175,22 @@ class OracleHandle:
         return next(self.query_many([a]))
 
     def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """The answers to ``probes``, in order, each drawn only as its block
-        is taken (see the module docstring)."""
+        """The answers to ``probes``, arrays or ``HermitianMatrix``
+        wrappers, in order, each drawn only as its block is taken (see the
+        module docstring)."""
         probes = iter(probes)
         shape = (self.dim, self.dim)
-        while block := [np.asarray(a, dtype=np.complex128)
-                        for a in itertools.islice(probes, self._per_block)]:
+        while block := list(itertools.islice(probes, self._per_block)):
+            wrapped = all(isinstance(a, HermitianMatrix) for a in block)
+            block = [a.mat if isinstance(a, HermitianMatrix)
+                     else np.asarray(a, dtype=np.complex128) for a in block]
             n = next((i for i, a in enumerate(block) if a.shape != shape), len(block))
-            rest, k = _hermitian_stack(np.stack(block[:n])) if n else ([], 0)
+            if not n:
+                rest, k = [], 0
+            elif wrapped:
+                rest, k = _freeze(np.stack(block[:n])), n
+            else:
+                rest, k = _hermitian_stack(np.stack(block[:n]))
             while len(rest):
                 replies = self._answer(rest)
                 images, m = _hermitian_stack(replies)

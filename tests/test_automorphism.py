@@ -304,7 +304,10 @@ class TestReconstruct:
         # their images. Drawn into one stack in place, the probes peak the
         # call at 4.0 MB of allocations in blocks of one probe, and at 4.7 MB
         # in blocks of 4; with the uniform draw and three complex stacks
-        # alive at once the peak was 6.7 MB in blocks of one
+        # alive at once the peak was 6.7 MB in blocks of one. Sent as
+        # wrappers, unchecked, wrapped as the oracle takes them and freed
+        # once answered, with the draw made in blocks, the call peaks at
+        # 4.61 MB; holding the plan's wrappers until the fit read 4.84 MB
         phi = random_automorphism(np.random.default_rng(3), 64)
         handle = from_automorphism(phi)
         reconstruct(handle, seed=5)  # imports and first-call set-up
@@ -1307,6 +1310,81 @@ class TestInProcessChecks:
         assert seen == [] and handle.calls == 0
         next(images)
         assert len(seen) == 1 and handle.calls == 1
+
+
+class TestWrappedProbes:
+    """A ``HermitianMatrix`` wrapper passes ``query_many`` unchecked; a block
+    with a raw probe is checked whole before any oracle sees it, and every
+    answer is checked."""
+
+    @staticmethod
+    def count_checks(monkeypatch) -> list:
+        """The size of each stack that query_many checks from now on."""
+        sizes = []
+        real = oracle_module._hermitian_stack
+
+        def counting(stack):
+            sizes.append(len(stack))
+            return real(stack)
+
+        monkeypatch.setattr(oracle_module, "_hermitian_stack", counting)
+        return sizes
+
+    def test_reconstruct_checks_the_answers_only(self, monkeypatch, rng):
+        # 25 answers in blocks of frame_capacity(64) = 4; the probes, checked
+        # too before they went out as arrays, took 7 checks more
+        handle = from_automorphism(random_automorphism(rng, 64))
+        sizes = self.count_checks(monkeypatch)
+        reconstruct(handle, seed=5)
+        assert sizes == [4] * 6 + [1]
+
+    def test_basis_read_checks_the_answers_only(self, monkeypatch, rng):
+        # the plan in one block, then the d basis projections in one more
+        d = 2
+        t = (random_unitary(rng, d) * np.geomspace(1.0, 1e-5, d)) @ random_unitary(rng, d)
+        handle = from_automorphism(OrderAutomorphism.create(t, x=random_hermitian(rng, d)))
+        sizes = self.count_checks(monkeypatch)
+        assert reconstruct(handle).probes_used == d + 25
+        assert sizes == [25, d]
+
+    def test_order_check_checks_the_answers_only(self, monkeypatch, rng):
+        handle = from_automorphism(random_automorphism(rng, 64))
+        sizes = self.count_checks(monkeypatch)
+        assert check_order_automorphism(handle, trials=2).passed
+        assert sizes == [4]
+
+    def test_mixed_block_is_checked_whole(self, monkeypatch, rng):
+        handle = from_automorphism(random_automorphism(rng, 2))
+        sizes = self.count_checks(monkeypatch)
+        wrapped = HermitianMatrix.from_array(random_hermitian(rng, 2))
+        assert len(list(handle.query_many([wrapped, random_hermitian(rng, 2)]))) == 2
+        assert sizes == [2, 2]
+
+    def test_asymmetric_raw_probe_next_to_a_wrapper_reaches_no_oracle(self, rng):
+        handle = from_automorphism(random_automorphism(rng, 2))
+        bad = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError) as want:
+            HermitianMatrix.from_array(bad)
+        wrapped = HermitianMatrix.from_array(random_hermitian(rng, 2))
+        with pytest.raises(ValidationError) as got:
+            list(handle.query_many([bad, wrapped]))
+        assert str(got.value) == str(want.value)
+        assert handle.calls == 0
+
+    def test_wrapped_block_reaches_a_callable_read_only(self, rng):
+        seen = []
+        handle = OracleHandle(lambda a: seen.append(a) or a, 2)
+        handle.query(HermitianMatrix.from_array(random_hermitian(rng, 2)))
+        assert not seen[0].flags.writeable
+
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_wrapped_and_raw_probes_get_the_same_images(self, rng, d):
+        phi = random_automorphism(rng, d)
+        probes = [random_hermitian(rng, d) for _ in range(6)]
+        for make in (from_automorphism, per_matrix_oracle):
+            raw = list(make(phi).query_many(probes))
+            wrapped = list(make(phi).query_many(map(HermitianMatrix.from_array, probes)))
+            assert [m.tobytes() for m in wrapped] == [m.tobytes() for m in raw]
 
 
 def per_matrix_oracle(phi) -> OracleHandle:

@@ -339,6 +339,16 @@ class TestVerify:
         code, _, err = run_cli(["verify", "thm1", "--dims", "2,x"], capsys)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("dims, bad", [("4,1", 1), ("65", 65)])
+    def test_dims_are_checked_before_any_trial(self, dims, bad, capsys, monkeypatch):
+        import obsorder.harness as harness
+
+        ran = []
+        monkeypatch.setitem(harness._SUITES, "thm1", lambda dim, rng, tol: ran.append(dim) or [])
+        code, out, err = run_cli(["verify", "thm1", "--dims", dims, "--trials", "2"], capsys)
+        assert code == 2 and out == "" and ran == []
+        assert err == f"error: suites require dimensions in [2, 64], got {bad}\n"
+
     @pytest.mark.parametrize("argv", [["--dims", ""], ["--trials", "0"]], ids=["no_dims", "no_trials"])
     def test_nothing_to_run(self, argv, capsys):
         code, out, err = run_cli(["verify", "thm1", *argv], capsys)

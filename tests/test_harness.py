@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,29 @@ class TestSuites:
     def test_dimension_floor(self):
         with pytest.raises(ValidationError):
             run_suite("thm1", dims=[1], trials=1)
+
+    def test_failure_digest_is_the_head_of_the_trial_stream(self, monkeypatch):
+        import obsorder.harness as h
+
+        def odd_trials_fail(dim, rng, tol):
+            return ["odd", "twice"] if rng.integers(0, 2) else []
+
+        monkeypatch.setitem(h._SUITES, "odd", odd_trials_fail)
+        report = run_suite("odd", dims=[2, 3], trials=12, seed=4)
+        assert report.failures and len(report.failures) < 2 * 2 * 12
+        for f in report.failures:
+            rng = np.random.default_rng([f["seed"], f["dim"], f["trial"]])
+            assert f["digest"] == hashlib.sha256(rng.bytes(32)).hexdigest()[:16]
+
+    def test_passing_trial_builds_no_digest(self, monkeypatch):
+        import obsorder.harness as h
+
+        streams = []
+        real = h._trial_rng
+        monkeypatch.setattr(h, "_trial_rng", lambda *key: streams.append(key) or real(*key))
+        monkeypatch.setitem(h._SUITES, "pass", lambda dim, rng, tol: [])
+        assert run_suite("pass", dims=[2, 3], trials=5, seed=1).passed
+        assert len(streams) == 10
 
     def test_report_determinism(self):
         a = run_suite("lemma-rng", dims=[2, 3], trials=5, seed=7).to_dict()
