@@ -3,8 +3,9 @@
 Each module is runnable as ``python -m obsorder.demo_oracles.<name> <dim>``
 and serves the request/response loop of ``obsorder.oracle`` until stdin
 closes. A single request gets a single reply in the decimal matrix form.
-A reply to a request carrying "accept" lists ``["raw-stack"]`` under its
-own "accept": the child also takes stack frames, a JSON header line
+A reply to a request carrying "accept" lists ``["raw-stack"]``
+(``io.RAW_STACK``) under its own "accept": the child also takes stack
+frames, a JSON header line
 ``{"id": k, "matrix": {"dim": d, "count": n, "bytes": 16*n*d*d}}``
 followed by that many raw bytes (see ``obsorder.io``), and answers each
 with a stack frame of its n images, in order. A stack is checked once, as
@@ -15,6 +16,10 @@ is applied to one symmetrized matrix at a time, so it need not handle
 stacks; its images are written into one preallocated stack, which is the
 reply's payload. A stack whose payload ends early raises
 ``ValidationError``.
+
+This package imports ``obsorder.hermitian`` and ``obsorder.io`` only, and
+``obsorder`` loads its names on first use, so a child starts without the
+transport, order or reconstruction modules.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ import numpy as np
 
 from ..hermitian import HermitianMatrix, _hermitian_stack
 from ..io import (
+    RAW_STACK,
     hermitian_from_dict,
     matrix_to_dict,
     read_stack,
     stack_frame,
     stack_shape,
 )
-from ..oracle import RAW_STACK
 
 
 def serve(fn: Callable[[np.ndarray], np.ndarray]) -> None:

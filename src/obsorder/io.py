@@ -17,7 +17,11 @@ little-endian complex128 (real then imaginary float64), matrix after
 matrix, each row-major. A stack is not JSON, so files and CLI input cannot
 hold one; the single-matrix readers reject a dict carrying ``count``.
 ``stack_frame`` writes a header and its payload, ``stack_shape`` checks a
-header and ``read_stack`` reads a payload.
+header and ``read_stack`` reads a payload. ``RAW_STACK`` ("raw-stack") is
+the token by which the two ends of the pipe offer this form: a child
+lists it under the "accept" of its reply. The token lives here, with the
+format it names, so that an oracle child needs this module but not the
+transport of ``obsorder.oracle``.
 
 Vectors are a single list of ``[re, im]`` pairs. Automorphism files are
 ``{"T": <matrix>, "conjugate": bool, "X": <matrix>}`` where ``T`` may be an
@@ -41,6 +45,7 @@ from .errors import ValidationError
 from .hermitian import MAX_DIM, HermitianMatrix
 
 __all__ = [
+    "RAW_STACK",
     "matrix_to_dict",
     "matrix_frame_from_dict",
     "hermitian_from_dict",
@@ -52,6 +57,9 @@ __all__ = [
     "vector_from_list",
     "dumps",
 ]
+
+# the "accept" token of an oracle child that takes stack frames
+RAW_STACK = "raw-stack"
 
 
 def matrix_to_dict(arr: np.ndarray) -> dict:

@@ -12,11 +12,11 @@ bytes after a stack header, see below) on stdin/stdout. The loop
 2. checks the block's shapes and hands the Hermitian parts of the good
    probes ahead of the first bad one to its handle's one hook: the
    callable per matrix, ``automorphism._images`` on the stack, or one
-   frame on the pipe. A ``HermitianMatrix`` wrapper passes unchecked, as it
-   does at every entry point of ``hermitian``, so a block of wrappers only
-   is stacked and sent as it is; a block with any raw array is checked
-   whole, as one stack, by the rule of ``HermitianMatrix.from_array``
-   (finite entries and
+   frame on the pipe. A ``HermitianMatrix`` or ``PsdMatrix`` wrapper passes
+   unchecked, as it does at every entry point of ``hermitian``, so a block
+   of wrappers only is stacked and sent as it is; a block with any raw
+   array is checked whole, as one stack, by the rule of
+   ``HermitianMatrix.from_array`` (finite entries and
    ||M - M*||_F <= ``hermitian.ASYMMETRY_LIMIT`` * max(||M||_F, 1), by
    ``hermitian._hermitian_stack``), which a wrapper's matrix passes
    unchanged;
@@ -36,11 +36,12 @@ child process is launched with the dimension as its first argument. A handle
 is strictly serial: one frame in flight at a time.
 
 A single frame carries one matrix in the decimal form of ``obsorder.io``.
-A child whose reply lists ``"raw-stack"`` under its own ``accept`` (as the
-demo oracles do) gets stack frames from then on, for ``query`` and
-``query_many`` alike; any other child, one that ignores ``accept`` or
-offers other tokens, keeps getting decimal single frames. A stack frame is
-one JSON header line followed by raw bytes:
+A child whose reply lists ``"raw-stack"`` (``io.RAW_STACK``, the token of
+the wire format) under its own ``accept`` (as the demo oracles do) gets
+stack frames from then on, for ``query`` and ``query_many`` alike; any
+other child, one that ignores ``accept`` or offers other tokens, keeps
+getting decimal single frames. A stack frame is one JSON header line
+followed by raw bytes:
 
     {"id": k, "matrix": {"dim": d, "count": n, "bytes": 16 * n * d * d}}
     <the n matrices as little-endian complex128, each row-major>
@@ -85,11 +86,13 @@ from .hermitian import (
     ASYMMETRY_LIMIT,
     MAX_DIM,
     HermitianMatrix,
+    PsdMatrix,
     _freeze,
     _hermitian_stack,
     _leading,
 )
 from .io import (
+    RAW_STACK,
     matrix_frame_from_dict,
     matrix_to_dict,
     read_stack,
@@ -103,9 +106,6 @@ EXIT_WAIT_S = 1.0
 
 # how long a child gets to take and answer one frame before it is killed
 RESPONSE_TIMEOUT_S = 60.0
-
-# the token of a child that takes stack frames
-RAW_STACK = "raw-stack"
 
 # raw matrix bytes (16 per entry) per stack frame: the whole reconstruction
 # plan at d <= 8, 16 probes at d = 32, 4 at d = 64. A frame's fixed cost is
@@ -127,6 +127,9 @@ FRAME_BUDGET_BYTES = 256 * 1024
 # for the id and keys. A stack header takes under 100 bytes in all.
 LINE_BYTES_PER_ENTRY = 64
 LINE_SLACK_BYTES = 4096
+
+# probes that pass unchecked: their matrix is Hermitian by construction
+_WRAPPERS = (HermitianMatrix, PsdMatrix)
 
 
 def frame_capacity(d: int) -> int:
@@ -175,14 +178,14 @@ class OracleHandle:
         return next(self.query_many([a]))
 
     def query_many(self, probes: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        """The answers to ``probes``, arrays or ``HermitianMatrix``
-        wrappers, in order, each drawn only as its block is taken (see the
-        module docstring)."""
+        """The answers to ``probes``, arrays or ``HermitianMatrix`` or
+        ``PsdMatrix`` wrappers, in order, each drawn only as its block is
+        taken (see the module docstring)."""
         probes = iter(probes)
         shape = (self.dim, self.dim)
         while block := list(itertools.islice(probes, self._per_block)):
-            wrapped = all(isinstance(a, HermitianMatrix) for a in block)
-            block = [a.mat if isinstance(a, HermitianMatrix)
+            wrapped = all(isinstance(a, _WRAPPERS) for a in block)
+            block = [a.mat if isinstance(a, _WRAPPERS)
                      else np.asarray(a, dtype=np.complex128) for a in block]
             n = next((i for i, a in enumerate(block) if a.shape != shape), len(block))
             if not n:

@@ -47,7 +47,7 @@ from obsorder.generators import (
     random_uniform,
     random_unitary,
 )
-from obsorder.hermitian import _hermitian_stack, herm_array, rank_one, symmetrize
+from obsorder.hermitian import _hermitian_stack, as_psd, herm_array, rank_one, symmetrize
 from obsorder.io import (
     complex_matrix_from_dict,
     hermitian_from_dict,
@@ -1313,9 +1313,9 @@ class TestInProcessChecks:
 
 
 class TestWrappedProbes:
-    """A ``HermitianMatrix`` wrapper passes ``query_many`` unchecked; a block
-    with a raw probe is checked whole before any oracle sees it, and every
-    answer is checked."""
+    """A ``HermitianMatrix`` or ``PsdMatrix`` wrapper passes ``query_many``
+    unchecked; a block with a raw probe is checked whole before any oracle
+    sees it, and every answer is checked."""
 
     @staticmethod
     def count_checks(monkeypatch) -> list:
@@ -1376,6 +1376,28 @@ class TestWrappedProbes:
         handle = OracleHandle(lambda a: seen.append(a) or a, 2)
         handle.query(HermitianMatrix.from_array(random_hermitian(rng, 2)))
         assert not seen[0].flags.writeable
+
+    def test_psd_probe_reaches_a_callable_unchecked(self, monkeypatch):
+        sizes = self.count_checks(monkeypatch)
+        image = OracleHandle(np.negative, 2).query(as_psd(np.eye(2)))
+        assert np.array_equal(image, -np.eye(2))
+        assert sizes == [1]
+
+    def test_psd_probes_get_the_images_of_their_matrices(self, monkeypatch, rng):
+        phi = random_automorphism(rng, 2)
+        probes = [random_psd(rng, 2, 2) for _ in range(3)]
+        want = list(from_automorphism(phi).query_many(probes))
+        sizes = self.count_checks(monkeypatch)
+        got = list(from_automorphism(phi).query_many(map(as_psd, probes)))
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+        assert sizes == [3]
+
+    def test_psd_and_hermitian_wrappers_share_an_unchecked_block(self, monkeypatch, rng):
+        handle = from_automorphism(random_automorphism(rng, 2))
+        sizes = self.count_checks(monkeypatch)
+        block = [as_psd(random_psd(rng, 2, 2)), HermitianMatrix.from_array(random_hermitian(rng, 2))]
+        assert len(list(handle.query_many(block))) == 2
+        assert sizes == [2]
 
     @pytest.mark.parametrize("d", [2, 64])
     def test_wrapped_and_raw_probes_get_the_same_images(self, rng, d):

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +83,65 @@ def test_oracle_has_one_loop_and_no_inline_threshold():
         if isinstance(node, ast.Constant) and isinstance(node.value, float)
     ]
     assert not floats, "float literals outside oracle.py's named constants: " + ", ".join(floats)
+
+
+def _fresh(code: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter on this source."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_oracle_child_loads_the_wire_format_only():
+    # a demo oracle child needs hermitian and io; the transport (subprocess),
+    # the harness (hashlib) and the order code stay unloaded
+    loaded = json.loads(_fresh(
+        "import json, sys; import obsorder.demo_oracles; "
+        "print(json.dumps(sorted(n for n in sys.modules if n.split('.')[0] "
+        "in ('obsorder', 'hashlib', 'subprocess'))))"
+    ))
+    assert loaded == ["obsorder", "obsorder.demo_oracles", "obsorder.errors",
+                      "obsorder.hermitian", "obsorder.io", "obsorder.tolerances"]
+
+
+def test_package_imports_no_submodule_at_load():
+    # the package resolves its names on first use; one import at its top
+    # level would load that module, and all it imports, in every child
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    found = [
+        f"__init__.py:{node.lineno}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("obsorder"))
+        or isinstance(node, ast.Import) and any(a.name.startswith("obsorder") for a in node.names)
+    ]
+    assert not found, "module-level imports of obsorder submodules: " + ", ".join(found)
+
+
+def test_star_import_binds_every_public_name():
+    import obsorder
+
+    namespace = {}
+    exec("from obsorder import *", namespace)
+    missing = [n for n in obsorder.__all__ if namespace.get(n) is not getattr(obsorder, n)]
+    assert not missing, "public names that `import *` does not bind: " + ", ".join(missing)
+    assert set(obsorder.__all__) <= set(dir(obsorder))
+
+
+def test_names_resolve_after_a_bare_import():
+    modules = sorted([p.stem for p in SRC.glob("*.py") if p.stem != "__init__"]
+                     + [p.parent.name for p in SRC.glob("*/__init__.py")])
+    out = _fresh(
+        "import sys, types, numpy as np, obsorder\n"
+        "print(sorted(n for n in sys.modules if n.startswith('obsorder')))\n"
+        "print(obsorder.loewner.leq(np.eye(2), 2 * np.eye(2)), obsorder.leq is obsorder.loewner.leq)\n"
+        "try:\n    obsorder.no_such_name\nexcept AttributeError as exc:\n    print(exc)\n"
+        f"print([n for n in {modules!r} if not isinstance(getattr(obsorder, n), types.ModuleType)])\n"
+    )
+    assert len(modules) > 10, f"package source not found under {SRC}"
+    assert out.splitlines() == [
+        "['obsorder']",
+        "True True",
+        "module 'obsorder' has no attribute 'no_such_name'",
+        "[]",
+    ]
