@@ -26,6 +26,7 @@ from .hermitian import (
     HermitianMatrix,
     _check_square_finite,
     _freeze,
+    _spectral_norm,
     as_hermitian,
     herm_array,
     rank_one,
@@ -169,7 +170,7 @@ def gauge_distance(t_rec: np.ndarray, t_gen: np.ndarray) -> float:
 def _column_from_rank_one(m: np.ndarray, what: str) -> np.ndarray:
     """Recover t (up to phase) from a matrix that must equal t t*."""
     evals, evecs = np.linalg.eigh(m)
-    norm = float(np.max(np.abs(evals)))
+    norm = _spectral_norm(evals)
     if norm == 0.0 or float(evals[-1]) <= 0.0:
         raise OracleNotAutomorphicError(f"{what}: image is not a nonzero PSD matrix")
     if float(evals[0]) < -RECON_TOL * norm:

@@ -5,12 +5,19 @@ All public entry points accept either the wrapper types defined here or bare
 ``numpy`` arrays. A raw array is checked once, where it enters a public entry
 point; a wrapper passes through unchecked. Internally everything is
 ``complex128``.
+
+A wrapper is decomposed at most once of each kind, by its two accessors
+``HermitianMatrix._eigvalsh`` (values only) and ``_eigh`` (values and
+vectors), the module's only eigensolver calls. Each keeps its read-only
+result for the wrapper's lifetime, a ``PsdMatrix`` shares its base's, and a
+PSD certificate is read off a spectrum already computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -193,21 +200,41 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    @cached_property
+    def _eigvalsh(self) -> np.ndarray:
+        """The eigenvalues, ascending and read-only, from one ``eigvalsh``."""
+        evals = np.linalg.eigvalsh(self.mat)
+        evals.flags.writeable = False
+        return evals
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues (ascending) and orthonormal eigenvectors, read-only,
+        from one ``eigh``, with LAPACK's phases. At d >= 4 the values differ
+        from ``_eigvalsh``'s in the last bits, so neither stands in for the
+        other."""
+        try:
+            evals, evecs = np.linalg.eigh(self.mat)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+        evals.flags.writeable = evecs.flags.writeable = False
+        return evals, evecs
+
 
 @dataclass(frozen=True, eq=False)
 class PsdMatrix:
     """Hermitian matrix certified positive semidefinite at construction:
     its smallest eigenvalue does not fall below -tol_psd * max(||A||, 1).
 
-    ``from_hermitian`` decides this as the order verdict 0 <= A, by the
-    Cholesky certificate of ``leq`` (``_shift_factors``), and runs an
-    ``eigvalsh`` only when that cannot tell. ``min_eig``, the smallest
-    eigenvalue, is then read off one ``eigvalsh`` on first use, unless the
-    spectrum that certified A gave it already.
+    ``from_hermitian`` decides this off a spectrum of A already computed,
+    and otherwise as the order verdict 0 <= A, by the Cholesky certificate
+    of ``leq`` (``_shift_factors``), running an ``eigvalsh`` only when that
+    cannot tell. The wrapper holds no spectrum of its own: it reads its
+    base's accessors, so ``min_eig`` costs one ``eigvalsh`` per base at
+    most.
     """
 
     base: HermitianMatrix
-    _min_eig: float | None = field(default=None, repr=False)
 
     @classmethod
     def from_hermitian(
@@ -216,19 +243,27 @@ class PsdMatrix:
         """The certified wrapper of h; ValidationError when h is not PSD.
 
         With frob = max(||A||_F, 1) (1 + margin), a Cholesky factor of
-        A + cI certifies A exactly as it certifies 0 <= A in ``leq``. A
-        failed or untried factor takes the spectral rule on one
-        ``eigvalsh``, and its message."""
+        A + cI certifies A exactly as it certifies 0 <= A in ``leq``. The
+        spectral rule, lo >= -tol_psd * max(norm, 1), decides instead when
+        h's values are already computed (``_eigvalsh``, else ``_eigh``'s)
+        and when the factor fails or is not tried (then on ``_eigvalsh``)."""
         h = as_hermitian(h)
-        if _shift_factors(h.mat, 1.0, _frobenius_scale(h.mat), tol):
-            return cls(base=h)
-        return cls(base=h, _min_eig=_certified_min_eig(np.linalg.eigvalsh(h.mat), tol))
+        cache = vars(h)  # where each cached_property keeps its result
+        evals = cache.get("_eigvalsh", cache.get("_eigh", (None,))[0])
+        if evals is None:
+            if _shift_factors(h.mat, 1.0, _frobenius_scale(h.mat), tol):
+                return cls(base=h)
+            evals = h._eigvalsh
+        lo, norm = float(evals[0]), _spectral_norm(evals)
+        if lo < -scaled(tol.tol_psd, norm):
+            raise ValidationError(
+                f"matrix is not PSD: smallest eigenvalue {lo:.3e} (norm {norm:.3e})"
+            )
+        return cls(base=h)
 
     @property
     def min_eig(self) -> float:
-        if self._min_eig is None:
-            object.__setattr__(self, "_min_eig", float(np.linalg.eigvalsh(self.mat)[0]))
-        return self._min_eig
+        return float(self.base._eigvalsh[0])
 
     @property
     def mat(self) -> np.ndarray:
@@ -297,38 +332,18 @@ def _spectral_norm(evals: np.ndarray) -> float:
     return max(abs(float(evals[0])), abs(float(evals[-1])))
 
 
-def _certified_min_eig(evals: np.ndarray, tol: Tolerances) -> float:
-    """Smallest of the ascending ``evals``; ValidationError when it falls
-    below ``-tol_psd * max(norm, 1)``."""
-    lo = float(evals[0])
-    norm = _spectral_norm(evals)
-    if lo < -scaled(tol.tol_psd, norm):
-        raise ValidationError(
-            f"matrix is not PSD: smallest eigenvalue {lo:.3e} (norm {norm:.3e})"
-        )
-    return lo
-
-
 def as_psd(m, tol: Tolerances = DEFAULT_TOLERANCES) -> PsdMatrix:
     if isinstance(m, PsdMatrix):
         return m
     return PsdMatrix.from_hermitian(m, tol)
 
 
-def psd_eigh(
-    m, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[PsdMatrix, np.ndarray, np.ndarray]:
-    """``as_psd(m)`` with its eigenvalues (ascending) and orthonormal
-    eigenvectors, all from one ``eigh``: the PSD certificate is read off the
-    same eigenvalues. Eigenvector phases are LAPACK's, not ``eig``'s gauge."""
+def _decomposed_psd(m, tol: Tolerances, full: bool) -> PsdMatrix:
+    """``as_psd(m)`` with its ``_eigh`` (full) or ``_eigvalsh`` computed
+    first, so that a raw operand's certificate is read off that spectrum."""
     h = as_hermitian(m)
-    try:
-        evals, evecs = np.linalg.eigh(h.mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    if isinstance(m, PsdMatrix):
-        return m, evals, evecs
-    return PsdMatrix(base=h, _min_eig=_certified_min_eig(evals, tol)), evals, evecs
+    h._eigh if full else h._eigvalsh
+    return as_psd(m if isinstance(m, PsdMatrix) else h, tol)
 
 
 def herm_array(m) -> np.ndarray:
@@ -362,49 +377,17 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 
 
 def eig(m) -> Eigendecomposition:
-    """Hermitian eigendecomposition with deterministic output gauge."""
-    arr = herm_array(m)
-    try:
-        evals, evecs = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    return Eigendecomposition(
-        eigenvalues=_freeze_real(evals), eigenvectors=_freeze(_fix_column_phases(evecs))
-    )
-
-
-def _freeze_real(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+    """Hermitian eigendecomposition with deterministic output gauge: the
+    wrapper's ``_eigh`` with each eigenvector's phase fixed."""
+    evals, evecs = as_hermitian(m)._eigh
+    return Eigendecomposition(eigenvalues=evals, eigenvectors=_freeze(_fix_column_phases(evecs)))
 
 
 def rank_numeric(m, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Count of eigenvalues above the rank threshold in modulus; 0 for the
     zero matrix."""
-    evals = np.abs(np.linalg.eigvalsh(as_hermitian(m).mat))
-    return int(np.count_nonzero(evals > scaled(tol.tol_rank, float(np.max(evals)))))
-
-
-def psd_eigvalsh(m, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[PsdMatrix, np.ndarray]:
-    """``as_psd(m)`` and its eigenvalues (ascending) from one ``eigvalsh``: a
-    raw operand's PSD certificate is read off the same eigenvalues."""
-    h = as_hermitian(m)
-    evals = np.linalg.eigvalsh(h.mat)
-    if not isinstance(m, PsdMatrix):
-        m = PsdMatrix(base=h, _min_eig=_certified_min_eig(evals, tol))
-    return m, evals
-
-
-def psd_rank(m, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[PsdMatrix, int]:
-    """``as_psd(m)`` and its rank from one ``eigvalsh`` (``psd_eigvalsh``).
-    The rank counts the eigenvalues above ``tol_rank * max(norm, 1)``, not
-    their moduli: a negative eigenvalue the certificate admits (when tol_psd
-    > tol_rank) has no positive spectral term. Otherwise this is
-    ``rank_numeric(m)``."""
-    m, evals = psd_eigvalsh(m, tol)
-    cut = scaled(tol.tol_rank, _spectral_norm(evals))
-    return m, int(np.count_nonzero(evals > cut))
+    evals = as_hermitian(m)._eigvalsh
+    return int(np.count_nonzero(np.abs(evals) > scaled(tol.tol_rank, _spectral_norm(evals))))
 
 
 def range_basis(m, tol: Tolerances = DEFAULT_TOLERANCES) -> list[np.ndarray]:
@@ -412,8 +395,7 @@ def range_basis(m, tol: Tolerances = DEFAULT_TOLERANCES) -> list[np.ndarray]:
     eigenvalues exceed the rank threshold."""
     h = as_hermitian(m)
     dec = eig(h)
-    norm = float(np.max(np.abs(dec.eigenvalues)))
-    thr = scaled(tol.tol_rank, norm)
+    thr = scaled(tol.tol_rank, _spectral_norm(dec.eigenvalues))
     keep = np.abs(dec.eigenvalues) > thr
     return [np.array(dec.eigenvectors[:, j]) for j in range(h.dim) if keep[j]]
 

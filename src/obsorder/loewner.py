@@ -55,6 +55,7 @@ from .errors import (
 from .hermitian import (
     _UNIT_ROUNDOFF,
     PsdMatrix,
+    _decomposed_psd,
     _frobenius_scale,
     _rounding_radius,
     _scaled_projector,
@@ -62,8 +63,6 @@ from .hermitian import (
     _spectral_norm,
     as_hermitian,
     herm_array,
-    psd_eigh,
-    psd_eigvalsh,
     rank_one,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
@@ -300,14 +299,8 @@ def _range_weight(
     return residual, weight
 
 
-def _certified_max_lambda(
-    x: np.ndarray,
-    b: PsdMatrix,
-    evals: np.ndarray,
-    evecs: np.ndarray,
-    tol: Tolerances,
-) -> float | None:
-    """``max_lambda`` for unit x and B with eigenpairs (evals, evecs).
+def _certified_max_lambda(x: np.ndarray, b: PsdMatrix, tol: Tolerances) -> float | None:
+    """``max_lambda`` for unit x and B, in B's eigenbasis (its ``_eigh``).
 
     The closed form lambda = 1 / weight is certified through the order: it
     must be feasible for x's projection x_r = V_r c_r onto the kept range
@@ -326,6 +319,7 @@ def _certified_max_lambda(
     that form and of the eigensolver on B - lambda' P. Otherwise the test
     runs on one ``eigvalsh``.
     """
+    evals, evecs = b.base._eigh
     c, keep, root = _range_coordinates(evals, evecs, x, tol)
     residual, weight = _range_weight(c, keep, root)
     if residual > tol.tol_range:
@@ -370,13 +364,13 @@ def max_lambda(
     smaller than tol_psd * ||B||.
     """
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    b, evals, evecs = psd_eigh(b, tol)
+    b = _decomposed_psd(b, tol, full=True)
     if x.size != b.dim:
         raise DimensionMismatchError(f"vector length {x.size} vs matrix dim {b.dim}")
     nrm = float(np.linalg.norm(x))
     if not abs(nrm - 1.0) <= 1e-6:  # a NaN norm fails this too
         raise ValidationError(f"x must be a unit vector, got norm {nrm}")
-    return _certified_max_lambda(x / nrm, b, evals, evecs, tol)
+    return _certified_max_lambda(x / nrm, b, tol)
 
 
 def _power_step(a: np.ndarray, diag: np.ndarray, j: int) -> np.ndarray:
@@ -434,11 +428,12 @@ def _certified_rank_one_step(a: np.ndarray, tol: Tolerances) -> np.ndarray | Non
     return None
 
 
-def _spectral_rank_one_step(a: PsdMatrix, a_evals: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The direction x spanning rng A from A's ascending eigenvalues:
+def _spectral_rank_one_step(a: PsdMatrix, tol: Tolerances) -> np.ndarray:
+    """The direction x spanning rng A from A's ``_eigvalsh``:
     ValidationError unless exactly one clears the rank cut, then the power
     step when rho^2 d <= 1e-3 tol_range, and otherwise A's top eigenvector
-    from one ``eigh(A)``."""
+    from its ``_eigh``."""
+    a_evals = a.base._eigvalsh
     # rank of A under the rank_numeric cut
     norm = _spectral_norm(a_evals)
     keep = np.abs(a_evals) > scaled(tol.tol_rank, norm)
@@ -451,7 +446,7 @@ def _spectral_rank_one_step(a: PsdMatrix, a_evals: np.ndarray, tol: Tolerances) 
     if rho * rho * a.dim <= 1e-3 * tol.tol_range:
         diag = a.mat.diagonal().real
         return _power_step(a.mat, diag, int(np.argmax(diag)))
-    _, evals, evecs = psd_eigh(a, tol)
+    evals, evecs = a.base._eigh
     return evecs[:, int(np.argmax(np.abs(evals)))]
 
 
@@ -477,10 +472,10 @@ def range_dominates(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     h = as_hermitian(a)
     x = _certified_rank_one_step(h.mat, tol)
     if x is None:
-        a, a_evals = psd_eigvalsh(a if isinstance(a, PsdMatrix) else h, tol)
-    b, b_evals, b_evecs = psd_eigh(b, tol)
+        a = _decomposed_psd(a if isinstance(a, PsdMatrix) else h, tol, full=False)
+    b = _decomposed_psd(b, tol, full=True)
     if h.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {h.dim} vs {b.dim}")
     if x is None:
-        x = _spectral_rank_one_step(a, a_evals, tol)
-    return _certified_max_lambda(x, b, b_evals, b_evecs, tol) is not None
+        x = _spectral_rank_one_step(a, tol)
+    return _certified_max_lambda(x, b, tol) is not None

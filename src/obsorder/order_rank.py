@@ -17,9 +17,10 @@ import numpy as np
 from .errors import DimensionMismatchError, InternalInconsistencyError, ValidationError
 from .hermitian import (
     PsdMatrix,
+    _decomposed_psd,
+    _spectral_norm,
     as_psd,
     eig,
-    psd_rank,
     rank_numeric,
     range_basis,
     rank_one,
@@ -38,6 +39,17 @@ class RankWitness:
     n: int
 
 
+def _psd_rank(a, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[PsdMatrix, int]:
+    """``as_psd(a)`` and its rank, read off its ``_eigvalsh``, which also
+    certifies a raw a. The rank counts the eigenvalues above
+    ``tol_rank * max(norm, 1)``, not their moduli: a negative eigenvalue the
+    certificate admits (when tol_psd > tol_rank) has no positive spectral
+    term. Otherwise this is ``rank_numeric(a)``."""
+    a = _decomposed_psd(a, tol, full=False)
+    evals = a.base._eigvalsh
+    return a, int(np.count_nonzero(evals > scaled(tol.tol_rank, _spectral_norm(evals))))
+
+
 def _descending_spectral_terms(
     a: PsdMatrix, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -45,8 +57,7 @@ def _descending_spectral_terms(
     the matching eigenvectors as columns. Ties resolve through the
     deterministic eigenvector gauge of ``eig``."""
     dec = eig(a.base)
-    norm = float(np.max(np.abs(dec.eigenvalues)))
-    thr = scaled(tol.tol_rank, norm)
+    thr = scaled(tol.tol_rank, _spectral_norm(dec.eigenvalues))
     order = np.argsort(-dec.eigenvalues, kind="stable")
     order = order[dec.eigenvalues[order] > thr]
     return dec.eigenvalues[order], dec.eigenvectors[:, order]
@@ -79,7 +90,7 @@ def is_rank_one_by_order(a, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     no sample: there [0, A] is exactly {tA : 0 <= t <= 1}, and sA <= tA
     whenever s <= t, so the interval is totally ordered by construction.
     """
-    a, r = psd_rank(a, tol)
+    a, r = _psd_rank(a, tol)
     if r == 0:
         raise ValidationError("zero matrix has no rank-1 test")
     if r == 1:
@@ -104,7 +115,7 @@ def rank_gt_np1_witness(
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    a, r = psd_rank(a, tol)
+    a, r = _psd_rank(a, tol)
     if r <= n + 1:
         return None
     lams, vecs = _descending_spectral_terms(a, tol)

@@ -20,7 +20,15 @@ import numpy as np
 from .automorphism import OrderAutomorphism, apply, invert
 from .errors import DimensionMismatchError, SearchExhaustedError
 from .generators import random_hermitian, random_uniform
-from .hermitian import as_hermitian, eig, herm_array, psd_eigvalsh, rank_one
+from .hermitian import (
+    HermitianMatrix,
+    _decomposed_psd,
+    _spectral_norm,
+    as_hermitian,
+    eig,
+    herm_array,
+    rank_one,
+)
 from .tolerances import DEFAULT_TOLERANCES, GATE_MARGIN, Tolerances, scaled
 
 # Relative tolerance for the analytic scalar tests (T*T = lambda I, X = mu I).
@@ -60,9 +68,7 @@ class PreserverClassification:
 
 
 def _norm_product_scale(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    nb = float(np.max(np.abs(np.linalg.eigvalsh(b))))
-    return max(1.0, na * nb)
+    return max(1.0, _spectral_norm(np.linalg.eigvalsh(a)) * _spectral_norm(np.linalg.eigvalsh(b)))
 
 
 def _frobenius(m: np.ndarray) -> float:
@@ -122,8 +128,7 @@ def _eigen_clusters(m, tol: Tolerances) -> list[np.ndarray]:
     returns one orthonormal column block per eigenvalue cluster."""
     dec = eig(m)
     evals = dec.eigenvalues
-    norm = float(np.max(np.abs(evals)))
-    gap = scaled(tol.tol_rank, norm)
+    gap = scaled(tol.tol_rank, _spectral_norm(evals))
     blocks: list[list[int]] = [[0]]
     for i in range(1, evals.size):
         if evals[i] - evals[i - 1] > gap:
@@ -174,20 +179,19 @@ def complementary(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 def local_linear_dependence_scalar(m) -> float | None:
     """lambda when the PSD matrix equals lambda I (eigenvalue spread within
     tolerance), else None."""
-    _, evals = psd_eigvalsh(m)
+    evals = _decomposed_psd(m, DEFAULT_TOLERANCES, full=False).base._eigvalsh
     spread = float(evals[-1] - evals[0])
-    if spread <= SCALAR_TOL * max(1.0, float(np.abs(evals).max())):
+    if spread <= SCALAR_TOL * max(1.0, _spectral_norm(evals)):
         return float(np.mean(evals))
     return None
 
 
-def _scalar_part(x: np.ndarray) -> float | None:
-    """mu when X = mu I within tolerance, else None (X Hermitian, any sign)."""
-    d = x.shape[0]
-    mu = float(np.real(np.trace(x))) / d
-    resid = float(np.linalg.norm(x - mu * np.eye(d), 2))
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(x))))
-    if resid <= SCALAR_TOL * max(1.0, norm):
+def _scalar_part(x: HermitianMatrix) -> float | None:
+    """mu when X = mu I within tolerance, else None (X of any sign)."""
+    d = x.dim
+    mu = float(np.real(np.trace(x.mat))) / d
+    resid = float(np.linalg.norm(x.mat - mu * np.eye(d), 2))
+    if resid <= SCALAR_TOL * max(1.0, _spectral_norm(x._eigvalsh)):
         return mu
     return None
 
@@ -260,14 +264,15 @@ def preserves_relation(
 ) -> PreserverClassification:
     """Decide preservation analytically from (T, X); when the answer is no,
     produce a verified counterexample pair."""
-    s = phi.T.conj().T @ phi.T
+    # s = T*T wrapped once: both of its tests read its one eigvalsh
+    s = as_hermitian(phi.T.conj().T @ phi.T)
     lam = local_linear_dependence_scalar(s)
     if kind is RelationKind.ORTHOGONALITY:
-        x_norm = float(np.max(np.abs(np.linalg.eigvalsh(phi.X.mat))))
-        x_ok = x_norm <= SCALAR_TOL * max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(s)))))
+        x_norm = _spectral_norm(phi.X._eigvalsh)
+        x_ok = x_norm <= SCALAR_TOL * max(1.0, _spectral_norm(s._eigvalsh))
         mu = None
     else:
-        mu = _scalar_part(phi.X.mat)
+        mu = _scalar_part(phi.X)
         x_ok = mu is not None
 
     if lam is not None and x_ok:

@@ -11,7 +11,9 @@ from obsorder import (
     PsdMatrix,
     ValidationError,
     eig,
+    is_rank_one_by_order,
     range_basis,
+    rank_gt_np1_witness,
     rank_numeric,
     rank_one,
 )
@@ -19,16 +21,15 @@ from obsorder import hermitian
 from obsorder.generators import random_hermitian, random_psd, random_unit, random_unitary
 from obsorder.hermitian import (
     ASYMMETRY_LIMIT,
-    _certified_min_eig,
     _hermitian_stack,
     _scaled_projector,
     _spectral_norm,
     as_hermitian,
     as_psd,
-    psd_rank,
     symmetrize,
 )
 from obsorder.loewner import _max_norm_scale
+from obsorder.order_rank import _psd_rank
 from obsorder.tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
 
 
@@ -269,14 +270,14 @@ class TestSpectralEnds:
         spectrum = np.linalg.eigvalsh(m)
         norm = float(np.max(np.abs(spectrum)))
         if float(spectrum[0]) < -scaled(tol.tol_psd, norm):
-            for call in (lambda: _certified_min_eig(spectrum, tol), lambda: psd_rank(m, tol)):
+            for call in (lambda: as_psd(m, tol), lambda: _psd_rank(m, tol)):
                 with pytest.raises(ValidationError) as info:
                     call()
                 assert str(info.value) == _psd_message(spectrum)
             return
-        assert _certified_min_eig(spectrum, tol) == float(spectrum[0])
+        assert as_psd(m, tol).min_eig == float(spectrum[0])
         cut = scaled(tol.tol_rank, norm)
-        assert psd_rank(m, tol)[1] == int(np.count_nonzero(spectrum > cut))
+        assert _psd_rank(m, tol)[1] == int(np.count_nonzero(spectrum > cut))
 
     @pytest.mark.parametrize("evals", _SPECTRA)
     def test_max_norm_scale(self, evals):
@@ -369,6 +370,48 @@ class TestRankAndRange:
         assert abs(abs(np.vdot(v, x)) - 1.0) <= 1e-9
 
 
+class TestSpectrumCache:
+    """Each wrapper is decomposed at most once of each kind, and a PsdMatrix
+    reads its base's spectra."""
+
+    def test_rank_witnesses_decompose_their_operand_once(self, rng, lapack_calls):
+        # the lemma-rank suite's calls on one operand: a witness for every
+        # n = 1 ... d - 2, then the order's rank-one test
+        d = 12
+        a = as_psd(random_psd(rng, d, 6))
+        lapack_calls.clear()
+        for n in range(1, d - 1):
+            assert (rank_gt_np1_witness(a, n) is None) == (n >= 5)
+        assert not is_rank_one_by_order(a)
+        assert (lapack_calls.get("eigvalsh"), lapack_calls.get("eigh")) == (1, 1)
+
+    def test_min_eig_after_rank_numeric(self, rng, lapack_calls):
+        p = as_psd(random_psd(rng, 8, 4))
+        want = float(np.linalg.eigvalsh(p.mat)[0])
+        assert rank_numeric(p) == 4
+        lapack_calls.clear()
+        assert p.min_eig == want
+        assert lapack_calls == {}
+
+    def test_psd_wrapper_shares_its_base_spectra(self, rng, lapack_calls):
+        h = as_hermitian(random_psd(rng, 8, 8))
+        lapack_calls.clear()
+        eig(h)
+        # the certificate is read off the values eig computed: no factor
+        p = as_psd(h)
+        assert p.base is h and lapack_calls == {"eigh": 1}
+        assert rank_numeric(p) == 8
+        p.min_eig, eig(p), range_basis(p), rank_numeric(h)
+        assert lapack_calls == {"eigh": 1, "eigvalsh": 1}
+
+    def test_cached_arrays_are_read_only(self, rng):
+        h = as_hermitian(random_hermitian(rng, 4))
+        dec = eig(h)
+        for arr in (h._eigvalsh, *h._eigh, dec.eigenvalues, dec.eigenvectors):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 class TestRankOne:
     def test_basis_cases(self):
         np.testing.assert_array_equal(
@@ -400,7 +443,10 @@ def _prior_from_hermitian(m, tol):
     """``PsdMatrix.from_hermitian`` before the Cholesky certificate, copied:
     the verdict and min_eig from one eigvalsh. Returns (mat, min_eig)."""
     h = as_hermitian(m)
-    return h.mat, _certified_min_eig(np.linalg.eigvalsh(h.mat), tol)
+    evals = np.linalg.eigvalsh(h.mat)
+    if float(evals[0]) < -scaled(tol.tol_psd, float(np.max(np.abs(evals)))):
+        raise ValidationError(_psd_message(evals))
+    return h.mat, float(evals[0])
 
 
 def _from_hermitian(m, tol):

@@ -15,8 +15,8 @@ from obsorder import (
     rank_numeric,
 )
 from obsorder.generators import random_psd, random_unit, random_unitary
-from obsorder.hermitian import as_psd, eig, psd_rank, rank_one
-from obsorder.order_rank import check_rank_witness, rank_two_counterexample
+from obsorder.hermitian import as_psd, eig, rank_one
+from obsorder.order_rank import _psd_rank, check_rank_witness, rank_two_counterexample
 from obsorder.tolerances import DEFAULT_TOLERANCES, Tolerances, scaled
 
 
@@ -79,12 +79,12 @@ class TestRankFromTheCertificate:
         for d in (2, 8, 64):
             for r in (1, max(1, d // 2), d):
                 m = random_psd(rng, d, r)
-                got, rank = psd_rank(m)
+                got, rank = _psd_rank(m)
                 assert rank == rank_numeric(m) == r
                 assert got.min_eig == as_psd(m).min_eig
                 np.testing.assert_array_equal(got.mat, as_psd(m).mat)
                 wrapped = psd(m)
-                assert psd_rank(wrapped) == (wrapped, r)
+                assert _psd_rank(wrapped) == (wrapped, r)
 
     def test_one_eigvalsh_for_the_rank(self, rng, eigvalsh_calls):
         # a rank-1 operand and a rank <= n + 1 operand return right after
@@ -120,7 +120,7 @@ class TestRankUnderALooseCertificate:
 
     def test_witness_needs_positive_rank(self):
         a = np.diag([1.0, 1.0, 1.0, -5e-7])
-        assert psd_rank(a, self.TOL)[1] == 3
+        assert _psd_rank(a, self.TOL)[1] == 3
         assert rank_gt_np1_witness(a, 2, self.TOL) is None
         w = rank_gt_np1_witness(a, 1, self.TOL)
         assert check_rank_witness(a, w, self.TOL)

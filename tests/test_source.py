@@ -85,6 +85,39 @@ def test_oracle_has_one_loop_and_no_inline_threshold():
     assert not floats, "float literals outside oracle.py's named constants: " + ", ".join(floats)
 
 
+def _eigensolver_owners(path: Path) -> list[str]:
+    """The function around each ``np.linalg.eigh`` or ``eigvalsh`` in the
+    file, in order; "<module>" for one outside every function."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                owner.setdefault(id(node), fn.name)
+    return [
+        owner.get(id(node), "<module>")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")
+        and ast.unparse(node.value) == "np.linalg"
+    ]
+
+
+def test_eigensolvers_run_in_the_two_spectrum_accessors():
+    # hermitian.py decomposes a wrapper only through HermitianMatrix._eigh
+    # and _eigvalsh, which keep their result; the harness references check
+    # the library, so they take their own spectra and never read those caches
+    assert sorted(_eigensolver_owners(SRC / "hermitian.py")) == ["_eigh", "_eigvalsh"]
+    harness = SRC / "harness.py"
+    owners = set(_eigensolver_owners(harness))
+    assert {"bisection_max_lambda", "local_scalar", "_suite_thm1"} <= owners
+    cached = [
+        f"harness.py:{node.lineno}"
+        for node in ast.walk(ast.parse(harness.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("_eigh", "_eigvalsh")
+    ]
+    assert not cached, "harness reads the spectrum cache at " + ", ".join(cached)
+
+
 def _fresh(code: str) -> str:
     """The stdout of ``code`` run by a fresh interpreter on this source."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
